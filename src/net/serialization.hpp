@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,12 +89,20 @@ class ByteReader {
   }
 
   std::vector<std::uint8_t> bytes() {
+    const std::span<const std::uint8_t> b = bytes_view();
+    return {b.begin(), b.end()};
+  }
+
+  /// The same length-prefixed blob as bytes(), viewed in place instead of
+  /// copied: valid only while the underlying buffer lives. Empty (and ok()
+  /// false) when the prefix or the blob runs past the end.
+  std::span<const std::uint8_t> bytes_view() {
     const std::uint32_t n = u32();
     if (!ok_ || remaining() < n) {
       ok_ = false;
       return {};
     }
-    std::vector<std::uint8_t> b(buf_ + pos_, buf_ + pos_ + n);
+    const std::span<const std::uint8_t> b{buf_ + pos_, n};
     pos_ += n;
     return b;
   }

@@ -280,6 +280,59 @@ TEST(PacketPath, WarmStreamTickReusesPooledPayloads) {
   EXPECT_GT(after.reused, before.reused);
 }
 
+/// Multi-segment messages through a warm stream: the payloads are built
+/// before counting starts and handed over by move, so every allocation the
+/// counter sees is the stream's own. Segmenting, framing, ACKing and
+/// reassembly must not touch the heap; each delivered message may allocate
+/// its one output buffer.
+TEST(PacketPath, WarmMultiSegmentStreamAllocatesOnlyPerDeliveredMessage) {
+  TrafficControl tc{5};
+  Channel ch{tc, "lo"};
+  tc.execute("qdisc add dev lo root netem delay 5ms");
+  PacketRouter router{ch};
+  StreamConfig cfg;
+  cfg.mtu = 1000;
+  ReliableStream stream{router, ch, 1, LinkDirection::kDownlink, cfg};
+  constexpr std::uint32_t kWire = 24000;  // 24 segments per message
+  constexpr int kTicks = 400;
+  auto make_payloads = [] {
+    std::vector<Payload> out;
+    for (int i = 0; i < kTicks; ++i) out.emplace_back(2400, static_cast<std::uint8_t>(i));
+    return out;
+  };
+  std::int64_t t = 0;
+  std::uint64_t delivered = 0;
+  auto run = [&](std::vector<Payload>& payloads) {
+    for (Payload& p : payloads) {
+      t += 5000;
+      const TimePoint now = TimePoint::from_micros(t);
+      stream.send_message(std::move(p), kWire, now);
+      router.poll(now);
+      stream.step(now);
+      while (auto msg = stream.pop_delivered()) {
+        EXPECT_EQ(msg->bytes.size(), 2400u);
+        ++delivered;
+      }
+    }
+  };
+  std::vector<Payload> warm = make_payloads();
+  run(warm);  // warm pools, rings and queues
+
+  std::vector<Payload> measured = make_payloads();
+  std::vector<Payload> spent;  // the drained messages' buffers, freed after counting
+  spent.reserve(kTicks);
+  const std::uint64_t segments_before = stream.stats().segments_sent;
+  delivered = 0;
+  util::AllocCounter allocs;
+  run(measured);
+  const std::uint64_t count = allocs.delta();
+  const std::uint64_t segments = stream.stats().segments_sent - segments_before;
+  EXPECT_GE(segments, 24u * (kTicks - 2));
+  EXPECT_GE(delivered, static_cast<std::uint64_t>(kTicks - 2));
+  EXPECT_LE(count, delivered) << count << " allocations for " << delivered
+                              << " messages of " << segments << " segments";
+}
+
 // ------------------------------------------------------ introspection surface
 
 TEST(QdiscIntrospection, SummaryAndBacklogBytesAreConsistent) {

@@ -203,5 +203,95 @@ TEST_F(StreamFixture, BidirectionalFaultHitsAcks) {
   EXPECT_GE(stream.stats().srtt.value(), 190.0);
 }
 
+// Forged packets: checksum-valid segments the sender never produced. The
+// corrupt qdisc flips one bit, which the FNV checksum always catches, so
+// these only arise from multi-bit damage; the stream must still stay sane.
+
+Payload forge_data(std::uint16_t stream_id, std::uint32_t seq) {
+  ByteWriter w;
+  ProtocolHeader::begin(w, stream_id, SegmentType::kData);
+  w.u32(seq);
+  w.u32(0);    // message id
+  w.u16(0);    // segment index
+  w.u16(1);    // segment count
+  w.u32(100);  // message wire size
+  w.u64(0);    // message sent_us
+  w.bytes({7});
+  return ProtocolHeader::finish(w);
+}
+
+Payload forge_ack(std::uint16_t stream_id, std::uint32_t cum_ack) {
+  ByteWriter w;
+  ProtocolHeader::begin(w, stream_id, SegmentType::kAck);
+  w.u32(cum_ack);
+  w.u32(0);  // no SACK hints
+  w.u64(0);  // echoed timestamp
+  return ProtocolHeader::finish(w);
+}
+
+TEST_F(StreamFixture, ForgedDataBeyondTheRingIsDropped) {
+  StreamConfig cfg = config();
+  cfg.window_segments = 100;  // rounds up to a 128-slot ring
+  ReliableStream s{router, channel, 2, LinkDirection::kDownlink, cfg};
+  auto run = [&](Duration d) {
+    for (const TimePoint end = now + d; now < end;) {
+      now += Duration::millis(1);
+      router.poll(now);
+      s.step(now);
+    }
+  };
+
+  // rcv_next is 0: sequence 128 lies one past the ring and is dropped
+  // before any accounting — no ACK, no stale count, nothing buffered.
+  channel.send(LinkDirection::kDownlink, forge_data(2, 128), 100, now);
+  run(Duration::millis(5));
+  EXPECT_EQ(s.stats().acks_sent, 0u);
+  EXPECT_EQ(s.stats().stale_segments, 0u);
+  EXPECT_FALSE(s.pop_delivered().has_value());
+
+  // Real traffic is unaffected.
+  for (int i = 0; i < 5; ++i) s.send_message({static_cast<std::uint8_t>(i)}, 100, now);
+  run(Duration::millis(50));
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    const auto d = s.pop_delivered();
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->message_id, i);
+    EXPECT_EQ(d->bytes, Payload{static_cast<std::uint8_t>(i)});
+  }
+  EXPECT_EQ(s.stats().stale_segments, 0u);
+
+  // rcv_next is now 5: 5 + 128 is still out, 5 + 127 is the last slot in.
+  const std::uint64_t acks = s.stats().acks_sent;
+  channel.send(LinkDirection::kDownlink, forge_data(2, 5 + 128), 100, now);
+  run(Duration::millis(5));
+  EXPECT_EQ(s.stats().acks_sent, acks);
+  channel.send(LinkDirection::kDownlink, forge_data(2, 5 + 127), 100, now);
+  run(Duration::millis(5));
+  EXPECT_EQ(s.stats().acks_sent, acks + 1);  // buffered out of order, ACKed
+  EXPECT_FALSE(s.pop_delivered().has_value());
+}
+
+TEST_F(StreamFixture, ForgedAckForUnsentDataIsDropped) {
+  StreamConfig cfg = config();
+  cfg.window_segments = 4;
+  ReliableStream s{router, channel, 2, LinkDirection::kDownlink, cfg};
+  for (int i = 0; i < 20; ++i) s.send_message({static_cast<std::uint8_t>(i)}, 100, now);
+  s.step(now);  // four segments in flight, sixteen queued
+  channel.send(LinkDirection::kUplink, forge_ack(2, 1000), 60, now);
+  for (int t = 0; t < 300; ++t) {
+    now += Duration::millis(1);
+    router.poll(now);
+    s.step(now);
+    EXPECT_LE(s.last_cum_ack(), 20u);
+  }
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    const auto d = s.pop_delivered();
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->message_id, i);
+  }
+  EXPECT_EQ(s.last_cum_ack(), 20u);
+  EXPECT_EQ(s.unacked_segments(), 0u);
+}
+
 }  // namespace
 }  // namespace rdsim::net

@@ -46,6 +46,30 @@ TEST(ByteReader, TruncationSetsNotOk) {
   EXPECT_EQ(r.u64(), 0u);  // further reads return zero values
 }
 
+TEST(ByteReader, BytesViewReadsInPlace) {
+  ByteWriter w;
+  w.bytes({4, 5, 6});
+  w.u8(9);
+  const std::vector<std::uint8_t>& buf = w.data();
+  ByteReader r{buf};
+  const auto view = r.bytes_view();
+  ASSERT_EQ(view.size(), 3u);
+  EXPECT_EQ(view.data(), buf.data() + 4);  // just past the length prefix
+  EXPECT_EQ(view[2], 6);
+  EXPECT_EQ(r.u8(), 9);
+  EXPECT_TRUE(r.ok());
+}
+
+TEST(ByteReader, BytesViewPastTheEndIsEmptyAndNotOk) {
+  ByteWriter w;
+  w.u32(5);  // claims five bytes, two follow
+  w.u8(1);
+  w.u8(2);
+  ByteReader r{w.data()};
+  EXPECT_TRUE(r.bytes_view().empty());
+  EXPECT_FALSE(r.ok());
+}
+
 TEST(ByteReader, CorruptLengthPrefixIsSafe) {
   ByteWriter w;
   w.u32(1000000);  // claims a million bytes follow

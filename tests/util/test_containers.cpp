@@ -54,6 +54,38 @@ TEST(RingBuffer, WrapsCorrectlyAfterManyOps) {
   }
 }
 
+TEST(SeqQueue, FifoOrderAndPositionsSurviveGrowth) {
+  SeqQueue<int> q;
+  EXPECT_TRUE(q.empty());
+  for (int i = 0; i < 5; ++i) q.push_back() = i;
+  q.pop_front();
+  q.pop_front();
+  // Grows from 8 to 16 slots with the live range wrapped past slot 7.
+  for (int i = 5; i < 15; ++i) q.push_back() = i;
+  EXPECT_EQ(q.size(), 13u);
+  EXPECT_EQ(q.head(), 2u);
+  EXPECT_EQ(q.tail(), 15u);
+  for (std::uint32_t pos = q.head(); pos != q.tail(); ++pos) {
+    EXPECT_EQ(q[pos], static_cast<int>(pos));
+  }
+  for (int i = 2; i < 15; ++i) {
+    EXPECT_EQ(q.front(), i);
+    q.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(SeqQueue, PoppedSlotsKeepTheirBuffers) {
+  SeqQueue<std::vector<int>> q;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<int>& slot = q.push_back();
+    slot.assign(100, round);
+    q.pop_front();
+  }
+  // Eight slots, each reused; a push returns a slot with its old capacity.
+  EXPECT_GE(q.push_back().capacity(), 100u);
+}
+
 TEST(RingBuffer, ZeroCapacityClampedToOne) {
   RingBuffer<int> rb{0};
   EXPECT_EQ(rb.capacity(), 1u);
