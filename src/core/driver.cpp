@@ -46,7 +46,9 @@ units::Seconds DriverModel::display_staleness(util::TimePoint now) const {
   if (!last_display_change_) {
     return units::Seconds{std::numeric_limits<double>::infinity()};
   }
-  return units::Seconds::from_duration(now - *last_display_change_);
+  // A frame still inside its display latency (displayed_at in the future)
+  // is not on screen yet, so the screen is not stale: clamp at zero.
+  return units::Seconds::from_duration(std::max(now - *last_display_change_, util::Duration{}));
 }
 
 double DriverModel::idm_accel(double speed, double target_speed,

@@ -116,7 +116,8 @@ class DriverModel {
 
   const DriverParams& params() const { return params_; }
 
-  /// Time since the display last changed (inf if never updated). Also the
+  /// Time since the display last changed (inf if never updated; zero while
+  /// the latest frame is still within its display latency). Also the
   /// staleness observable the mitigation link-quality estimator consumes.
   units::Seconds display_staleness(util::TimePoint now) const;
 

@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 
+#include "check/contracts.hpp"
 #include "check/replay.hpp"
 #include "core/campaign_hash.hpp"
 #include "core/experiment.hpp"
@@ -39,16 +40,30 @@ ExperimentConfig golden_config(std::uint64_t seed) {
   return cfg;
 }
 
+/// A serial campaign and the contract violations it raised.
+struct CountedCampaign {
+  CampaignResult result;
+  std::uint64_t contract_violations{0};
+};
+
+CountedCampaign run_counted(const ExperimentConfig& cfg) {
+  const std::uint64_t before = check::Registry::instance().total_violations();
+  CountedCampaign out{ExperimentHarness{cfg}.run_campaign(), 0};
+  out.contract_violations = check::Registry::instance().total_violations() - before;
+  return out;
+}
+
 // Serial reference campaigns, one per seed, shared by every test in this
 // binary (the parallel sweep reuses the serial hash as its baseline).
-const CampaignResult& golden_campaign(std::uint64_t seed) {
-  static std::map<std::uint64_t, CampaignResult> cache;
+const CountedCampaign& counted_golden_campaign(std::uint64_t seed) {
+  static std::map<std::uint64_t, CountedCampaign> cache;
   auto it = cache.find(seed);
-  if (it == cache.end()) {
-    it = cache.emplace(seed, ExperimentHarness{golden_config(seed)}.run_campaign())
-             .first;
-  }
+  if (it == cache.end()) it = cache.emplace(seed, run_counted(golden_config(seed))).first;
   return it->second;
+}
+
+const CampaignResult& golden_campaign(std::uint64_t seed) {
+  return counted_golden_campaign(seed).result;
 }
 
 struct GoldenEntry {
@@ -153,6 +168,15 @@ TEST(CampaignGolden, HashCorpusMatchesCheckedInTable) {
     ADD_FAILURE() << detail
                   << "\nreplacement table:\n" << render_replacement_table();
     return;  // one table print is enough
+  }
+}
+
+TEST(CampaignGolden, CorpusRaisesNoContractViolations) {
+  // A corpus run that breaches a contract is a defect even when its hash is
+  // pinned: every seed must run clean.
+  for (const GoldenEntry& entry : kGolden) {
+    EXPECT_EQ(counted_golden_campaign(entry.seed).contract_violations, 0u)
+        << "seed " << entry.seed;
   }
 }
 
@@ -275,16 +299,15 @@ ExperimentConfig mitigated_config(std::uint64_t seed) {
   return cfg;
 }
 
-const CampaignResult& mitigated_campaign(std::uint64_t seed) {
-  static std::map<std::uint64_t, CampaignResult> cache;
+const CountedCampaign& counted_mitigated_campaign(std::uint64_t seed) {
+  static std::map<std::uint64_t, CountedCampaign> cache;
   auto it = cache.find(seed);
-  if (it == cache.end()) {
-    it = cache
-             .emplace(seed,
-                      ExperimentHarness{mitigated_config(seed)}.run_campaign())
-             .first;
-  }
+  if (it == cache.end()) it = cache.emplace(seed, run_counted(mitigated_config(seed))).first;
   return it->second;
+}
+
+const CampaignResult& mitigated_campaign(std::uint64_t seed) {
+  return counted_mitigated_campaign(seed).result;
 }
 
 // ---- mitigated golden corpus (regenerate via the failure output) ----
@@ -352,6 +375,13 @@ TEST(CampaignGoldenMitigated, HashCorpusMatchesCheckedInTable) {
     ADD_FAILURE() << detail << "\nreplacement table:\n"
                   << render_mitigated_table();
     return;
+  }
+}
+
+TEST(CampaignGoldenMitigated, CorpusRaisesNoContractViolations) {
+  for (const GoldenEntry& entry : kGoldenMitigated) {
+    EXPECT_EQ(counted_mitigated_campaign(entry.seed).contract_violations, 0u)
+        << "seed " << entry.seed;
   }
 }
 
