@@ -24,7 +24,15 @@ PathBuilder& PathBuilder::arc(double radius_m, double angle_rad) {
 }
 
 PathBuilder::Sampled PathBuilder::build() const {
+  auto steps_of = [this](const Segment& seg) {
+    return std::max(1, static_cast<int>(std::ceil(seg.length / step_)));
+  };
+  std::size_t samples = 1;
+  for (const Segment& seg : segments_) samples += static_cast<std::size_t>(steps_of(seg));
   Sampled out;
+  out.points.reserve(samples);
+  out.headings.reserve(samples);
+  out.arclength.reserve(samples);
   util::Pose pose = start_;
   double s = 0.0;
   out.points.push_back(pose.position);
@@ -32,7 +40,7 @@ PathBuilder::Sampled PathBuilder::build() const {
   out.arclength.push_back(0.0);
 
   for (const Segment& seg : segments_) {
-    const int steps = std::max(1, static_cast<int>(std::ceil(seg.length / step_)));
+    const int steps = steps_of(seg);
     const double ds = seg.length / steps;
     for (int i = 0; i < steps; ++i) {
       if (seg.is_arc) {
