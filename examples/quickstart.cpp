@@ -43,8 +43,8 @@ void summarize(const char* name, const core::RunResult& result) {
               result.video_stats.srtt.value());
   if (ttc_stats.valid()) {
     std::printf("  TTC  : min %.2f  avg %.2f  max %.2f  (violations<6s: %zu of %zu)\n",
-                ttc_stats.min, ttc_stats.avg, ttc_stats.max, ttc_stats.violations,
-                ttc_stats.samples);
+                ttc_stats.min.value(), ttc_stats.avg.value(), ttc_stats.max.value(),
+                ttc_stats.violations, ttc_stats.samples);
   } else {
     std::printf("  TTC  : no samples\n");
   }

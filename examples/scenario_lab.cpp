@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
               result.duration.value(), result.trace.run_id.c_str());
   if (ttc_stats.valid()) {
     std::printf("TTC:        min %.2f avg %.2f max %.2f s (%zu samples, %zu below 6 s)\n",
-                ttc_stats.min, ttc_stats.avg, ttc_stats.max, ttc_stats.samples,
-                ttc_stats.violations);
+                ttc_stats.min.value(), ttc_stats.avg.value(), ttc_stats.max.value(),
+                ttc_stats.samples, ttc_stats.violations);
   }
   std::printf("SRR:        %.1f reversals/min\n", srr_stats.rate_per_min);
   std::printf("speed:      mean %.1f m/s, max %.1f m/s\n", driving.speed.mean(),
