@@ -26,6 +26,17 @@ DriverParams with_station_latencies(DriverParams d, const StationConfig& station
   return d;
 }
 
+std::unique_ptr<net::MessageTransport> make_transport(
+    bool datagram, net::PacketRouter& router, net::Channel& channel,
+    std::uint16_t stream_id, net::LinkDirection direction,
+    const net::StreamConfig& stream) {
+  if (datagram) {
+    return std::make_unique<net::DatagramSocket>(router, channel, stream_id, direction);
+  }
+  return std::make_unique<net::ReliableStream>(router, channel, stream_id, direction,
+                                               stream);
+}
+
 }  // namespace
 
 TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
@@ -38,20 +49,10 @@ TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
       recorder_{config_.run_id, config_.subject_id, config_.fault_injected,
                 config_.rds.log_hz} {
   const auto& rds = config_.rds;
-  if (rds.datagram_video) {
-    video_dgram_ = std::make_unique<net::DatagramSocket>(
-        router_, channel_, kVideoStreamId, net::LinkDirection::kDownlink);
-  } else {
-    video_stream_ = std::make_unique<net::ReliableStream>(
-        router_, channel_, kVideoStreamId, net::LinkDirection::kDownlink, rds.transport);
-  }
-  if (rds.datagram_commands) {
-    command_dgram_ = std::make_unique<net::DatagramSocket>(
-        router_, channel_, kCommandStreamId, net::LinkDirection::kUplink);
-  } else {
-    command_stream_ = std::make_unique<net::ReliableStream>(
-        router_, channel_, kCommandStreamId, net::LinkDirection::kUplink, rds.transport);
-  }
+  video_ = make_transport(rds.datagram_video, router_, channel_, kVideoStreamId,
+                          net::LinkDirection::kDownlink, rds.transport);
+  commands_ = make_transport(rds.datagram_commands, router_, channel_, kCommandStreamId,
+                             net::LinkDirection::kUplink, rds.transport);
 
   operator_ = std::make_unique<OperatorSubsystem>(
       rds.station,
@@ -97,43 +98,29 @@ void TeleopSession::update_fault_plan() {
 
 void TeleopSession::pump_video(util::TimePoint now) {
   if (auto frame = vehicle_.maybe_encode_frame(now)) {
-    if (video_stream_) {
-      if (video_stream_->send_backlog() > config_.rds.video.sender_backlog_limit) {
-        ++frames_skipped_sender_;  // transport is behind: drop, don't queue
-      } else {
-        video_stream_->send_message(std::move(frame->payload), frame->wire_size, now);
-      }
+    if (video_->send_backlog() > config_.rds.video.sender_backlog_limit) {
+      ++frames_skipped_sender_;  // transport is behind: drop, don't queue
     } else {
-      video_dgram_->send(std::move(frame->payload), frame->wire_size, now);
+      video_->send_message(std::move(frame->payload), frame->wire_size, now);
     }
   }
-  if (video_stream_) {
-    video_stream_->step(now);
-    while (auto msg = video_stream_->pop_delivered()) {
-      if (auto decoded = sim::WorldFrame::decode(msg->bytes)) {
-        if (governor_) perceived_speed_ = units::MetersPerSecond{decoded->ego.state.speed()};
-        operator_->on_frame(*decoded, now);
-      }
-    }
-  } else {
-    while (auto msg = video_dgram_->receive_latest()) {
-      if (auto decoded = sim::WorldFrame::decode(msg->bytes)) {
-        if (governor_) perceived_speed_ = units::MetersPerSecond{decoded->ego.state.speed()};
-        operator_->on_frame(*decoded, now);
-      }
+  video_->step(now);
+  while (auto msg = video_->pop_delivered()) {
+    if (auto decoded = sim::WorldFrame::decode(msg->bytes)) {
+      if (governor_) perceived_speed_ = units::MetersPerSecond{decoded->ego.state.speed()};
+      operator_->on_frame(*decoded, now);
     }
   }
 }
 
 void TeleopSession::update_mitigation(util::TimePoint now) {
   // Estimation reads only observables that already exist: the transports'
-  // own stats and the display staleness the driver model experiences. With
-  // datagram transports there is no SRTT/retransmit telemetry and the
+  // own stats and the display staleness the driver model experiences. A
+  // datagram transport's stats are all zero, so with datagrams both ways the
   // governor acts on staleness alone.
-  const bool refreshed = estimator_->update(
-      video_stream_ ? &video_stream_->stats() : nullptr,
-      command_stream_ ? &command_stream_->stats() : nullptr,
-      operator_->driver().display_staleness(now), now);
+  const bool refreshed =
+      estimator_->update(video_->stats(), commands_->stats(),
+                         operator_->driver().display_staleness(now), now);
   if (refreshed) governor_->update(estimator_->quality(), now);
 }
 
@@ -142,25 +129,12 @@ void TeleopSession::pump_commands(util::TimePoint now) {
     // The governor sits between the driver's wheel and the uplink: in any
     // state but NOMINAL it shapes the command under the state's limits.
     if (governor_) cmd->control = governor_->shape(cmd->control, perceived_speed_, now);
-    if (command_stream_) {
-      command_stream_->send_message(cmd->encode(),
-                                    config_.rds.video.command_wire_bytes, now);
-    } else {
-      command_dgram_->send(cmd->encode(), config_.rds.video.command_wire_bytes, now);
-    }
+    commands_->send_message(cmd->encode(), config_.rds.video.command_wire_bytes, now);
   }
-  if (command_stream_) {
-    command_stream_->step(now);
-    while (auto msg = command_stream_->pop_delivered()) {
-      if (auto decoded = CommandMsg::decode(msg->bytes)) {
-        vehicle_.on_command(*decoded, now);
-      }
-    }
-  } else {
-    while (auto msg = command_dgram_->receive_latest()) {
-      if (auto decoded = CommandMsg::decode(msg->bytes)) {
-        vehicle_.on_command(*decoded, now);
-      }
+  commands_->step(now);
+  while (auto msg = commands_->pop_delivered()) {
+    if (auto decoded = CommandMsg::decode(msg->bytes)) {
+      vehicle_.on_command(*decoded, now);
     }
   }
 }
@@ -231,8 +205,8 @@ RunResult TeleopSession::run() {
   result.timed_out = vehicle_.runtime().timed_out();
   result.duration = units::Seconds{clock_.now().to_seconds()};
   result.qoe = operator_->qoe();
-  if (video_stream_) result.video_stats = video_stream_->stats();
-  if (command_stream_) result.command_stats = command_stream_->stats();
+  result.video_stats = video_->stats();
+  result.command_stats = commands_->stats();
   result.mean_downlink_latency =
       channel_.stats(net::LinkDirection::kDownlink).mean_latency();
   result.mean_uplink_latency =

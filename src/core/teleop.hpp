@@ -18,9 +18,8 @@
 #include "core/vehicle_subsystem.hpp"
 #include "mitigate/governor.hpp"
 #include "mitigate/link_quality.hpp"
-#include "net/datagram.hpp"
 #include "net/fault_injector.hpp"
-#include "net/reliable_stream.hpp"
+#include "net/transport.hpp"
 #include "sim/scenario.hpp"
 #include "trace/trace.hpp"
 #include "util/time.hpp"
@@ -110,10 +109,10 @@ class TeleopSession {
   net::TrafficControl tc_;
   net::Channel channel_;
   net::PacketRouter router_;
-  std::unique_ptr<net::ReliableStream> video_stream_;
-  std::unique_ptr<net::ReliableStream> command_stream_;
-  std::unique_ptr<net::DatagramSocket> video_dgram_;
-  std::unique_ptr<net::DatagramSocket> command_dgram_;
+  // One transport per direction, of the kind RdsConfig picks; after
+  // construction the session drives both through the same seam.
+  std::unique_ptr<net::MessageTransport> video_;
+  std::unique_ptr<net::MessageTransport> commands_;
   net::FaultInjector injector_;
 
   VehicleSubsystem vehicle_;

@@ -4,29 +4,10 @@
 #include <cmath>
 
 #include "check/contracts.hpp"
-#include "net/reliable_stream.hpp"
+#include "net/transport.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::mitigate {
-
-namespace {
-
-/// Sum of first transmissions over the present streams.
-std::uint64_t total_first_tx(const net::StreamStats* a, const net::StreamStats* b) {
-  std::uint64_t n = 0;
-  if (a != nullptr) n += a->segments_sent;
-  if (b != nullptr) n += b->segments_sent;
-  return n;
-}
-
-std::uint64_t total_retx(const net::StreamStats* a, const net::StreamStats* b) {
-  std::uint64_t n = 0;
-  if (a != nullptr) n += a->retransmits_rto + a->retransmits_fast;
-  if (b != nullptr) n += b->retransmits_rto + b->retransmits_fast;
-  return n;
-}
-
-}  // namespace
 
 LinkQualityEstimator::LinkQualityEstimator(EstimatorConfig config)
     : config_{config} {
@@ -38,8 +19,8 @@ LinkQualityEstimator::LinkQualityEstimator(EstimatorConfig config)
                 "loss_alpha must be in (0, 1]");
 }
 
-bool LinkQualityEstimator::update(const net::StreamStats* video,
-                                  const net::StreamStats* command,
+bool LinkQualityEstimator::update(const net::StreamStats& video,
+                                  const net::StreamStats& command,
                                   units::Seconds staleness, util::TimePoint now) {
   if (first_update_) {
     next_update_ = now;
@@ -60,9 +41,7 @@ bool LinkQualityEstimator::update(const net::StreamStats* video,
   // RTT: the transports already smooth their RTT estimate (RFC 6298 SRTT);
   // fold the worst live stream through a second, slower EWMA so the
   // governor sees a stable signal rather than per-ACK jitter.
-  units::Millis srtt_sample{};
-  if (video != nullptr) srtt_sample = std::max(srtt_sample, video->srtt);
-  if (command != nullptr) srtt_sample = std::max(srtt_sample, command->srtt);
+  const units::Millis srtt_sample = std::max(video.srtt, command.srtt);
   if (srtt_sample > units::Millis{}) {
     quality_.rtt = rtt_seeded_
                        ? quality_.rtt + config_.rtt_alpha * (srtt_sample - quality_.rtt)
@@ -74,8 +53,9 @@ bool LinkQualityEstimator::update(const net::StreamStats* video,
   // Loss: retransmit fraction over this estimation window. Retransmissions
   // are the transport's own reaction to loss, so the fraction tracks the
   // injected loss rate without any second tally (one source of truth).
-  const std::uint64_t first_tx = total_first_tx(video, command);
-  const std::uint64_t retx = total_retx(video, command);
+  const std::uint64_t first_tx = video.segments_sent + command.segments_sent;
+  const std::uint64_t retx = video.retransmits_rto + video.retransmits_fast +
+                             command.retransmits_rto + command.retransmits_fast;
   RDSIM_REQUIRE(first_tx >= prev_first_tx_ && retx >= prev_retx_,
                 "stream counters must be monotone");
   const std::uint64_t d_first = first_tx - prev_first_tx_;

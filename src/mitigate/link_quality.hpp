@@ -6,7 +6,7 @@
 #pragma once
 
 #include "mitigate/mitigation.hpp"
-#include "net/reliable_stream.hpp"
+#include "net/transport.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::mitigate {
@@ -24,12 +24,13 @@ class LinkQualityEstimator {
  public:
   explicit LinkQualityEstimator(EstimatorConfig config);
 
-  /// Fold the current observables at `now`. Either stream pointer may be
-  /// null (datagram transport: no SRTT / retransmit telemetry; the governor
-  /// then acts on staleness alone). `staleness` is the displayed-frame age;
-  /// pass +inf while no frame has been displayed yet. Samples are taken at
-  /// the configured cadence; returns true when an estimate was refreshed.
-  bool update(const net::StreamStats* video, const net::StreamStats* command,
+  /// Fold the current observables at `now`. A datagram transport reports
+  /// all-zero stats (no SRTT / retransmit telemetry), which leaves RTT and
+  /// loss untouched; with both directions on datagrams the governor acts on
+  /// staleness alone. `staleness` is the displayed-frame age; pass +inf
+  /// while no frame has been displayed yet. Samples are taken at the
+  /// configured cadence; returns true when an estimate was refreshed.
+  bool update(const net::StreamStats& video, const net::StreamStats& command,
               units::Seconds staleness, util::TimePoint now);
 
   const LinkQuality& quality() const { return quality_; }

@@ -1,6 +1,7 @@
 #include "net/datagram.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "net/serialization.hpp"
 #include "util/time.hpp"
@@ -15,8 +16,9 @@ DatagramSocket::DatagramSocket(PacketRouter& router, Channel& channel,
                          util::TimePoint now) { on_packet(h, body, via, now); });
 }
 
-std::uint32_t DatagramSocket::send(Payload bytes, std::uint32_t declared_wire_size,
-                                   util::TimePoint now) {
+std::uint32_t DatagramSocket::send_message(Payload bytes,
+                                           std::uint32_t declared_wire_size,
+                                           util::TimePoint now) {
   const std::uint32_t seq = next_seq_++;
   // One datagram = one packet, framed directly in a pooled buffer.
   ByteWriter w{channel_->acquire_payload(ProtocolHeader::kSize + 4 + 8 + 4 +
@@ -37,30 +39,24 @@ std::uint32_t DatagramSocket::send(Payload bytes, std::uint32_t declared_wire_si
 void DatagramSocket::on_packet(const ProtocolHeader& header, ByteReader r,
                                LinkDirection via, util::TimePoint now) {
   if (header.type != SegmentType::kDatagram || via != send_dir_) return;
-  DatagramMessage msg;
-  msg.sequence = r.u32();
-  msg.sent_at = util::TimePoint::from_micros(static_cast<std::int64_t>(r.u64()));
-  msg.bytes = r.bytes();
-  msg.delivered_at = now;
+  const std::uint32_t seq = r.u32();
+  const std::uint64_t sent_us = r.u64();
+  const std::span<const std::uint8_t> body = r.bytes_view();
   if (!r.ok()) return;
   ++received_;
-  inbox_.push_back(std::move(msg));
+  DeliveredMessage& msg = inbox_.push_back();
+  msg.bytes.assign(body.begin(), body.end());
+  msg.message_id = seq;
+  msg.sent_at = util::TimePoint::from_micros(static_cast<std::int64_t>(sent_us));
+  msg.delivered_at = now;
 }
 
-std::optional<DatagramMessage> DatagramSocket::receive() {
-  if (inbox_.empty()) return std::nullopt;
-  DatagramMessage msg = std::move(inbox_.front());
-  inbox_.pop_front();
-  return msg;
-}
-
-std::optional<DatagramMessage> DatagramSocket::receive_latest() {
-  std::optional<DatagramMessage> newest;
-  while (!inbox_.empty()) {
-    DatagramMessage msg = std::move(inbox_.front());
-    inbox_.pop_front();
-    if (!any_seen_ || msg.sequence >= newest_seen_) {
-      newest_seen_ = msg.sequence;
+std::optional<DeliveredMessage> DatagramSocket::pop_delivered() {
+  std::optional<DeliveredMessage> newest;
+  for (; !inbox_.empty(); inbox_.pop_front()) {
+    DeliveredMessage& msg = inbox_.front();
+    if (!any_seen_ || msg.message_id >= newest_seen_) {
+      newest_seen_ = msg.message_id;
       any_seen_ = true;
       if (newest) ++stale_;
       newest = std::move(msg);

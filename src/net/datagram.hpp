@@ -3,39 +3,38 @@
 // Used by the ablation benches: some remote-driving stacks ship video and
 // commands over UDP/RTP where a lost packet means a lost frame rather than a
 // head-of-line stall. One message = one packet; no retransmission, no
-// ordering guarantee beyond what the link provides.
+// ordering guarantee beyond what the link provides. Delivery is latest-wins.
 #pragma once
 
-#include <deque>
-
 #include "net/router.hpp"
+#include "net/transport.hpp"
+#include "util/ring_buffer.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::net {
 
-struct DatagramMessage {
-  Payload bytes;
-  std::uint32_t sequence{0};       ///< sender-assigned, for staleness checks
-  util::TimePoint sent_at{};
-  util::TimePoint delivered_at{};
-};
-
-class DatagramSocket {
+class DatagramSocket final : public MessageTransport {
  public:
   DatagramSocket(PacketRouter& router, Channel& channel, std::uint16_t stream_id,
                  LinkDirection send_direction);
 
   /// Fire-and-forget. Returns the datagram sequence number.
-  std::uint32_t send(Payload bytes, std::uint32_t declared_wire_size, util::TimePoint now);
+  std::uint32_t send_message(Payload bytes, std::uint32_t declared_wire_size,
+                             util::TimePoint now) override;
 
-  /// Pop the next received datagram (delivery order = arrival order, which
-  /// may be reordered or have gaps).
-  std::optional<DatagramMessage> receive();
+  /// Always 0: a datagram goes onto the link as it is sent.
+  std::size_t send_backlog() const override { return 0; }
+
+  /// No timers to drive.
+  void step(util::TimePoint) override {}
 
   /// Drop everything older than the newest received sequence and return the
-  /// newest message, if any arrived since the last call. This is the
-  /// latest-wins mode used for command channels.
-  std::optional<DatagramMessage> receive_latest();
+  /// newest message (its `message_id` is the datagram sequence number), if
+  /// any arrived since the last call. Older arrivals count as stale.
+  std::optional<DeliveredMessage> pop_delivered() override;
+
+  /// All zero: datagrams keep no RTT or retransmit telemetry.
+  const StreamStats& stats() const override { return stats_; }
 
   std::uint64_t sent_count() const { return sent_; }
   std::uint64_t received_count() const { return received_; }
@@ -51,7 +50,8 @@ class DatagramSocket {
   std::uint32_t next_seq_{0};
   std::uint32_t newest_seen_{0};
   bool any_seen_{false};
-  std::deque<DatagramMessage> inbox_;
+  util::SeqQueue<DeliveredMessage> inbox_;
+  const StreamStats stats_{};
   std::uint64_t sent_{0};
   std::uint64_t received_{0};
   std::uint64_t stale_{0};

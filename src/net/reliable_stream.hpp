@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "net/router.hpp"
+#include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/units.hpp"
@@ -72,32 +73,10 @@ struct StreamConfig {
   util::Duration ack_delay{};          ///< 0 = ack immediately
 };
 
-/// A message handed up to the application by the receiver side.
-struct DeliveredMessage {
-  Payload bytes;
-  std::uint32_t message_id{0};
-  util::TimePoint sent_at{};       ///< when the sender queued the message
-  util::TimePoint delivered_at{};  ///< when in-order delivery completed
-  util::Duration latency() const { return delivered_at - sent_at; }
-};
-
-struct StreamStats {
-  std::uint64_t messages_sent{0};
-  std::uint64_t messages_delivered{0};
-  std::uint64_t segments_sent{0};      ///< first transmissions
-  std::uint64_t retransmits_rto{0};
-  std::uint64_t retransmits_fast{0};
-  std::uint64_t acks_sent{0};
-  std::uint64_t dup_acks_seen{0};
-  std::uint64_t stale_segments{0};     ///< duplicates discarded by receiver
-  units::Millis srtt{};                ///< smoothed RTT estimate
-  units::Millis rto{};                 ///< current retransmission timeout
-};
-
 /// One reliable stream. A single object serves both halves because the whole
 /// experiment runs in-process; the DATA direction is fixed at construction
 /// and ACKs flow the opposite way through the same faulted channel.
-class ReliableStream {
+class ReliableStream final : public MessageTransport {
  public:
   ReliableStream(PacketRouter& router, Channel& channel, std::uint16_t stream_id,
                  LinkDirection data_direction, StreamConfig config = {});
@@ -106,18 +85,18 @@ class ReliableStream {
   /// account for (e.g. the encoded video frame size); the actual payload
   /// can be much smaller. Returns the message id.
   std::uint32_t send_message(Payload bytes, std::uint32_t declared_wire_size,
-                             util::TimePoint now);
+                             util::TimePoint now) override;
 
   /// Drive timers: transmit window, retransmit on RTO. The router's poll()
   /// must run first each step so incoming ACKs/DATA are processed.
-  void step(util::TimePoint now);
+  void step(util::TimePoint now) override;
 
   /// Next in-order message, if any has completed.
-  std::optional<DeliveredMessage> pop_delivered();
+  std::optional<DeliveredMessage> pop_delivered() override;
 
-  const StreamStats& stats() const { return stats_; }
+  const StreamStats& stats() const override { return stats_; }
   std::size_t unacked_segments() const { return next_tx_seq_ - last_cum_ack_; }
-  std::size_t send_backlog() const { return next_seq_ - next_tx_seq_; }
+  std::size_t send_backlog() const override { return next_seq_ - next_tx_seq_; }
   const StreamConfig& config() const { return config_; }
   /// Highest cumulative ACK the sender has seen (monotone non-decreasing).
   std::uint32_t last_cum_ack() const { return last_cum_ack_; }

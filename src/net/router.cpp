@@ -67,16 +67,6 @@ std::optional<PacketView> open_packet_view(const Payload& packet_payload) {
   return view;
 }
 
-std::optional<ParsedPacket> open_packet(const Payload& packet_payload) {
-  const auto view = open_packet_view(packet_payload);
-  if (!view) return std::nullopt;
-  ParsedPacket parsed;
-  parsed.header = view->header;
-  parsed.body.assign(packet_payload.begin() + ProtocolHeader::kSize,
-                     packet_payload.end());
-  return parsed;
-}
-
 void PacketRouter::register_stream(std::uint16_t stream_id, Handler handler) {
   handlers_[stream_id] = std::move(handler);
 }

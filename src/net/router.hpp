@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 
 #include "net/channel.hpp"
 #include "net/serialization.hpp"
@@ -52,12 +53,6 @@ struct ProtocolHeader {
   static Payload seal(std::uint16_t stream_id, SegmentType type, const Payload& body);
 };
 
-/// Result of parsing and verifying a raw packet payload.
-struct ParsedPacket {
-  ProtocolHeader header;
-  Payload body;
-};
-
 /// A verified packet viewed in place: `body` reads directly from the packet
 /// payload and is valid only while that payload is alive.
 struct PacketView {
@@ -67,10 +62,6 @@ struct PacketView {
 
 /// Parse and verify without copying; nullopt on checksum failure/truncation.
 std::optional<PacketView> open_packet_view(const Payload& packet_payload);
-
-/// Parse and verify; returns an owning copy of the body on success, nullopt
-/// on a checksum failure or truncation. Prefer open_packet_view on hot paths.
-std::optional<ParsedPacket> open_packet(const Payload& packet_payload);
 
 /// Polls a channel and routes verified packets to registered streams.
 class PacketRouter {

@@ -1,5 +1,5 @@
 // The ONLY translation unit that registers first-party metrics (enforced by
-// tools/lint_obs.py). Registration runs during static initialization, before
+// `python3 -m tools.rdsim_lint.cli --rules obs`). Registration runs during static initialization, before
 // main() and before the thread pool exists, so ids are stable process-wide
 // and hot paths never touch the registry lock.
 #include "obs/catalog.hpp"

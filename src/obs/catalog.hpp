@@ -1,7 +1,7 @@
 // The metric-name catalog: every first-party instrumentation id, declared
 // here and registered exactly once in catalog.cpp. Hot paths refer to these
-// ids only — never to name strings — which is what tools/lint_obs.py
-// enforces (`metric-registration` / `hot-path-literal` rules). The full
+// ids only — never to name strings — which is what
+// `python3 -m tools.rdsim_lint.cli --rules obs` enforces (`metric-registration` / `hot-path-literal` rules). The full
 // metric reference with units and semantics lives in docs/observability.md.
 #pragma once
 

@@ -3,7 +3,8 @@
 // Metric *identity* is global and static: register_counter() & friends
 // append to a process-wide registry (names unique, registration happens in
 // obs/catalog.cpp for all first-party instrumentation — enforced by
-// tools/lint_obs.py) and hand back a small integer MetricId. Metric *values*
+// `python3 -m tools.rdsim_lint.cli --rules obs`) and hand back a small
+// integer MetricId. Metric *values*
 // live in Context objects: one per observed unit of work (one teleop run in
 // the campaign harness), installed thread-locally via ContextScope so hot
 // paths reach it with a single TLS load. This split is what makes

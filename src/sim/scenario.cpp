@@ -291,15 +291,4 @@ Scenario make_pedestrian_crossing_scenario() {
   return sc;
 }
 
-Scenario make_training_scenario() {
-  Scenario sc;
-  sc.name = "training";
-  sc.ego_initial_speed = Mps{};
-  sc.end = M{800.0};
-  // Three to five minutes of free driving (§V.E.1).
-  sc.time_limit = units::Seconds{300.0};
-  sc.instructions.push_back({M{0.0}, M{800.0}, 0, Mps{12.0}, M{0.0}, "drive freely"});
-  return sc;
-}
-
 }  // namespace rdsim::sim

@@ -105,9 +105,6 @@ Scenario make_following_scenario();
 Scenario make_slalom_scenario();
 Scenario make_overtake_scenario();
 
-/// Empty town for the training step (§V.E.1).
-Scenario make_training_scenario();
-
 /// Extension beyond the paper's operational domain: a pedestrian steps off
 /// the kerb and crosses as the ego approaches. The paper's introduction
 /// motivates exactly this risk ("environments with manual vehicles or

@@ -7,7 +7,8 @@
 // class). This header makes the unit part of the type: a wrong-unit
 // assignment is a compile error, and every cross-unit conversion is an
 // explicit, named function that lives *here* (the only place the lint
-// `tools/lint_units.py` permits conversion constants like 1e3 or 3.6).
+// `python3 -m tools.rdsim_lint.cli --rules units` permits conversion
+// constants like 1e3 or 3.6).
 //
 // Design rules:
 //   - zero overhead: each type is one double, all operations are the same

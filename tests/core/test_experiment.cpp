@@ -1,7 +1,9 @@
-// Experiment harness and report builders. These use a single subject (not
-// the full campaign) to stay fast; the integration suite covers the rest.
+// Experiment harness, report builders and the experience/performance
+// correlation. These use single subjects (not the full campaign) to stay
+// fast; the integration suite covers the rest.
 #include <gtest/gtest.h>
 
+#include "core/correlation.hpp"
 #include "core/report.hpp"
 
 namespace rdsim::core {
@@ -162,6 +164,34 @@ TEST(CampaignResult, IncludedFiltersExcludedSubjects) {
   c.subjects.push_back(b);
   EXPECT_EQ(c.included().size(), 1u);
   EXPECT_EQ(c.included()[0]->profile.id, "T1");
+}
+
+TEST(Correlation, FeaturesExtractedPerIncludedSubject) {
+  // A small synthetic campaign: reuse one subject result twice under
+  // different profiles so the correlation has variance to chew on.
+  ExperimentHarness harness;
+  CampaignResult campaign;
+  campaign.subjects.push_back(harness.run_subject(make_roster()[3]));   // T4
+  campaign.subjects.push_back(harness.run_subject(make_roster()[8]));   // T9
+  const auto features = extract_features(campaign);
+  ASSERT_EQ(features.size(), 2u);
+  EXPECT_EQ(features[0].subject, "T4");
+  EXPECT_GE(features[0].faulty_srr, 0.0);
+  EXPECT_GE(features[1].qoe, 1.0);
+
+  const auto rows = correlate(campaign);
+  EXPECT_EQ(rows.size(), 15u);  // 3 experience x 5 performance
+  // T4 has no gaming experience and T9 has: that axis has variance, so r is
+  // defined (n=2 gives a degenerate +/-1, but defined).
+  bool gaming_defined = false;
+  for (const auto& row : rows) {
+    if (row.experience == "gaming" && row.r.has_value()) gaming_defined = true;
+  }
+  EXPECT_TRUE(gaming_defined);
+
+  const std::string report = render_correlations(campaign);
+  EXPECT_NE(report.find("gaming"), std::string::npos);
+  EXPECT_NE(report.find("n = 2"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Closed-loop teleoperation sessions (integration of net + sim + driver).
 #include <gtest/gtest.h>
 
+#include "check/contracts.hpp"
 #include "core/teleop.hpp"
 
 namespace rdsim::core {
@@ -158,6 +159,26 @@ TEST(TeleopSession, QoeTransportCountersAreZeroOnDatagramTransports) {
   const RunResult r = session.run();
   EXPECT_EQ(r.qoe.transport.retransmits(), 0u);
   EXPECT_EQ(r.qoe.transport.stale_segments, 0u);
+}
+
+TEST(TeleopSession, DatagramTransportsWithMitigationActOnStalenessAlone) {
+  // Datagram stats are all zero, so the link-quality estimator gets no RTT
+  // or retransmit telemetry and the governor acts on staleness alone.
+  RunConfig rc = base_config("dgram_mitigated");
+  rc.rds.datagram_video = true;
+  rc.rds.datagram_commands = true;
+  rc.mitigation.enabled = true;
+  rc.fault_injected = true;
+  rc.plan.push_back({"following", {net::FaultKind::kPacketLoss, 0.05}});
+  const std::uint64_t before = check::Registry::instance().total_violations();
+  TeleopSession session{std::move(rc), sim::make_following_scenario()};
+  const RunResult r = session.run();
+  EXPECT_EQ(check::Registry::instance().total_violations() - before, 0u);
+  EXPECT_TRUE(r.completed);
+  EXPECT_GT(r.frames_displayed, 500u);
+  ASSERT_TRUE(r.mitigation.enabled);
+  EXPECT_EQ(r.mitigation.final_rtt.value(), 0.0);
+  EXPECT_EQ(r.mitigation.final_loss, 0.0);
 }
 
 TEST(TeleopSession, SevereDelayDegradesFeed) {

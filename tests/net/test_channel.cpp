@@ -65,24 +65,28 @@ TEST(Channel, InFlightCountsQueuedPackets) {
 TEST(ProtocolHeader, SealAndOpenRoundTrip) {
   const Payload body{10, 20, 30};
   const Payload sealed = ProtocolHeader::seal(7, SegmentType::kAck, body);
-  const auto parsed = open_packet(sealed);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->header.stream_id, 7);
-  EXPECT_EQ(parsed->header.type, SegmentType::kAck);
-  EXPECT_EQ(parsed->body, body);
+  auto view = open_packet_view(sealed);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->header.stream_id, 7);
+  EXPECT_EQ(view->header.type, SegmentType::kAck);
+  // The body is read in place, byte for byte, and ends where the packet does.
+  ASSERT_EQ(view->body.remaining(), body.size());
+  for (const std::uint8_t expected : body) EXPECT_EQ(view->body.u8(), expected);
+  EXPECT_TRUE(view->body.ok());
+  EXPECT_EQ(view->body.remaining(), 0u);
 }
 
 TEST(ProtocolHeader, DetectsCorruption) {
   Payload sealed = ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3, 4});
   sealed[ProtocolHeader::kSize + 1] ^= 0x10;  // flip a payload bit
-  EXPECT_FALSE(open_packet(sealed).has_value());
+  EXPECT_FALSE(open_packet_view(sealed).has_value());
 }
 
 TEST(ProtocolHeader, DetectsHeaderDamage) {
   Payload sealed = ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3, 4});
   sealed[3] ^= 0x01;  // flip a checksum bit
-  EXPECT_FALSE(open_packet(sealed).has_value());
-  EXPECT_FALSE(open_packet({1, 2}).has_value());  // truncated
+  EXPECT_FALSE(open_packet_view(sealed).has_value());
+  EXPECT_FALSE(open_packet_view({1, 2}).has_value());  // truncated
 }
 
 TEST(PacketRouter, RoutesByStreamId) {

@@ -96,8 +96,8 @@ TEST(TestRouteScenario, IsWellFormed) {
 }
 
 TEST(ScenarioLibrary, FocusedScenariosWellFormed) {
-  for (const Scenario& sc : {make_following_scenario(), make_slalom_scenario(),
-                             make_overtake_scenario(), make_training_scenario()}) {
+  for (const Scenario& sc :
+       {make_following_scenario(), make_slalom_scenario(), make_overtake_scenario()}) {
     EXPECT_FALSE(sc.name.empty());
     EXPECT_GT(sc.end, Meters{100.0});
     EXPECT_GT(sc.time_limit, Seconds{30.0});

@@ -44,7 +44,6 @@ BASELINE = {
     "src/sim/road.hpp": 4,
     "src/sim/road.cpp": 4,
     "src/trace/trace.hpp": 2,
-    "src/sim/rpc.hpp": 1,
     "src/sim/frame.hpp": 1,
 }
 
