@@ -3,6 +3,8 @@
 // computation, and a full teleoperation tick.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/teleop.hpp"
 #include "metrics/srr.hpp"
 #include "metrics/ttc.hpp"
@@ -61,14 +63,32 @@ void BM_ReliableStreamRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_ReliableStreamRoundTrip);
 
 void BM_WorldPhysicsStep(benchmark::State& state) {
-  sim::World world{sim::make_town05_route()};
-  sim::ScenarioRuntime runtime{sim::make_test_route_scenario(), world};
-  sim::VehicleControl c;
-  c.throttle = 0.4;
-  world.apply_ego_control(c);
+  // The throttled ego drives off the route, so the world is rebuilt every
+  // 60 sim-s: otherwise the per-step time would depend on how far the
+  // iteration count lets it drive.
+  constexpr int kStepsPerWorld = 6000;
+  std::optional<sim::World> world;
+  std::optional<sim::ScenarioRuntime> runtime;
+  const auto rebuild = [&] {
+    runtime.reset();
+    world.emplace(sim::make_town05_route());
+    runtime.emplace(sim::make_test_route_scenario(), *world);
+    sim::VehicleControl c;
+    c.throttle = 0.4;
+    world->apply_ego_control(c);
+  };
+  rebuild();
+  int steps = 0;
   for (auto _ : state) {
-    world.step(units::Seconds{0.01});
-    runtime.step();
+    if (steps == kStepsPerWorld) {
+      state.PauseTiming();
+      rebuild();
+      steps = 0;
+      state.ResumeTiming();
+    }
+    world->step(units::Seconds{0.01});
+    runtime->step();
+    ++steps;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -1,8 +1,20 @@
 #include "core/config.hpp"
 
+#include <cmath>
+
 #include "sim/vehicle.hpp"
 
 namespace rdsim::core {
+
+std::optional<std::string> RdsConfig::validate() const {
+  const auto runnable_rate = [](double hz) { return std::isfinite(hz) && hz > 0.0; };
+  if (!runnable_rate(physics_hz)) return "RdsConfig.physics_hz must be finite and > 0";
+  if (!runnable_rate(comms_hz)) return "RdsConfig.comms_hz must be finite and > 0";
+  if (transport.window_segments == 0) {
+    return "RdsConfig.transport.window_segments must be > 0";
+  }
+  return std::nullopt;
+}
 
 RdsConfig RdsConfig::scaled_model_vehicle() {
   RdsConfig cfg;

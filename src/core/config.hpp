@@ -7,6 +7,7 @@
 // transports, frame sizes and the loop rates of the testbed.
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "net/reliable_stream.hpp"
@@ -67,6 +68,11 @@ struct RdsConfig {
   /// Use unreliable datagrams instead of the TCP-like stream (ablation).
   bool datagram_video{false};
   bool datagram_commands{false};
+
+  /// Why this configuration cannot run, naming the field, or nullopt when it
+  /// can: loop rates must be finite and positive (the session divides by
+  /// them) and the stream window must hold at least one segment.
+  std::optional<std::string> validate() const;
 
   /// Configuration approximating the remotely operated scaled-down model
   /// vehicle used for the §VIII validity comparison: faster plant, lower

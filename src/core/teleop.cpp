@@ -1,5 +1,7 @@
 #include "core/teleop.hpp"
 
+#include <stdexcept>
+
 #include "check/frame_hash.hpp"
 #include "mitigate/governor.hpp"
 #include "mitigate/link_quality.hpp"
@@ -26,6 +28,12 @@ DriverParams with_station_latencies(DriverParams d, const StationConfig& station
   return d;
 }
 
+/// Rejects a configuration that cannot run before any member is built from it.
+RunConfig validated(RunConfig config) {
+  if (auto error = config.rds.validate()) throw std::invalid_argument{*error};
+  return config;
+}
+
 std::unique_ptr<net::MessageTransport> make_transport(
     bool datagram, net::PacketRouter& router, net::Channel& channel,
     std::uint16_t stream_id, net::LinkDirection direction,
@@ -40,7 +48,7 @@ std::unique_ptr<net::MessageTransport> make_transport(
 }  // namespace
 
 TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
-    : config_{std::move(config)},
+    : config_{validated(std::move(config))},
       tc_{config_.seed},
       channel_{tc_, config_.rds.device},
       router_{channel_},

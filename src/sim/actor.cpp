@@ -62,8 +62,7 @@ units::MetersPerSecond LaneFollowController::target_speed_at(units::Meters s) co
 void LaneFollowController::update(Actor& actor, const RoadNetwork& road,
                                   units::Seconds dt) {
   (void)dt;
-  const auto proj = road.project(actor.state().position, actor.track_position().value());
-  actor.set_track_position(units::Meters{proj.s});
+  const RoadProjection& proj = actor.projection();
 
   VehicleControl control;
   const double speed = actor.vehicle().forward_speed();
@@ -80,8 +79,7 @@ WalkerController::WalkerController(units::MetersPerSecond walk_speed,
 
 void WalkerController::update(Actor& actor, const RoadNetwork& road, units::Seconds dt) {
   if (!crossing_ || done_ || dt.value() <= 0.0) return;
-  const auto proj = road.project(actor.state().position, actor.track_position().value());
-  actor.set_track_position(units::Meters{proj.s});
+  const RoadProjection& proj = actor.projection();
   const double remaining = target_lateral_.value() - proj.lateral;
   const double dir = remaining >= 0.0 ? 1.0 : -1.0;
   const double step =
@@ -109,9 +107,6 @@ CyclistController::CyclistController(units::MetersPerSecond speed,
 
 void CyclistController::update(Actor& actor, const RoadNetwork& road, units::Seconds dt) {
   phase_ += dt;
-  const auto proj = road.project(actor.state().position, actor.track_position().value());
-  actor.set_track_position(units::Meters{proj.s});
-
   const double wobble = wobble_amp_ * std::sin(2.0 * std::numbers::pi *
                                                phase_.value() / wobble_period_.value());
   VehicleControl control;

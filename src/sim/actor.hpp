@@ -43,10 +43,14 @@ class Actor {
   }
   bool has_controller() const { return controller_ != nullptr; }
 
-  /// Track-position cache (arc length along the route), maintained by the
-  /// world for cheap projection.
-  units::Meters track_position() const { return track_position_; }
-  void set_track_position(units::Meters s) { track_position_ = s; }
+  /// The actor's road projection at its current position (heading_error
+  /// unset). The world computes it at spawn and after every move in
+  /// World::step; code that moves an actor by hand between steps sees the
+  /// projection from before the move.
+  const RoadProjection& projection() const { return projection_; }
+  void set_projection(const RoadProjection& projection) { projection_ = projection; }
+  /// Arc length along the route, from the cached projection.
+  units::Meters track_position() const { return units::Meters{projection_.s}; }
 
   void step(const RoadNetwork& road, units::Seconds dt) {
     if (controller_) controller_->update(*this, road, dt);
@@ -63,7 +67,7 @@ class Actor {
   std::string role_;
   Vehicle vehicle_;
   std::unique_ptr<ActorController> controller_;
-  units::Meters track_position_{};
+  RoadProjection projection_{};
 };
 
 /// Follows a lane at a scripted speed profile — the "dynamic vehicle" the

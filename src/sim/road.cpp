@@ -120,24 +120,25 @@ double RoadNetwork::curvature_at(double s) const {
 std::size_t RoadNetwork::nearest_index(util::Vec2 point,
                                        std::optional<double> hint_s) const {
   if (hint_s) {
-    // Local search around the hint: actors move forward a few metres per
-    // step, so scanning a +/- 50 m window is both fast and safe.
-    const std::size_t centre = index_for_s(arclength_, *hint_s);
-    const std::size_t window = 60;
-    const std::size_t lo = centre > window ? centre - window : 0;
-    const std::size_t hi = std::min(centre + window, points_.size() - 1);
-    std::size_t best = lo;
-    double best_d = (points_[lo] - point).norm_sq();
-    for (std::size_t i = lo + 1; i <= hi; ++i) {
-      const double d = (points_[i] - point).norm_sq();
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
+    // Descend from the hint: step toward strictly smaller distance, forward
+    // and then backward, and stop at the first local minimum. Actors move a
+    // few centimetres per step, so this is one or two comparisons; past a
+    // route end it stops on the end point, which is the true nearest one.
+    std::size_t i = index_for_s(arclength_, *hint_s);
+    double best_d = (points_[i] - point).norm_sq();
+    while (i + 1 < points_.size()) {
+      const double d = (points_[i + 1] - point).norm_sq();
+      if (!(d < best_d)) break;
+      best_d = d;
+      ++i;
     }
-    // If the best is interior to the window, trust it; otherwise fall back
-    // to the global search below (the hint was stale).
-    if (best > lo && best < hi) return best;
+    while (i > 0) {
+      const double d = (points_[i - 1] - point).norm_sq();
+      if (!(d < best_d)) break;
+      best_d = d;
+      --i;
+    }
+    return i;
   }
   std::size_t best = 0;
   double best_d = (points_[0] - point).norm_sq();
@@ -168,9 +169,9 @@ RoadProjection RoadNetwork::project(util::Vec2 point, std::optional<double> hint
 }
 
 RoadNetwork make_town05_route(double scale) {
-  // Two same-direction lanes, 3.5 m wide, ~2.6 km: straights for the
-  // car-following sections, sweeping curves between them, matching the
-  // highway/multi-lane character of CARLA Town 5.
+  // Two same-direction lanes, 3.5 m wide, 2 841.9 m long (710.5 m at scale
+  // 0.25): straights for the car-following sections, sweeping curves between
+  // them, matching the highway/multi-lane character of CARLA Town 5.
   if (scale <= 0.0) scale = 1.0;
   PathBuilder builder{util::Pose{{0.0, 0.0}, 0.0}, std::min(1.0, scale)};
   builder.straight(500.0 * scale)

@@ -80,8 +80,12 @@ class RoadNetwork {
   /// Signed curvature at s (1/m, + left).
   double curvature_at(double s) const;
 
-  /// Project a world point; `hint_s` (if given) makes the search local and
-  /// O(1) for the forward-moving actors that dominate the workload.
+  /// Project a world point. Without a hint this scans every sample. With
+  /// `hint_s` it descends from the sample at the hint to the nearest local
+  /// minimum of distance, so the cost is bounded by how far the point lies
+  /// from the hint; on a route that never bends back toward the point (such
+  /// as the Town05 route, for points on or beside it) that minimum is the
+  /// global one.
   RoadProjection project(util::Vec2 point, std::optional<double> hint_s = {}) const;
 
   /// Lateral offset of the centre of lane `lane` from the reference line.
@@ -115,7 +119,8 @@ class RoadNetwork {
 };
 
 /// The test route used in our experiments: a Town05-like course with long
-/// straights, sweeping curves and two same-direction lanes. ~2.6 km.
+/// straights, sweeping curves and two same-direction lanes, 2 841.9 m long
+/// (710.5 m at scale 0.25).
 /// `scale` shrinks every length (segment lengths, radii, lane width) —
 /// scale 0.25 gives the kind of course a scaled-down model vehicle drives.
 RoadNetwork make_town05_route(double scale = 1.0);

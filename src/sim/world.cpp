@@ -41,7 +41,7 @@ ActorId World::spawn_at_offset(ActorKind kind, units::Meters s, double lateral,
   state.heading = pose.heading;
   state.velocity = pose.forward() * initial_speed.value();
   actor->vehicle().set_state(state);
-  actor->set_track_position(s);
+  actor->set_projection(road_.project(state.position, s.value()));
   actors_.emplace(id, std::move(actor));
   return id;
 }
@@ -99,10 +99,12 @@ void World::step(units::Seconds dt) {
   RDSIM_OBS_TIMER(obs::metric::kSimWorldStep);
   for (auto& [_, actor] : actors_) {
     actor->step(road_, dt);
-    // Keep the track-position cache warm for every actor.
-    const auto proj =
-        road_.project(actor->state().position, actor->track_position().value());
-    actor->set_track_position(units::Meters{proj.s});
+    // One projection per moved actor per step; controllers, sensors and
+    // project_ego() read this cache. Static vehicles keep their spawn one.
+    if (actor->kind() != ActorKind::kStaticVehicle) {
+      actor->set_projection(
+          road_.project(actor->state().position, actor->projection().s));
+    }
   }
   now_ += dt.to_duration();
   ++physics_frame_;
@@ -152,8 +154,7 @@ void World::sense_collisions() {
 }
 
 void World::sense_lane_invasion() {
-  const auto proj =
-      road_.project(ego().state().position, ego().track_position().value());
+  const RoadProjection& proj = ego().projection();
   if (!ego_lane_valid_) {
     last_ego_lane_ = proj.lane;
     ego_lane_valid_ = true;
@@ -197,8 +198,7 @@ WorldFrame World::snapshot() const {
 
 RoadProjection World::project_ego() const {
   const Actor& e = ego();
-  RoadProjection proj =
-      road_.project(e.state().position, e.track_position().value());
+  RoadProjection proj = e.projection();
   proj.heading_error = util::wrap_angle(e.state().heading - road_.heading_at(proj.s));
   return proj;
 }

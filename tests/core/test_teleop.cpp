@@ -1,6 +1,10 @@
 // Closed-loop teleoperation sessions (integration of net + sim + driver).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "check/contracts.hpp"
 #include "core/teleop.hpp"
 
@@ -14,6 +18,43 @@ RunConfig base_config(const char* id) {
   rc.driver = DriverParams{};
   rc.seed = 11;
   return rc;
+}
+
+/// The message of the std::invalid_argument TeleopSession throws for `rc`,
+/// or "" when it constructs.
+std::string rejection(RunConfig rc) {
+  try {
+    TeleopSession session{std::move(rc), sim::make_following_scenario()};
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TeleopSession, RejectsUnrunnablePhysicsRateByName) {
+  for (double hz : {0.0, -100.0, std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::quiet_NaN()}) {
+    RunConfig rc = base_config("bad-physics");
+    rc.rds.physics_hz = hz;
+    EXPECT_NE(rejection(rc).find("physics_hz"), std::string::npos) << hz;
+  }
+}
+
+TEST(TeleopSession, RejectsUnrunnableCommsRateByName) {
+  for (double hz : {0.0, -400.0, std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::quiet_NaN()}) {
+    RunConfig rc = base_config("bad-comms");
+    rc.rds.comms_hz = hz;
+    EXPECT_NE(rejection(rc).find("comms_hz"), std::string::npos) << hz;
+  }
+}
+
+TEST(TeleopSession, RejectsZeroStreamWindowByName) {
+  RunConfig rc = base_config("bad-window");
+  rc.rds.transport.window_segments = 0;
+  EXPECT_NE(rejection(rc).find("window_segments"), std::string::npos);
+  EXPECT_EQ(RdsConfig{}.validate(), std::nullopt);
+  EXPECT_EQ(RdsConfig::scaled_model_vehicle().validate(), std::nullopt);
 }
 
 TEST(TeleopSession, GoldenRunCompletesCleanly) {

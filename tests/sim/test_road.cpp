@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "sim/road.hpp"
+#include "util/rng.hpp"
 
 namespace rdsim::sim {
 namespace {
@@ -124,6 +125,41 @@ TEST(RoadNetwork, StaleHintStillFindsTruePosition) {
   const auto proj = road.project(pose.position, /*badly stale hint=*/5.0);
   EXPECT_NEAR(proj.s, 350.0, 1.0);
 }
+
+/// A point `lateral` to the left of the reference line at arc length `s`,
+/// extrapolated along the end headings for `s` outside [0, length].
+util::Vec2 point_along(const RoadNetwork& road, double s, double lateral) {
+  const double clamped = util::clamp(s, 0.0, road.length());
+  const util::Pose base = road.sample_offset(clamped, lateral);
+  return base.position + base.forward() * (s - clamped);
+}
+
+// Differential oracle: a hinted projection must land on exactly the sample
+// the unhinted global scan picks, for points along, beside and beyond the
+// route and for fresh, slightly stale and badly stale hints.
+class HintedProjectionOracle : public ::testing::TestWithParam<double> {};
+
+TEST_P(HintedProjectionOracle, MatchesGlobalScanBitForBit) {
+  const double scale = GetParam();
+  const auto road = make_town05_route(scale);
+  util::Random rng{0x6f7261636c65ULL};
+  constexpr int kPoints = 20000;
+  for (int i = 0; i < kPoints && !HasFailure(); ++i) {
+    const double s = rng.uniform(-100.0, road.length() + 100.0);
+    const double lateral = rng.uniform(-20.0, 25.0) * scale;
+    const util::Vec2 point = point_along(road, s, lateral);
+    const double staleness[] = {0.0, 4.0, 200.0};
+    const double stale = staleness[i % 3] * (rng.bernoulli(0.5) ? 1.0 : -1.0);
+    const auto global = road.project(point);
+    const auto hinted = road.project(point, s + stale);
+    EXPECT_EQ(hinted.s, global.s) << "s=" << s << " lateral=" << lateral
+                                  << " hint=" << s + stale;
+    EXPECT_EQ(hinted.lateral, global.lateral) << "s=" << s << " lateral=" << lateral
+                                              << " hint=" << s + stale;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Town05, HintedProjectionOracle, ::testing::Values(1.0, 0.25));
 
 TEST(RoadNetwork, Markings) {
   const auto road = simple_road();

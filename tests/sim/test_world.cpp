@@ -123,6 +123,37 @@ TEST(World, SnapshotContainsEgoAndOthers) {
   EXPECT_EQ(f.frame_id, 1u);
 }
 
+/// Drives `scenario` for 240 sim-s with a throttled ego and checks, after
+/// every step, that each actor's cached projection equals a fresh one.
+void expect_cached_projections_fresh(Scenario scenario) {
+  World w = make_world();
+  ScenarioRuntime runtime{std::move(scenario), w};
+  VehicleControl throttle;
+  throttle.throttle = 0.4;
+  w.apply_ego_control(throttle);
+  for (int i = 0; i < 24000 && !::testing::Test::HasFailure(); ++i) {
+    w.step(Seconds{0.01});
+    runtime.step();
+    for (const Actor* a : w.actors()) {
+      const RoadProjection& cached = a->projection();
+      const RoadProjection fresh =
+          w.road().project(a->state().position, a->track_position().value());
+      EXPECT_EQ(cached.s, fresh.s) << "actor " << a->id() << " step " << i;
+      EXPECT_EQ(cached.lateral, fresh.lateral) << "actor " << a->id() << " step " << i;
+      EXPECT_EQ(cached.lane, fresh.lane) << "actor " << a->id() << " step " << i;
+    }
+  }
+}
+
+TEST(World, CachedProjectionMatchesAFreshOneAfterEveryStep) {
+  expect_cached_projections_fresh(make_test_route_scenario());
+}
+
+TEST(World, CachedProjectionFollowsACrossingWalker) {
+  // The walker's controller moves it directly, not through the vehicle plant.
+  expect_cached_projections_fresh(make_pedestrian_crossing_scenario());
+}
+
 TEST(LaneFollowController, TracksLaneAndSpeedProfile) {
   World w = make_world();
   const ActorId ego = w.spawn_on_road(ActorKind::kVehicle, Meters{2000.0}, 1);  // out of the way
