@@ -89,6 +89,39 @@ TEST(ProtocolHeader, DetectsHeaderDamage) {
   EXPECT_FALSE(open_packet_view({1, 2}).has_value());  // truncated
 }
 
+/// Corruption flips exactly one bit (netem's corrupt), so the checksum must
+/// catch every single-bit flip anywhere in a packet, checksum field included,
+/// at every packet size the transports produce: 7..80 bytes (ACKs, commands,
+/// small segments) and the 1 038-byte largest datagram.
+TEST(ProtocolHeader, RejectsEverySingleBitFlip) {
+  std::uint32_t lcg = 0x9e3779b9u;
+  std::vector<std::size_t> body_sizes;
+  for (std::size_t n = 0; n + ProtocolHeader::kSize <= 80; ++n) body_sizes.push_back(n);
+  body_sizes.push_back(1038 - ProtocolHeader::kSize);
+  std::size_t flips = 0;
+  for (const std::size_t n : body_sizes) {
+    Payload body(n);
+    for (auto& b : body) {
+      lcg = lcg * 1664525u + 1013904223u;
+      b = static_cast<std::uint8_t>(lcg >> 24);
+    }
+    const auto stream = static_cast<std::uint16_t>(lcg >> 8);
+    Payload packet = ProtocolHeader::seal(stream, SegmentType::kData, body);
+    ASSERT_EQ(packet.size(), ProtocolHeader::kSize + n);
+    ASSERT_TRUE(open_packet_view(packet).has_value()) << "size " << packet.size();
+    for (std::size_t byte = 0; byte < packet.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        packet[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_FALSE(open_packet_view(packet).has_value())
+            << "size " << packet.size() << " byte " << byte << " bit " << bit;
+        packet[byte] ^= static_cast<std::uint8_t>(1u << bit);
+        ++flips;
+      }
+    }
+  }
+  EXPECT_EQ(flips, 8u * ((7u + 80u) * 74u / 2u + 1038u));  // every bit of every size
+}
+
 TEST(PacketRouter, RoutesByStreamId) {
   TrafficControl tc;
   Channel ch{tc, "lo"};
