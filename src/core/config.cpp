@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "net/reliable_stream.hpp"
 #include "sim/vehicle.hpp"
 
 namespace rdsim::core {
@@ -12,6 +13,11 @@ std::optional<std::string> RdsConfig::validate() const {
   if (!runnable_rate(comms_hz)) return "RdsConfig.comms_hz must be finite and > 0";
   if (transport.window_segments == 0) {
     return "RdsConfig.transport.window_segments must be > 0";
+  }
+  if (transport.mtu == 0) return "RdsConfig.transport.mtu must be > 0";
+  if (transport.segments_for(video.frame_wire_bytes) > net::StreamConfig::kMaxSegments) {
+    return "RdsConfig.transport.mtu is too small: video.frame_wire_bytes needs more "
+           "than 65535 segments";
   }
   return std::nullopt;
 }

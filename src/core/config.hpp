@@ -71,7 +71,9 @@ struct RdsConfig {
 
   /// Why this configuration cannot run, naming the field, or nullopt when it
   /// can: loop rates must be finite and positive (the session divides by
-  /// them) and the stream window must hold at least one segment.
+  /// them), the stream window must hold at least one segment, and the MTU
+  /// must be positive and split a video frame into at most 65 535 segments
+  /// (the segment count travels as a u16).
   std::optional<std::string> validate() const;
 
   /// Configuration approximating the remotely operated scaled-down model

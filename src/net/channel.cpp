@@ -23,11 +23,10 @@ class Channel::DeliverySink final : public PacketSink {
   util::TimePoint now_;
 };
 
+// Looking up the slot materializes the default pfifo, so `in_flight` is
+// valid immediately.
 Channel::Channel(TrafficControl& tc, std::string device)
-    : tc_{&tc}, device_{std::move(device)} {
-  // Materialize the default pfifo so `in_flight` is valid immediately.
-  tc_->root(device_);
-}
+    : tc_{&tc}, device_{std::move(device)}, root_{&tc_->root_slot(device_)} {}
 
 std::uint64_t Channel::send(LinkDirection dir, Packet&& packet, util::TimePoint now) {
   packet.id = next_id_++;
@@ -35,7 +34,7 @@ std::uint64_t Channel::send(LinkDirection dir, Packet&& packet, util::TimePoint 
   DirectionStats& s = mutable_stats(dir);
   ++s.packets_sent;
   s.bytes_sent += packet.effective_wire_size();
-  tc_->root(device_).enqueue(std::move(packet), now);
+  (*root_)->enqueue(std::move(packet), now);
   return next_id_ - 1;
 }
 
@@ -48,7 +47,7 @@ std::uint64_t Channel::send(LinkDirection dir, Payload payload, std::uint32_t wi
 }
 
 void Channel::step(util::TimePoint now) {
-  Qdisc& q = tc_->root(device_);
+  Qdisc& q = **root_;
   const auto next = q.next_event_at();
   if (!next || *next > now) return;
   DeliverySink sink{*this, now};

@@ -73,12 +73,10 @@ class Channel {
   TrafficControl& traffic_control() { return *tc_; }
 
   /// Packets still inside the qdisc (in flight).
-  std::size_t in_flight() const { return tc_->root(device_).backlog(); }
+  std::size_t in_flight() const { return (*root_)->backlog(); }
 
   /// Earliest instant the qdisc could release a packet; nullopt while idle.
-  std::optional<util::TimePoint> next_event_at() const {
-    return tc_->root(device_).next_event_at();
-  }
+  std::optional<util::TimePoint> next_event_at() const { return (*root_)->next_event_at(); }
 
   /// Lease a cleared payload buffer with capacity >= size_hint.
   Payload acquire_payload(std::size_t size_hint) { return pool_.acquire(size_hint); }
@@ -98,6 +96,9 @@ class Channel {
 
   TrafficControl* tc_;
   std::string device_;
+  /// The device's root slot in `tc_`, which tc add/del re-point; held so a
+  /// send or step skips the device lookup.
+  const QdiscPtr* root_;
   std::uint64_t next_id_{1};
   // Inboxes are rings, so a steady packet flow reuses their slots and does
   // not touch the heap.

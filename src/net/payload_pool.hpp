@@ -26,8 +26,10 @@ class PayloadPool {
   };
 
   /// `max_per_bucket` bounds the buffers cached per size class, which caps
-  /// pool memory at roughly max_per_bucket * sum(bucket sizes).
-  explicit PayloadPool(std::size_t max_per_bucket = 64)
+  /// pool memory at roughly max_per_bucket * sum(bucket sizes). The default
+  /// holds a whole video frame burst: a 6 MB frame is 93 segments, and its
+  /// 93 ACKs are in flight at the same time.
+  explicit PayloadPool(std::size_t max_per_bucket = 256)
       : max_per_bucket_{max_per_bucket} {}
 
   /// A cleared buffer with capacity >= size_hint (when size_hint fits the

@@ -36,7 +36,8 @@ ReliableStream::ReliableStream(PacketRouter& router, Channel& channel,
       stream_id_{stream_id},
       data_dir_{data_direction},
       config_{config},
-      ring_mask_{std::bit_ceil(std::max<std::uint32_t>(config.window_segments, 1)) - 1} {
+      ring_mask_{std::bit_ceil(std::max<std::uint32_t>(config.window_segments, 1)) - 1},
+      rto_base_{std::max(config.rto_initial, config.rto_min)} {
   router_->register_stream(
       stream_id_, [this](const ProtocolHeader& h, ByteReader body, LinkDirection via,
                          util::TimePoint now) { on_packet(h, body, via, now); });
@@ -48,11 +49,14 @@ std::uint32_t ReliableStream::send_message(Payload bytes, std::uint32_t declared
   const std::uint32_t message_id = out_messages_.tail();
   const std::uint32_t wire =
       std::max<std::uint32_t>(declared_wire_size, static_cast<std::uint32_t>(bytes.size()));
+  // RdsConfig::validate() rejects the configurations that break this.
+  const std::uint64_t segments = config_.mtu == 0 ? 0 : config_.segments_for(wire);
+  RDSIM_REQUIRE(segments >= 1 && segments <= StreamConfig::kMaxSegments,
+                "a message must fit 1..65535 segments of StreamConfig::mtu bytes");
   OutMessage& m = out_messages_.push_back();
   m.bytes = std::move(bytes);
   m.first_seq = next_seq_;
-  m.seg_count = static_cast<std::uint16_t>(
-      std::max<std::uint32_t>(1, (wire + config_.mtu - 1) / config_.mtu));
+  m.seg_count = static_cast<std::uint16_t>(segments);
   m.wire_size = wire;
   m.sent_us = static_cast<std::uint64_t>(now.count_micros());
   next_seq_ += m.seg_count;
@@ -139,14 +143,7 @@ void ReliableStream::step(util::TimePoint now) {
 }
 
 util::Duration ReliableStream::current_rto() const {
-  util::Duration base = config_.rto_initial;
-  if (rtt_valid_) {
-    const units::Millis rto = srtt_ + units::Millis{std::max(4.0 * rttvar_.value(), 1.0)};
-    base = rto.to_duration();
-  }
-  base = std::max(base, config_.rto_min);
-  for (std::uint32_t i = 0; i < rto_backoff_; ++i) base = base * 2;
-  return std::min(base, config_.rto_max);
+  return std::min(rto_base_ * (std::int64_t{1} << rto_backoff_), config_.rto_max);
 }
 
 void ReliableStream::update_rtt(util::Duration sample) {
@@ -161,6 +158,8 @@ void ReliableStream::update_rtt(util::Duration sample) {
                             0.25 * std::fabs(srtt_.value() - r.value())};
     srtt_ = 0.875 * srtt_ + 0.125 * r;
   }
+  const units::Millis rto = srtt_ + units::Millis{std::max(4.0 * rttvar_.value(), 1.0)};
+  rto_base_ = std::max(rto.to_duration(), config_.rto_min);
   stats_.srtt = srtt_;
   stats_.rto = units::Millis::from_duration(current_rto());
 }

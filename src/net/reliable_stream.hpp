@@ -43,6 +43,7 @@
 // it does not use.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -71,6 +72,15 @@ struct StreamConfig {
   std::uint32_t window_segments{128};
   bool fast_retransmit{true};
   util::Duration ack_delay{};          ///< 0 = ack immediately
+
+  /// Segments carry a u16 count, so a message may span at most this many.
+  static constexpr std::uint64_t kMaxSegments = 0xffff;
+
+  /// Segments a message of `wire_bytes` takes: ceil(wire_bytes / mtu), at
+  /// least one. Requires mtu > 0.
+  std::uint64_t segments_for(std::uint32_t wire_bytes) const {
+    return std::max<std::uint64_t>(1, (std::uint64_t{wire_bytes} + mtu - 1) / mtu);
+  }
 };
 
 /// One reliable stream. A single object serves both halves because the whole
@@ -141,6 +151,7 @@ class ReliableStream final : public MessageTransport {
   void transmit_segment(std::uint32_t seq, util::TimePoint now, bool retransmission);
   void send_ack(util::TimePoint now);
   void update_rtt(util::Duration sample);
+  /// The cached base RTO doubled per backoff step, clamped to rto_max.
   util::Duration current_rto() const;
   TxSlot& tx_slot(std::uint32_t seq) { return tx_slots_[seq & ring_mask_]; }
   RxSlot& rx_slot(std::uint32_t seq) { return rx_slots_[seq & ring_mask_]; }
@@ -165,6 +176,9 @@ class ReliableStream final : public MessageTransport {
   units::Millis srtt_{};
   units::Millis rttvar_{};
   bool rtt_valid_{false};
+  /// RTO before backoff, at least rto_min: rto_initial until the first RTT
+  /// sample, then srtt + max(4 rttvar, 1 ms). Recomputed only by update_rtt.
+  util::Duration rto_base_;
 
   // Receiver state.
   std::uint32_t rcv_next_{0};  ///< next expected seq

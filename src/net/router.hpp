@@ -4,11 +4,14 @@
 // Both endpoints' inboxes carry mixed traffic (the video stream's DATA and
 // the command stream's ACKs both arrive at the operator, for instance), so
 // every protocol packet starts with a common header:
-//   u16 stream_id | u8 type | u32 checksum-of-rest
-// The checksum models the TCP checksum: packets damaged by the corrupt
-// qdisc fail verification and are treated as lost, which reproduces the
-// paper's observation (§V.C) that corruption faults have no distinct
-// user-visible effect under a reliable transport.
+//   u16 stream_id | u8 type | u32 checksum
+// The checksum is the TCP checksum's ones'-complement sum (RFC 1071),
+// widened to 32-bit words: it covers the whole packet with the checksum
+// field read as zero. netem's corrupt flips exactly one bit, which moves
+// the sum by ±2^k modulo 2^32 - 1 and so always fails verification. Such
+// packets are treated as lost, which reproduces the paper's observation
+// (§V.C) that corruption faults have no distinct user-visible effect under
+// a reliable transport.
 //
 // Parsing is zero-copy: handlers receive a bounds-checked ByteReader view
 // into the packet payload instead of an owning copy of the body, and the
@@ -28,11 +31,6 @@
 namespace rdsim::net {
 
 enum class SegmentType : std::uint8_t { kData = 0, kAck = 1, kDatagram = 2 };
-
-/// FNV-1a over a byte range; the protocol's checksum primitive. Pass a
-/// previous result as `seed` to continue hashing across discontiguous ranges.
-std::uint32_t fnv1a(const std::uint8_t* data, std::size_t size,
-                    std::uint32_t seed = 2166136261u);
 
 /// Common header helpers shared by the transports.
 struct ProtocolHeader {

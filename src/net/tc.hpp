@@ -69,6 +69,11 @@ class TrafficControl {
   /// Root qdisc for `device`; a default pfifo is created on first use.
   Qdisc& root(const std::string& device);
 
+  /// The slot holding `device`'s root qdisc, created on first use. It stays
+  /// valid for the lifetime of this object: add and del replace only the
+  /// qdisc it points to, so a holder skips the per-call device lookup.
+  const QdiscPtr& root_slot(const std::string& device) { return entry(device).qdisc; }
+
   /// Earliest instant the root qdisc on `device` could release a packet;
   /// nullopt while it is empty. Lets callers skip dequeue work entirely
   /// between events instead of polling every tick.
@@ -94,9 +99,7 @@ class TrafficControl {
 
   std::uint64_t seed_;
   std::uint64_t next_stream_{0};
-  std::map<std::string, Entry> table_;
-
-  friend class LinkEmulator;
+  std::map<std::string, Entry> table_;  ///< node-based: entries never move
 };
 
 }  // namespace rdsim::net

@@ -57,6 +57,29 @@ TEST(TeleopSession, RejectsZeroStreamWindowByName) {
   EXPECT_EQ(RdsConfig::scaled_model_vehicle().validate(), std::nullopt);
 }
 
+TEST(TeleopSession, RejectsZeroMtuByName) {
+  RunConfig rc = base_config("bad-mtu");
+  rc.rds.transport.mtu = 0;
+  EXPECT_NE(rejection(rc).find("transport.mtu"), std::string::npos);
+}
+
+/// The segment count travels as a u16: at the default 6 MB frame, an MTU
+/// below 92 bytes would need more than 65 535 segments per frame.
+TEST(TeleopSession, RejectsMtuThatOverflowsTheSegmentCountByName) {
+  RdsConfig cfg;
+  cfg.transport.mtu = 91;
+  const auto error = cfg.validate();
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("transport.mtu"), std::string::npos) << *error;
+  EXPECT_NE(error->find("video.frame_wire_bytes"), std::string::npos) << *error;
+  cfg.transport.mtu = 92;
+  EXPECT_EQ(cfg.validate(), std::nullopt);
+
+  RunConfig rc = base_config("tiny-mtu");
+  rc.rds.transport.mtu = 91;
+  EXPECT_NE(rejection(rc).find("transport.mtu"), std::string::npos);
+}
+
 TEST(TeleopSession, GoldenRunCompletesCleanly) {
   TeleopSession session{base_config("golden"), sim::make_following_scenario()};
   const RunResult r = session.run();

@@ -280,12 +280,21 @@ TEST(PacketPath, WarmStreamTickReusesPooledPayloads) {
   EXPECT_GT(after.reused, before.reused);
 }
 
-/// Multi-segment messages through a warm stream: the payloads are built
+/// Allocations, delivered messages and DATA segments of one pass of
+/// `messages` multi-segment messages through a warm stream (mtu 1000,
+/// netem delay 5 ms), measured after an identical warm-up pass. The clock
+/// advances `poll` per tick, and every `send_every` ticks a message of
+/// `payload_bytes` declaring `wire` bytes is sent. The payloads are built
 /// before counting starts and handed over by move, so every allocation the
-/// counter sees is the stream's own. Segmenting, framing, ACKing and
-/// reassembly must not touch the heap; each delivered message may allocate
-/// its one output buffer.
-TEST(PacketPath, WarmMultiSegmentStreamAllocatesOnlyPerDeliveredMessage) {
+/// counter sees is the stream's own.
+struct WarmPass {
+  std::uint64_t allocs{0};
+  std::uint64_t delivered{0};
+  std::uint64_t segments{0};
+};
+
+WarmPass measure_warm_stream(std::uint32_t wire, std::size_t payload_bytes, int messages,
+                             Duration poll, int send_every) {
   TrafficControl tc{5};
   Channel ch{tc, "lo"};
   tc.execute("qdisc add dev lo root netem delay 5ms");
@@ -293,25 +302,26 @@ TEST(PacketPath, WarmMultiSegmentStreamAllocatesOnlyPerDeliveredMessage) {
   StreamConfig cfg;
   cfg.mtu = 1000;
   ReliableStream stream{router, ch, 1, LinkDirection::kDownlink, cfg};
-  constexpr std::uint32_t kWire = 24000;  // 24 segments per message
-  constexpr int kTicks = 400;
-  auto make_payloads = [] {
+  auto make_payloads = [&] {
     std::vector<Payload> out;
-    for (int i = 0; i < kTicks; ++i) out.emplace_back(2400, static_cast<std::uint8_t>(i));
+    for (int i = 0; i < messages; ++i) {
+      out.emplace_back(payload_bytes, static_cast<std::uint8_t>(i));
+    }
     return out;
   };
-  std::int64_t t = 0;
-  std::uint64_t delivered = 0;
+  TimePoint now;
+  WarmPass pass;
   auto run = [&](std::vector<Payload>& payloads) {
     for (Payload& p : payloads) {
-      t += 5000;
-      const TimePoint now = TimePoint::from_micros(t);
-      stream.send_message(std::move(p), kWire, now);
-      router.poll(now);
-      stream.step(now);
-      while (auto msg = stream.pop_delivered()) {
-        EXPECT_EQ(msg->bytes.size(), 2400u);
-        ++delivered;
+      for (int tick = 0; tick < send_every; ++tick) {
+        now += poll;
+        if (tick == 0) stream.send_message(std::move(p), wire, now);
+        router.poll(now);
+        stream.step(now);
+        while (auto msg = stream.pop_delivered()) {
+          EXPECT_EQ(msg->bytes.size(), payload_bytes);
+          ++pass.delivered;
+        }
       }
     }
   };
@@ -319,18 +329,42 @@ TEST(PacketPath, WarmMultiSegmentStreamAllocatesOnlyPerDeliveredMessage) {
   run(warm);  // warm pools, rings and queues
 
   std::vector<Payload> measured = make_payloads();
-  std::vector<Payload> spent;  // the drained messages' buffers, freed after counting
-  spent.reserve(kTicks);
   const std::uint64_t segments_before = stream.stats().segments_sent;
-  delivered = 0;
+  pass.delivered = 0;
   util::AllocCounter allocs;
   run(measured);
-  const std::uint64_t count = allocs.delta();
-  const std::uint64_t segments = stream.stats().segments_sent - segments_before;
-  EXPECT_GE(segments, 24u * (kTicks - 2));
-  EXPECT_GE(delivered, static_cast<std::uint64_t>(kTicks - 2));
-  EXPECT_LE(count, delivered) << count << " allocations for " << delivered
-                              << " messages of " << segments << " segments";
+  pass.allocs = allocs.delta();
+  pass.segments = stream.stats().segments_sent - segments_before;
+  return pass;
+}
+
+/// Segmenting, framing, ACKing and reassembly must not touch the heap once
+/// warm; each delivered message may allocate its one output buffer.
+TEST(PacketPath, WarmMultiSegmentStreamAllocatesOnlyPerDeliveredMessage) {
+  constexpr int kMessages = 400;
+  const WarmPass pass = measure_warm_stream(/*wire=*/24000, /*payload_bytes=*/2400,
+                                            kMessages, Duration::millis(5), 1);
+  EXPECT_GE(pass.segments, 24u * (kMessages - 2));
+  EXPECT_GE(pass.delivered, static_cast<std::uint64_t>(kMessages - 2));
+  EXPECT_LE(pass.allocs, pass.delivered)
+      << pass.allocs << " allocations for " << pass.delivered << " messages of "
+      << pass.segments << " segments";
+}
+
+/// The same gate at the paper's frame shape: 93 segments per message (a
+/// 6 MB frame over a 65 000-byte MTU), one message per 37 ms as the 27 fps
+/// feed sends them. A frame's 93 DATA buffers and its 93 ACK buffers are in
+/// flight together, so the payload pool must cache a whole burst per size
+/// class or every frame allocates afresh.
+TEST(PacketPath, WarmFrameBurstStreamAllocatesOnlyPerDeliveredMessage) {
+  constexpr int kMessages = 100;
+  const WarmPass pass = measure_warm_stream(/*wire=*/93000, /*payload_bytes=*/9300,
+                                            kMessages, Duration::millis(1), 37);
+  EXPECT_GE(pass.segments, 93u * (kMessages - 1));
+  EXPECT_GE(pass.delivered, static_cast<std::uint64_t>(kMessages - 1));
+  EXPECT_LE(pass.allocs, pass.delivered)
+      << pass.allocs << " allocations for " << pass.delivered << " messages of "
+      << pass.segments << " segments";
 }
 
 // ------------------------------------------------------ introspection surface

@@ -1,6 +1,7 @@
 // TCP-analogue semantics: ordering, retransmission, head-of-line blocking.
 #include <gtest/gtest.h>
 
+#include "check/contracts.hpp"
 #include "net/reliable_stream.hpp"
 
 namespace rdsim::net {
@@ -204,8 +205,9 @@ TEST_F(StreamFixture, BidirectionalFaultHitsAcks) {
 }
 
 // Forged packets: checksum-valid segments the sender never produced. The
-// corrupt qdisc flips one bit, which the FNV checksum always catches, so
-// these only arise from multi-bit damage; the stream must still stay sane.
+// corrupt qdisc flips one bit, which the ones'-complement sum always
+// catches, so these only arise from multi-bit damage; the stream must still
+// stay sane.
 
 Payload forge_data(std::uint16_t stream_id, std::uint32_t seq) {
   ByteWriter w;
@@ -291,6 +293,22 @@ TEST_F(StreamFixture, ForgedAckForUnsentDataIsDropped) {
   }
   EXPECT_EQ(s.last_cum_ack(), 20u);
   EXPECT_EQ(s.unacked_segments(), 0u);
+}
+
+/// The u16 segment count must not wrap: a message needing more than 65 535
+/// segments, or any message at mtu 0, breaks send_message's contract.
+TEST_F(StreamFixture, SegmentCountBeyondU16BreaksTheContract) {
+  const auto saved = check::Registry::instance().policy();
+  check::Registry::instance().set_policy(check::Policy::kThrow);
+  StreamConfig cfg = config();
+  cfg.mtu = 1;
+  ReliableStream tiny{router, channel, 2, LinkDirection::kDownlink, cfg};
+  EXPECT_NO_THROW(tiny.send_message({1}, 65535, now));
+  EXPECT_THROW(tiny.send_message({1}, 65536, now), check::ContractViolation);
+  cfg.mtu = 0;
+  ReliableStream zero{router, channel, 3, LinkDirection::kDownlink, cfg};
+  EXPECT_THROW(zero.send_message({1}, 100, now), check::ContractViolation);
+  check::Registry::instance().set_policy(saved);
 }
 
 }  // namespace
