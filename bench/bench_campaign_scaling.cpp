@@ -93,8 +93,7 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  // Observability overhead: serial again, collector attached, obs on.
-  obs::set_enabled(true);
+  // Observability overhead: serial again, collector attached.
   core::ExperimentHarness obs_harness{cfg};
   obs::CampaignCollector collector;
   obs_harness.set_collector(&collector);
@@ -143,8 +142,6 @@ int main(int argc, char** argv) {
     obs_json << "{\n"
              << "  \"bench\": \"campaign_obs_overhead\",\n"
              << "  \"seed\": " << cfg.seed << ",\n"
-             << "  \"compiled_in\": " << (obs::compiled_in() ? "true" : "false")
-             << ",\n"
              << "  \"baseline_wall_s\": " << serial_s << ",\n"
              << "  \"obs_wall_s\": " << obs_s << ",\n"
              << "  \"overhead_pct\": " << overhead_pct << ",\n"

@@ -6,12 +6,12 @@
 // simulation cost again. Delete the artifact (or set RDSIM_CAMPAIGN_CACHE to
 // a fresh directory) to force a re-run.
 //
-// Set RDSIM_OBS=1 in the environment (with observability compiled in) to run
-// the campaign with an obs::CampaignCollector attached: a fresh run then
-// also writes BENCH_obs.json and campaign_sample.trace.json next to the
-// binary. Obs-instrumented artifacts are cache-keyed separately — the
-// campaign bytes are identical, but a plain cache hit could not regenerate
-// the obs side artifacts.
+// Set RDSIM_OBS=1 in the environment to run the campaign with an
+// obs::CampaignCollector attached: a fresh run then also writes
+// BENCH_obs.json and campaign_sample.trace.json next to the binary.
+// Obs-instrumented artifacts are cache-keyed separately — the campaign bytes
+// are identical, but a plain cache hit could not regenerate the obs side
+// artifacts.
 #pragma once
 
 #include <chrono>
@@ -27,7 +27,6 @@
 namespace bench_helper {
 
 inline bool obs_requested() {
-  if (!rdsim::obs::compiled_in()) return false;
   const char* env = std::getenv("RDSIM_OBS");
   return env != nullptr && *env != '\0' && std::string_view{env} != "0";
 }

@@ -63,7 +63,6 @@ std::optional<CommandMsg> OperatorSubsystem::poll(util::TimePoint now) {
       } else {
         if (current_freeze_ > units::Seconds{0.3}) {
           ++qoe_.freeze_episodes;
-#if RDSIM_OBS
           // Record the finished freeze window (span endpoints reconstructed
           // from the accumulated freeze duration) together with its counter.
           if (obs::Context* ctx = obs::Context::current()) {
@@ -72,7 +71,6 @@ std::optional<CommandMsg> OperatorSubsystem::poll(util::TimePoint now) {
             ctx->span_close(span, now);
             ctx->count(obs::metric::kOpFreezeSpan, 1);
           }
-#endif
         }
         qoe_.longest_freeze = std::max(qoe_.longest_freeze, current_freeze_);
         current_freeze_ = units::Seconds{};

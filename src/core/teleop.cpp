@@ -173,7 +173,6 @@ bool TeleopSession::step() {
   {
     RDSIM_OBS_TIMER(obs::metric::kPhaseFaults);
     update_fault_plan();
-    injector_.step(now);
   }
 
   {

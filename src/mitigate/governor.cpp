@@ -84,7 +84,6 @@ void DegradationGovernor::transition_to(LinkState next, util::TimePoint now) {
   RDSIM_OBS_COUNT(obs::metric::kMitStateTransitions, 1);
   RDSIM_OBS_GAUGE_SET(obs::metric::kMitState,
                       static_cast<double>(static_cast<std::uint8_t>(next)));
-#if RDSIM_OBS
   if (obs::Context* ctx = obs::Context::current()) {
     if (state_span_ != obs::kNoSpan) {
       ctx->span_close(state_span_, now);
@@ -96,7 +95,6 @@ void DegradationGovernor::transition_to(LinkState next, util::TimePoint now) {
       ctx->count(obs::metric::kMitStateSpan, 1);
     }
   }
-#endif
 }
 
 LinkState DegradationGovernor::update(const LinkQuality& q, util::TimePoint now) {
@@ -181,14 +179,12 @@ void DegradationGovernor::finalize(util::TimePoint now) {
   dwell_[static_cast<std::size_t>(state_)] +=
       units::Seconds::from_duration(now - last_update_);
   last_update_ = now;
-#if RDSIM_OBS
   if (state_span_ != obs::kNoSpan) {
     if (obs::Context* ctx = obs::Context::current()) {
       ctx->span_close(state_span_, now);
     }
     state_span_ = obs::kNoSpan;
   }
-#endif
 }
 
 }  // namespace rdsim::mitigate

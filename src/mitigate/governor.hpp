@@ -72,9 +72,7 @@ class DegradationGovernor {
 
   std::uint64_t transitions_{0};
   std::uint64_t interventions_{0};
-#if RDSIM_OBS
   std::size_t state_span_{obs::kNoSpan};  ///< open non-NOMINAL trace span
-#endif
 };
 
 }  // namespace rdsim::mitigate

@@ -48,7 +48,6 @@ std::optional<sim::VehicleControl> MrmController::update(
     units::Seconds command_age, units::MetersPerSecond forward_speed,
     const sim::RoadProjection& proj, units::Seconds dt, util::TimePoint now) {
   RDSIM_REQUIRE(dt >= units::Seconds{}, "dt cannot be negative");
-  (void)now;  // span timestamps only; unused when obs is compiled out
   // +inf age = no command ever received: the watchdog arms only after the
   // operator has been in control (mirrors the safety monitor's semantics).
   const bool stale = std::isfinite(command_age.value()) &&
@@ -65,12 +64,10 @@ std::optional<sim::VehicleControl> MrmController::update(
     stop_complete_ = false;
     ++activations_;
     RDSIM_OBS_COUNT(obs::metric::kMitMrmActivations, 1);
-#if RDSIM_OBS
     if (obs::Context* ctx = obs::Context::current()) {
       mrm_span_ = ctx->span_open(obs::metric::kMitMrmSpan, now);
       ctx->count(obs::metric::kMitMrmSpan, 1);
     }
-#endif
   } else {
     // Release only once the stop is complete AND fresh commands flow again:
     // an MRM is a committed maneuver, not a speed limiter, and handing back
@@ -80,14 +77,12 @@ std::optional<sim::VehicleControl> MrmController::update(
                        command_age < config_.recover_age;
     if (fresh && (stop_complete_ || forward_speed <= config_.standstill)) {
       engaged_ = false;
-#if RDSIM_OBS
       if (mrm_span_ != obs::kNoSpan) {
         if (obs::Context* ctx = obs::Context::current()) {
           ctx->span_close(mrm_span_, now);
         }
         mrm_span_ = obs::kNoSpan;
       }
-#endif
       return std::nullopt;
     }
   }

@@ -56,9 +56,7 @@ class MrmController {
   std::uint64_t firings_{0};
   std::uint64_t activations_{0};
   units::Seconds engaged_time_{};
-#if RDSIM_OBS
   std::size_t mrm_span_{obs::kNoSpan};  ///< open MRM trace span
-#endif
 };
 
 }  // namespace rdsim::mitigate

@@ -76,12 +76,10 @@ void FaultInjector::inject(const FaultSpec& fault, util::TimePoint now) {
   log_.push_back({now, fault, /*added=*/true});
   ++injections_;
   RDSIM_OBS_COUNT(obs::metric::kFaultsInjected, 1);
-#if RDSIM_OBS
   if (obs::Context* ctx = obs::Context::current()) {
     window_span_ = ctx->span_open(obs::metric::kFaultWindowSpan, now);
     ctx->count(obs::metric::kFaultWindowSpan, 1);
   }
-#endif
 }
 
 void FaultInjector::remove(util::TimePoint now) {
@@ -89,32 +87,11 @@ void FaultInjector::remove(util::TimePoint now) {
   tc_->del(device_);
   log_.push_back({now, *active_, /*added=*/false});
   active_.reset();
-#if RDSIM_OBS
   if (window_span_ != obs::kNoSpan) {
     if (obs::Context* ctx = obs::Context::current()) {
       ctx->span_close(window_span_, now);
     }
     window_span_ = obs::kNoSpan;
-  }
-#endif
-}
-
-void FaultInjector::schedule(const FaultSpec& fault, util::TimePoint start,
-                             util::TimePoint stop) {
-  schedule_.push_back({fault, start, stop, false, false});
-}
-
-void FaultInjector::step(util::TimePoint now) {
-  for (Window& w : schedule_) {
-    if (!w.started && now >= w.start && now < w.stop) {
-      inject(w.fault, now);
-      w.started = true;
-    }
-    if (w.started && !w.finished && now >= w.stop) {
-      // Only remove if this window's fault is still the active one.
-      if (active_ && *active_ == w.fault) remove(now);
-      w.finished = true;
-    }
   }
 }
 

@@ -5,7 +5,7 @@
 // and §V.C defines the fault model: {5, 25, 50} ms delay and {2, 5} % packet
 // loss, injected at points of interest with a situation-dependent duration.
 // The FaultInjector executes tc rule strings against a TrafficControl table
-// at scheduled virtual times (or on demand) and keeps exactly that event log.
+// on demand and keeps exactly that event log.
 #pragma once
 
 #include <optional>
@@ -70,33 +70,16 @@ class FaultInjector {
   bool active() const { return active_.has_value(); }
   std::optional<FaultSpec> active_fault() const { return active_; }
 
-  /// Schedule an injection window [start, stop).
-  void schedule(const FaultSpec& fault, util::TimePoint start, util::TimePoint stop);
-
-  /// Apply any scheduled transitions due at `now`.
-  void step(util::TimePoint now);
-
   const std::vector<FaultEvent>& log() const { return log_; }
   std::size_t injections() const { return injections_; }
 
  private:
-  struct Window {
-    FaultSpec fault;
-    util::TimePoint start;
-    util::TimePoint stop;
-    bool started{false};
-    bool finished{false};
-  };
-
   TrafficControl* tc_;
   std::string device_;
   std::optional<FaultSpec> active_;
-  std::vector<Window> schedule_;
   std::vector<FaultEvent> log_;
   std::size_t injections_{0};
-#if RDSIM_OBS
   std::size_t window_span_{obs::kNoSpan};  ///< open fault-window trace span
-#endif
 };
 
 }  // namespace rdsim::net

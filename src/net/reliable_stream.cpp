@@ -247,7 +247,6 @@ void ReliableStream::absorb(std::uint32_t message_id, std::uint16_t seg_index,
 }
 
 void ReliableStream::update_hol_obs(util::TimePoint now) {
-#if RDSIM_OBS
   const bool stalled = rx_buffered_ > 0;
   if (stalled && !hol_open_) {
     hol_open_ = true;
@@ -265,9 +264,6 @@ void ReliableStream::update_hol_obs(util::TimePoint now) {
       ctx->count(obs::metric::kStreamHolStallSpan, 1);
     }
   }
-#else
-  (void)now;
-#endif
 }
 
 void ReliableStream::send_ack(util::TimePoint now) {

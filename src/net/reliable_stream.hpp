@@ -191,14 +191,12 @@ class ReliableStream final : public MessageTransport {
   util::TimePoint ack_due_{};
   std::uint64_t last_data_ts_us_{0};
 
-#if RDSIM_OBS
   // Head-of-line stall tracking (observation only — never read by the
   // protocol). A stall is any period with out-of-order segments buffered;
   // the span and the microsecond counter are recorded together when the
   // stall closes, so the counter equals the span-duration sum exactly.
   bool hol_open_{false};
   util::TimePoint hol_begin_{};
-#endif
 
   StreamStats stats_;
 };

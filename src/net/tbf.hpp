@@ -1,7 +1,8 @@
 // Token Bucket Filter qdisc (`tc qdisc add ... tbf rate ... burst ...`).
 //
-// Included because the paper's related work shapes bandwidth; our default
-// experiments do not rate-limit but the ablation benches exercise it.
+// Included because the paper's related work shapes bandwidth. No experiment,
+// bench or example builds one: TrafficControl installs only netem rules, and
+// only the unit tests construct a TbfQdisc directly.
 #pragma once
 
 #include <deque>

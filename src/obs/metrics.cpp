@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <deque>
 #include <stdexcept>
@@ -23,12 +22,6 @@ RegistryState& registry() {
   static RegistryState state;
   return state;
 }
-
-std::atomic<bool> g_enabled{true};
-
-#if RDSIM_OBS
-thread_local Context* t_current = nullptr;
-#endif
 
 bool valid_metric_name(std::string_view name) {
   if (name.empty()) return false;
@@ -138,10 +131,6 @@ MetricId find_metric(std::string_view name) {
   const util::MutexLock lock{state.mutex};
   return find_def(state, name);
 }
-
-void set_enabled(bool enabled) { g_enabled.store(enabled, std::memory_order_relaxed); }
-
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 namespace {
 
@@ -298,29 +287,6 @@ void Context::merge_from(const Context& other) {
 
   spans_.insert(spans_.end(), other.spans_.begin(), other.spans_.end());
   instants_.insert(instants_.end(), other.instants_.begin(), other.instants_.end());
-}
-
-Context* Context::current() {
-#if RDSIM_OBS
-  return t_current;
-#else
-  return nullptr;
-#endif
-}
-
-ContextScope::ContextScope(Context* context) {
-#if RDSIM_OBS
-  previous_ = t_current;
-  t_current = enabled() ? context : nullptr;
-#else
-  (void)context;
-#endif
-}
-
-ContextScope::~ContextScope() {
-#if RDSIM_OBS
-  t_current = previous_;
-#endif
 }
 
 std::size_t histogram_bucket(const MetricDef& def, double value) {

@@ -18,10 +18,6 @@
 // sorted-name order — see docs/observability.md.
 #pragma once
 
-#ifndef RDSIM_OBS
-#define RDSIM_OBS 1
-#endif
-
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -78,14 +74,6 @@ const MetricDef& metric_def(MetricId id);
 
 /// Id registered under `name`, or metric_count() when unknown.
 MetricId find_metric(std::string_view name);
-
-/// Runtime master switch (default on). When off, ContextScope installs no
-/// context, so every instrumentation site reduces to a TLS load + branch.
-void set_enabled(bool enabled);
-bool enabled();
-
-/// True when the instrumentation macros are compiled in (RDSIM_OBS != 0).
-constexpr bool compiled_in() { return RDSIM_OBS != 0; }
 
 struct GaugeCell {
   double last{0.0};
@@ -164,12 +152,16 @@ class Context {
   /// append in operand order.
   void merge_from(const Context& other);
 
-  /// The context installed on this thread, or nullptr (always nullptr when
-  /// observability is compiled out).
-  static Context* current();
+  /// The context installed on this thread, or nullptr.
+  static Context* current() { return current_; }
 
  private:
   friend class ContextScope;
+
+  /// Installed by the innermost live ContextScope on this thread. constinit
+  /// tells the compiler there is no dynamic initialiser, so every read is a
+  /// plain TLS load with no wrapper call.
+  static inline constinit thread_local Context* current_ = nullptr;
 
   std::vector<std::uint64_t> counters_;
   std::vector<GaugeCell> gauges_;
@@ -179,20 +171,21 @@ class Context {
   std::vector<Instant> instants_;
 };
 
-/// RAII thread-local installer. Passing nullptr (or constructing while
-/// obs::enabled() is false) installs no context, which disables every
-/// instrument on this thread for the scope's lifetime. Restores the previous
-/// context on destruction, so scopes nest.
+/// RAII thread-local installer. Passing nullptr installs no context, which
+/// disables every instrument on this thread for the scope's lifetime.
+/// Restores the previous context on destruction, so scopes nest.
 class ContextScope {
  public:
-  explicit ContextScope(Context* context);
-  ~ContextScope();
+  explicit ContextScope(Context* context) : previous_{Context::current_} {
+    Context::current_ = context;
+  }
+  ~ContextScope() { Context::current_ = previous_; }
 
   ContextScope(const ContextScope&) = delete;
   ContextScope& operator=(const ContextScope&) = delete;
 
  private:
-  Context* previous_{nullptr};
+  Context* previous_;
 };
 
 /// Bucket index in [0, bucket_count + 1] for `value` under `def`'s bounds:

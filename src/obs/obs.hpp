@@ -1,4 +1,4 @@
-// rdsim::obs — zero-cost-when-disabled observability.
+// rdsim::obs — observability that costs a branch when nothing observes.
 //
 // Three layers, all deterministic in *structure* (metric identity, iteration
 // order, aggregation order) even where the measured *values* are wall-clock
@@ -14,14 +14,9 @@
 //      as Chrome trace-event JSON (obs/trace_export.hpp) loadable in
 //      Perfetto.
 //
-// Two switches gate every instrumentation site:
-//
-//   - compile time: the RDSIM_OBS macro (default 1; `cmake -DRDSIM_OBS_ENABLED=OFF`
-//     defines it to 0 globally). At 0 the RDSIM_OBS_* macros expand to
-//     nothing and Context::current() is a constant nullptr.
-//   - run time: obs::set_enabled(false) keeps ContextScope from installing a
-//     context, and with no context installed every instrumentation site is a
-//     single thread-local load plus a predictable branch.
+// One switch gates every instrumentation site: whether a ContextScope has
+// installed a context on this thread. With none installed every site is a
+// single thread-local load plus a predictable branch.
 //
 // The cardinal rule — enforced by the golden-hash regression suite — is that
 // observation NEVER perturbs the simulation: instruments only read sim
@@ -29,18 +24,12 @@
 // that feeds check::campaign_hash.
 #pragma once
 
-#ifndef RDSIM_OBS
-#define RDSIM_OBS 1
-#endif
-
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 
 // Token pasting for unique RAII timer names.
 #define RDSIM_OBS_CONCAT2(a, b) a##b
 #define RDSIM_OBS_CONCAT(a, b) RDSIM_OBS_CONCAT2(a, b)
-
-#if RDSIM_OBS
 
 /// Increment a registered counter by `delta` (a no-op without a context).
 #define RDSIM_OBS_COUNT(id, delta)                                    \
@@ -81,13 +70,3 @@
       rdsim_obs_ctx_->instant((id), (tp));                            \
     }                                                                 \
   } while (0)
-
-#else  // RDSIM_OBS compiled out: the macros vanish entirely.
-
-#define RDSIM_OBS_COUNT(id, delta) ((void)0)
-#define RDSIM_OBS_GAUGE_SET(id, value) ((void)0)
-#define RDSIM_OBS_OBSERVE(id, value) ((void)0)
-#define RDSIM_OBS_TIMER(id) ((void)0)
-#define RDSIM_OBS_EVENT(id, tp) ((void)0)
-
-#endif  // RDSIM_OBS

@@ -117,8 +117,6 @@ std::string CampaignCollector::report_json() const {
   const util::MutexLock lock{mutex_};
   std::string out = "{\n";
   out += "  \"schema\": \"rdsim.obs.report/1\",\n";
-  out += "  \"compiled_in\": " + std::string{compiled_in() ? "true" : "false"} +
-         ",\n";
   out += "  \"runs\": " + std::to_string(runs_.size()) + ",\n";
   out += "  \"campaign\": ";
   append_metrics_object(out, total);

@@ -1,70 +1,13 @@
-// Ring buffers: a fixed-capacity drop-oldest FIFO for delay lines, and a
-// growable FIFO addressed by a monotone counter for transport queues.
+// Ring buffer: a growable FIFO addressed by a monotone counter, for
+// transport queues.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 namespace rdsim::util {
-
-/// Bounded FIFO. push() on a full buffer drops the oldest element (tail-drop
-/// variants are implemented at the qdisc layer, which checks full() first).
-template <typename T>
-class RingBuffer {
- public:
-  explicit RingBuffer(std::size_t capacity) : buf_(capacity > 0 ? capacity : 1) {}
-
-  std::size_t capacity() const { return buf_.size(); }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == buf_.size(); }
-
-  /// Append; if full, overwrites (drops) the oldest element.
-  void push(T value) {
-    buf_[(head_ + size_) % buf_.size()] = std::move(value);
-    if (full()) {
-      head_ = (head_ + 1) % buf_.size();
-    } else {
-      ++size_;
-    }
-  }
-
-  T& front() {
-    if (empty()) throw std::out_of_range{"RingBuffer::front on empty buffer"};
-    return buf_[head_];
-  }
-  const T& front() const {
-    if (empty()) throw std::out_of_range{"RingBuffer::front on empty buffer"};
-    return buf_[head_];
-  }
-
-  T pop() {
-    if (empty()) throw std::out_of_range{"RingBuffer::pop on empty buffer"};
-    T out = std::move(buf_[head_]);
-    head_ = (head_ + 1) % buf_.size();
-    --size_;
-    return out;
-  }
-
-  /// Element i positions from the front (0 == oldest).
-  const T& at(std::size_t i) const {
-    if (i >= size_) throw std::out_of_range{"RingBuffer::at"};
-    return buf_[(head_ + i) % buf_.size()];
-  }
-
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
- private:
-  std::vector<T> buf_;
-  std::size_t head_{0};
-  std::size_t size_{0};
-};
 
 /// Growable FIFO on a power-of-two slot array. Every element has a position:
 /// the n-th element ever pushed sits at position n (mod 2^32) in slot

@@ -199,7 +199,6 @@ TEST(CampaignGolden, ObservabilityDoesNotPerturbTheCampaign) {
   // subject hashes must equal the checked-in corpus values, serially and at
   // every worker count. Observation reads sim state; it never touches an
   // RNG stream, the virtual clock, or any hashed value.
-  obs::set_enabled(true);
   for (const GoldenEntry& entry : kGolden) {
     ExperimentHarness harness{golden_config(entry.seed)};
     obs::CampaignCollector collector;
@@ -212,7 +211,6 @@ TEST(CampaignGolden, ObservabilityDoesNotPerturbTheCampaign) {
           << "obs-enabled subject hash drifted, seed " << entry.seed
           << " subject index " << i;
     }
-#if RDSIM_OBS
     // The collector must actually have gathered data — an accidentally inert
     // instrumentation layer would make this whole test vacuous.
     ASSERT_EQ(collector.run_count(), 24u);  // 12 subjects x (NFI + FI)
@@ -222,7 +220,6 @@ TEST(CampaignGolden, ObservabilityDoesNotPerturbTheCampaign) {
               0u);
     EXPECT_GT(merged.counter(obs::metric::kStreamSegmentsTx), 0u);
     EXPECT_NE(merged.timer(obs::metric::kRunWall), nullptr);
-#endif
   }
 
   // Worker sweep (seed 42 keeps the sweep inside the unit-test budget): the
@@ -237,19 +234,15 @@ TEST(CampaignGolden, ObservabilityDoesNotPerturbTheCampaign) {
     const CampaignResult observed = harness.run_campaign_parallel(workers);
     ASSERT_EQ(check::campaign_hash(observed), entry.campaign)
         << "obs-enabled parallel campaign drifted at " << workers << " workers";
-#if RDSIM_OBS
     ASSERT_EQ(collector.run_count(), 24u) << workers << " workers";
-#endif
   }
 }
 
 TEST(CampaignGolden, ObsAggregationIsWorkerCountIndependent) {
-#if RDSIM_OBS
   // Deterministic metrics (everything except wall timers) must aggregate to
   // the same campaign report regardless of worker count: contexts merge in
   // run-id order, never completion order. Compare full per-run counter,
   // gauge and histogram state across worker counts.
-  obs::set_enabled(true);
   const std::uint64_t seed = 42;
   auto collect = [&](std::size_t workers) {
     ExperimentHarness harness{golden_config(seed)};
@@ -282,9 +275,6 @@ TEST(CampaignGolden, ObsAggregationIsWorkerCountIndependent) {
       ++ref_it;
     }
   }
-#else
-  GTEST_SKIP() << "observability compiled out";
-#endif
 }
 
 // ---- mitigated corpus --------------------------------------------------

@@ -24,19 +24,31 @@ RunConfig mitigated_config(std::uint64_t seed) {
   return rc;
 }
 
+// Advances `session` one tick with 100 % packet loss held over [3 s, 12 s),
+// far beyond the 0.5 s watchdog deadline: nothing crosses the link in either
+// direction. The fault goes in before the tick at which it is due, so the
+// tick's video and command phases already see it.
+bool step_with_outage(TeleopSession& session) {
+  const TimePoint now = session.now();
+  net::FaultInjector& injector = session.injector();
+  const bool in_outage =
+      now >= TimePoint::from_seconds(3.0) && now < TimePoint::from_seconds(12.0);
+  if (in_outage && !injector.active()) {
+    injector.inject({net::FaultKind::kPacketLoss, 1.0}, now);
+  } else if (!in_outage && injector.active()) {
+    injector.remove(now);
+  }
+  return session.step();
+}
+
 TEST(MitigationE2E, TotalLinkLossTriggersInLaneMrmStop) {
   RunConfig rc = mitigated_config(303);
   rc.fault_injected = true;
   TeleopSession session{std::move(rc), sim::make_following_scenario()};
-  // 100 % packet loss for 9 s, far beyond the 0.5 s watchdog deadline:
-  // nothing crosses the link in either direction.
-  session.injector().schedule({net::FaultKind::kPacketLoss, 1.0},
-                              TimePoint::from_seconds(3.0),
-                              TimePoint::from_seconds(12.0));
 
   bool stopped_during_outage = false;
   double stop_lane_offset = 0.0;
-  while (session.step()) {
+  while (step_with_outage(session)) {
     const double t = session.now().to_seconds();
     if (t > 3.0 && t < 12.0 && session.vehicle().mrm() != nullptr &&
         session.vehicle().mrm()->engaged() &&
@@ -70,9 +82,8 @@ TEST(MitigationE2E, MrmStopIsDeterministic) {
     RunConfig rc = mitigated_config(303);
     rc.fault_injected = true;
     TeleopSession session{std::move(rc), sim::make_following_scenario()};
-    session.injector().schedule({net::FaultKind::kPacketLoss, 1.0},
-                                TimePoint::from_seconds(3.0),
-                                TimePoint::from_seconds(12.0));
+    while (step_with_outage(session)) {
+    }
     return session.run();
   };
   const RunResult a = run_once();

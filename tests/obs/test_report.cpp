@@ -69,7 +69,6 @@ TEST(ObsReport, ReportJsonParsesAndCarriesKnownValues) {
 
   const json_check::Value root = json_check::parse(collector.report_json());
   EXPECT_EQ(root.at("schema").str(), "rdsim.obs.report/1");
-  EXPECT_EQ(root.at("compiled_in").boolean(), compiled_in());
   EXPECT_EQ(static_cast<int>(root.at("runs").num()), 2);
 
   const json_check::Value& campaign = root.at("campaign");

@@ -56,8 +56,6 @@ struct ObservedStream {
   std::uint32_t last_seen_ack{0};
 };
 
-#if RDSIM_OBS
-
 TEST(ObsStreamCounters, CleanLinkCountsTxEqualsRxAndNoRetransmits) {
   ObservedStream s{1};
   for (int i = 0; i < 30; ++i) {
@@ -151,12 +149,6 @@ TEST(ObsStreamCounters, RtoEventsMatchStreamStats) {
   EXPECT_EQ(s.counter(obs::metric::kStreamRtoEvents),
             s.stream.stats().retransmits_rto);
 }
-
-#else
-
-TEST(ObsStreamCounters, CompiledOut) { GTEST_SKIP() << "observability compiled out"; }
-
-#endif  // RDSIM_OBS
 
 }  // namespace
 }  // namespace rdsim::net

@@ -6,54 +6,6 @@
 namespace rdsim::util {
 namespace {
 
-TEST(RingBuffer, PushPopFifoOrder) {
-  RingBuffer<int> rb{4};
-  EXPECT_TRUE(rb.empty());
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_EQ(rb.size(), 3u);
-  EXPECT_EQ(rb.front(), 1);
-  EXPECT_EQ(rb.pop(), 1);
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, OverwritesOldestWhenFull) {
-  RingBuffer<int> rb{3};
-  for (int i = 1; i <= 5; ++i) rb.push(i);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), 4);
-  EXPECT_EQ(rb.pop(), 5);
-}
-
-TEST(RingBuffer, AtIndexesFromFront) {
-  RingBuffer<int> rb{3};
-  rb.push(10);
-  rb.push(20);
-  EXPECT_EQ(rb.at(0), 10);
-  EXPECT_EQ(rb.at(1), 20);
-  EXPECT_THROW(rb.at(2), std::out_of_range);
-}
-
-TEST(RingBuffer, ThrowsOnEmptyAccess) {
-  RingBuffer<int> rb{2};
-  EXPECT_THROW(rb.pop(), std::out_of_range);
-  EXPECT_THROW(rb.front(), std::out_of_range);
-}
-
-TEST(RingBuffer, WrapsCorrectlyAfterManyOps) {
-  RingBuffer<int> rb{4};
-  for (int round = 0; round < 10; ++round) {
-    rb.push(round * 2);
-    rb.push(round * 2 + 1);
-    EXPECT_EQ(rb.pop(), round * 2);
-    EXPECT_EQ(rb.pop(), round * 2 + 1);
-  }
-}
-
 TEST(SeqQueue, FifoOrderAndPositionsSurviveGrowth) {
   SeqQueue<int> q;
   EXPECT_TRUE(q.empty());
@@ -84,14 +36,6 @@ TEST(SeqQueue, PoppedSlotsKeepTheirBuffers) {
   }
   // Eight slots, each reused; a push returns a slot with its old capacity.
   EXPECT_GE(q.push_back().capacity(), 100u);
-}
-
-TEST(RingBuffer, ZeroCapacityClampedToOne) {
-  RingBuffer<int> rb{0};
-  EXPECT_EQ(rb.capacity(), 1u);
-  rb.push(1);
-  rb.push(2);
-  EXPECT_EQ(rb.pop(), 2);
 }
 
 TEST(DelayLine, NothingVisibleBeforeDelayElapses) {
