@@ -124,13 +124,13 @@ std::vector<TtcRow> ttc_rows(const CampaignResult& campaign,
       util::RunningStats acc;
       std::size_t violations = 0;
       for (const auto& [start, stop] : label_windows(s->faulty.trace, label)) {
-        const auto st = analyzer.summarize_window(faulty_series, start, stop);
-        if (!st.valid()) continue;
-        // Merge via the series directly for exact stats.
         for (const auto& sample : faulty_series) {
-          if (sample.t >= start && sample.t < stop) acc.add(sample.ttc.value());
+          if (sample.t < start || sample.t >= stop) continue;
+          acc.add(sample.ttc.value());
+          if (sample.ttc > units::Seconds{} && sample.ttc < config.violation_threshold) {
+            ++violations;
+          }
         }
-        violations += st.violations;
       }
       if (!acc.empty()) {
         merged.samples = acc.count();

@@ -152,50 +152,16 @@ std::vector<BrakeReaction> brake_reactions(const trace::RunTrace& run,
 
 HeadwayDistribution headway_distribution(const trace::RunTrace& run,
                                          const TtcConfig& config) {
-  const HeadwayStats base = analyze_headway(run, config);
+  const std::vector<double> headways = headway_series(run, config);
   HeadwayDistribution out;
-  out.samples = base.samples;
-  if (!base.valid()) return out;
-
-  // Re-derive the full headway series for percentiles (analyze_headway only
-  // keeps aggregates); cheap enough at trace sizes.
-  std::multimap<std::int64_t, const trace::OtherSample*> by_time;
-  for (const trace::OtherSample& o : run.others) {
-    by_time.emplace(static_cast<std::int64_t>(std::llround(o.t * 1e6)), &o);
-  }
-  std::vector<double> headways;
-  std::size_t below1 = 0;
-  std::size_t below2 = 0;
-  for (const trace::EgoSample& e : run.ego) {
-    const double speed = std::hypot(e.vx, e.vy);
-    if (speed < 0.5) continue;
-    const double hx = e.vx / speed;
-    const double hy = e.vy / speed;
-    const auto key = static_cast<std::int64_t>(std::llround(e.t * 1e6));
-    const auto [lo, hi] = by_time.equal_range(key);
-    std::optional<double> nearest;
-    for (auto it = lo; it != hi; ++it) {
-      const trace::OtherSample& o = *it->second;
-      const double dx = o.x - e.x;
-      const double dy = o.y - e.y;
-      const double ahead = dx * hx + dy * hy;
-      const double lateral = -dx * hy + dy * hx;
-      if (ahead <= 0.0 || ahead > config.max_distance.value()) continue;
-      if (std::fabs(lateral) > config.max_lateral.value()) continue;
-      const double gap = std::max(ahead - config.length_correction.value(), 0.1);
-      if (!nearest || gap < *nearest) nearest = gap;
-    }
-    if (nearest) {
-      const double headway = *nearest / speed;
-      headways.push_back(headway);
-      if (headway < 1.0) ++below1;
-      if (headway < 2.0) ++below2;
-    }
-  }
   out.samples = headways.size();
   if (headways.empty()) return out;
-  out.below_1s = static_cast<double>(below1) / static_cast<double>(headways.size());
-  out.below_2s = static_cast<double>(below2) / static_cast<double>(headways.size());
+  const auto fraction_below = [&](double limit) {
+    const auto n = std::ranges::count_if(headways, [&](double h) { return h < limit; });
+    return static_cast<double>(n) / static_cast<double>(headways.size());
+  };
+  out.below_1s = fraction_below(1.0);
+  out.below_2s = fraction_below(2.0);
   out.median = units::Seconds{util::percentile(headways, 50.0).value_or(0.0)};
   return out;
 }

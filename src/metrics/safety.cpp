@@ -1,5 +1,6 @@
 #include "metrics/safety.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "trace/trace.hpp"
@@ -37,47 +38,36 @@ CollisionAnalysis analyze_collisions(const trace::RunTrace& run) {
   return out;
 }
 
-HeadwayStats analyze_headway(const trace::RunTrace& run, const TtcConfig& config) {
-  // Reuse the TTC lead-pairing logic but divide gap by ego speed.
-  std::multimap<std::int64_t, const trace::OtherSample*> by_time;
-  for (const trace::OtherSample& o : run.others) {
-    by_time.emplace(static_cast<std::int64_t>(std::llround(o.t * 1e6)), &o);
-  }
-  util::RunningStats stats;
-  std::size_t below = 0;
+std::vector<double> headway_series(const trace::RunTrace& run, const TtcConfig& config) {
+  const OthersByTime others{run.others};
+  std::vector<double> out;
   for (const trace::EgoSample& e : run.ego) {
     const double ego_speed = std::hypot(e.vx, e.vy);
     if (ego_speed < 0.5) continue;
     const double hx = e.vx / ego_speed;
     const double hy = e.vy / ego_speed;
-    const auto key = static_cast<std::int64_t>(std::llround(e.t * 1e6));
-    const auto [lo, hi] = by_time.equal_range(key);
     std::optional<double> nearest_gap;
-    for (auto it = lo; it != hi; ++it) {
-      const trace::OtherSample& o = *it->second;
-      const double dx = o.x - e.x;
-      const double dy = o.y - e.y;
-      const double ahead = dx * hx + dy * hy;
-      const double lateral = -dx * hy + dy * hx;
-      if (ahead <= 0.0 || ahead > config.max_distance.value()) continue;
-      if (std::fabs(lateral) > config.max_lateral.value()) continue;
-      const double gap = std::max(ahead - config.length_correction.value(), 0.1);
+    for (const OthersByTime::Entry& row : others.at(e.t)) {
+      const std::optional<double> ahead = corridor_ahead(config, e, hx, hy, *row.other);
+      if (!ahead) continue;
+      const double gap = std::max(*ahead - config.length_correction.value(), 0.1);
       if (!nearest_gap || gap < *nearest_gap) nearest_gap = gap;
     }
-    if (nearest_gap) {
-      const double headway = *nearest_gap / ego_speed;
-      stats.add(headway);
-      if (headway < 2.0) ++below;
-    }
-  }
-  HeadwayStats out;
-  out.samples = stats.count();
-  if (!stats.empty()) {
-    out.min = units::Seconds{stats.min()};
-    out.avg = units::Seconds{stats.mean()};
-    out.below_2s_fraction = static_cast<double>(below) / static_cast<double>(out.samples);
+    if (nearest_gap) out.push_back(*nearest_gap / ego_speed);
   }
   return out;
+}
+
+HeadwayStats analyze_headway(const trace::RunTrace& run, const TtcConfig& config) {
+  util::RunningStats stats;
+  std::size_t below = 0;
+  for (const double headway : headway_series(run, config)) {
+    stats.add(headway);
+    if (headway < 2.0) ++below;
+  }
+  if (stats.empty()) return {};
+  return {stats.count(), units::Seconds{stats.min()}, units::Seconds{stats.mean()},
+          static_cast<double>(below) / static_cast<double>(stats.count())};
 }
 
 units::Seconds time_exposed_ttc(const std::vector<TtcSample>& series,

@@ -44,6 +44,11 @@ struct HeadwayStats {
 };
 HeadwayStats analyze_headway(const trace::RunTrace& run, const TtcConfig& config = {});
 
+/// The headway behind analyze_headway and headway_distribution: one value per
+/// ego row at >= 0.5 m/s with a vehicle in the lead corridor, in ego order.
+std::vector<double> headway_series(const trace::RunTrace& run,
+                                   const TtcConfig& config = {});
+
 /// Time Exposed TTC: time spent with 0 < TTC < threshold.
 units::Seconds time_exposed_ttc(const std::vector<TtcSample>& series,
                                 units::Seconds threshold,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 
 #include "check/contracts.hpp"
 #include "trace/trace.hpp"
@@ -11,46 +10,59 @@
 
 namespace rdsim::metrics {
 
-std::vector<TtcSample> TtcAnalyzer::series(const trace::RunTrace& run) const {
-  // Group the other-vehicle samples by timestamp for pairing with ego rows.
-  // Trace rows are emitted together per logging tick, so exact-time grouping
-  // is reliable; we key by rounded microseconds to be safe against FP noise.
-  std::multimap<std::int64_t, const trace::OtherSample*> by_time;
-  for (const trace::OtherSample& o : run.others) {
-    by_time.emplace(static_cast<std::int64_t>(std::llround(o.t * 1e6)), &o);
-  }
+namespace {
+// Trace rows are emitted together per logging tick, so exact-time grouping
+// is reliable; we key by rounded microseconds to be safe against FP noise.
+std::int64_t time_key(double t) { return std::llround(t * 1e6); }
+}  // namespace
 
+std::optional<double> corridor_ahead(const TtcConfig& config, const trace::EgoSample& e,
+                                     double hx, double hy, const trace::OtherSample& o) {
+  const double dx = o.x - e.x;
+  const double dy = o.y - e.y;
+  const double ahead = dx * hx + dy * hy;     // longitudinal gap
+  const double lateral = -dx * hy + dy * hx;  // lateral offset
+  if (ahead <= 0.0 || ahead > config.max_distance.value()) return std::nullopt;
+  if (std::fabs(lateral) > config.max_lateral.value()) return std::nullopt;
+  return ahead;
+}
+
+OthersByTime::OthersByTime(const std::vector<trace::OtherSample>& others) {
+  entries_.reserve(others.size());
+  for (const trace::OtherSample& o : others) entries_.push_back({time_key(o.t), &o});
+  std::ranges::stable_sort(entries_, {}, &Entry::key);
+}
+
+std::span<const OthersByTime::Entry> OthersByTime::at(double t) const {
+  return std::ranges::equal_range(entries_, time_key(t), {}, &Entry::key);
+}
+
+std::vector<TtcSample> TtcAnalyzer::series(const trace::RunTrace& run) const {
+  const OthersByTime others{run.others};
   std::vector<TtcSample> out;
   double prev_t = -std::numeric_limits<double>::infinity();
   for (const trace::EgoSample& e : run.ego) {
     RDSIM_REQUIRE(e.t >= prev_t, "TTC input: ego samples must be time-ordered");
     prev_t = e.t;
-    const auto key = static_cast<std::int64_t>(std::llround(e.t * 1e6));
-    const auto [lo, hi] = by_time.equal_range(key);
     const double ego_speed = std::hypot(e.vx, e.vy);
     if (ego_speed < 1e-3) continue;
     const double hx = e.vx / ego_speed;
     const double hy = e.vy / ego_speed;
 
     std::optional<TtcSample> best;
-    for (auto it = lo; it != hi; ++it) {
-      const trace::OtherSample& o = *it->second;
-      const double dx = o.x - e.x;
-      const double dy = o.y - e.y;
-      const double ahead = dx * hx + dy * hy;           // longitudinal gap
-      const double lateral = -dx * hy + dy * hx;        // lateral offset
-      if (ahead <= 0.0 || ahead > config_.max_distance.value()) continue;
-      if (std::fabs(lateral) > config_.max_lateral.value()) continue;
-      const double lead_speed_along = o.vx * hx + o.vy * hy;
-      const double closing = ego_speed - lead_speed_along;
+    for (const OthersByTime::Entry& row : others.at(e.t)) {
+      const trace::OtherSample& o = *row.other;
+      const std::optional<double> ahead = corridor_ahead(config_, e, hx, hy, o);
+      if (!ahead) continue;
+      const double closing = ego_speed - (o.vx * hx + o.vy * hy);
       if (closing < config_.min_closing_speed.value()) continue;
-      const double gap = std::max(ahead - config_.length_correction.value(), 0.1);
+      const double gap = std::max(*ahead - config_.length_correction.value(), 0.1);
       const double ttc = gap / closing;
       RDSIM_ENSURE(std::isfinite(ttc) && ttc > 0.0,
                    "TTC samples must be finite and positive");
-      if (!best || ahead < best->distance.value()) {
+      if (!best || *ahead < best->distance.value()) {
         best = TtcSample{units::Seconds{e.t}, units::Seconds{ttc},
-                         units::Meters{ahead}, o.actor};
+                         units::Meters{*ahead}, o.actor};
       }
     }
     if (best) out.push_back(*best);

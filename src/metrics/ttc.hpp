@@ -8,7 +8,9 @@
 // violation; the paper uses threshold = 6 s after Vogel [13].
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,24 @@ struct TtcConfig {
   units::Seconds violation_threshold{6.0};
   /// Bumper-to-bumper correction subtracted from the centre distance.
   units::Meters length_correction{4.6};
+};
+
+/// Gap from the ego row `e` to `o` along the ego's unit heading (hx, hy), or
+/// nullopt when `o` is behind, beyond `max_distance` or outside `max_lateral`.
+/// TTC and headway both pick their lead from this corridor.
+std::optional<double> corridor_ahead(const TtcConfig& config, const trace::EgoSample& e,
+                                     double hx, double hy, const trace::OtherSample& o);
+
+/// A trace's others rows sorted by timestamp, equal timestamps in input order.
+class OthersByTime {
+ public:
+  struct Entry { std::int64_t key{0}; const trace::OtherSample* other{nullptr}; };
+  explicit OthersByTime(const std::vector<trace::OtherSample>& others);
+  /// The rows logged at `t`, in input order.
+  std::span<const Entry> at(double t) const;
+
+ private:
+  std::vector<Entry> entries_;
 };
 
 /// One TTC sample.
