@@ -6,7 +6,8 @@
 namespace rdsim::core {
 
 net::Payload CommandMsg::encode() const {
-  net::ByteWriter w;
+  // sequence u32, three f64 controls, two u8 flags, sent_at i64, frame u32.
+  net::ByteWriter w{4 + 3 * 8 + 1 + 1 + 8 + 4};
   w.u32(sequence);
   w.f64(control.throttle);
   w.f64(control.steer);

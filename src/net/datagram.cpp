@@ -21,8 +21,8 @@ std::uint32_t DatagramSocket::send_message(Payload bytes,
                                            util::TimePoint now) {
   const std::uint32_t seq = next_seq_++;
   // One datagram = one packet, framed directly in a pooled buffer.
-  ByteWriter w{channel_->acquire_payload(ProtocolHeader::kSize + 4 + 8 + 4 +
-                                         bytes.size())};
+  const std::size_t size = ProtocolHeader::kSize + 4 + 8 + 4 + bytes.size();
+  ByteWriter w{channel_->acquire_payload(size), size};
   ProtocolHeader::begin(w, stream_id_, SegmentType::kDatagram);
   w.u32(seq);
   w.u64(static_cast<std::uint64_t>(now.count_micros()));

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "check/contracts.hpp"
 #include "net/serialization.hpp"
@@ -23,9 +24,9 @@ constexpr std::uint32_t kAckWireSize = 60;
 /// seq u32 + message_id u32 + seg_index u16 + seg_count u16 +
 /// message_wire_size u32 + message_sent_us u64 + chunk length prefix u32.
 constexpr std::size_t kDataEncodingBytes = 4 + 4 + 2 + 2 + 4 + 8 + 4;
-/// ACK encoding ceiling: cum_ack u32 + sack count u32 + <=8 SACKs + ts u64.
+/// ACK encoding: cum_ack u32 + sack count u32 + <=8 SACKs u32 + ts u64.
 constexpr std::size_t kMaxSackHints = 8;
-constexpr std::size_t kAckEncodingBytes = 4 + 4 + kMaxSackHints * 4 + 8;
+constexpr std::size_t ack_encoding_bytes(std::size_t sacks) { return 4 + 4 + sacks * 4 + 8; }
 }  // namespace
 
 ReliableStream::ReliableStream(PacketRouter& router, Channel& channel,
@@ -87,8 +88,8 @@ void ReliableStream::transmit_segment(std::uint32_t seq, util::TimePoint now,
 
   // Frame the segment directly in a pooled buffer, slicing the chunk straight
   // from the message: header placeholder, DATA fields, checksum back-patch.
-  ByteWriter w{channel_->acquire_payload(ProtocolHeader::kSize + kDataEncodingBytes +
-                                         (hi - lo))};
+  const std::size_t size = ProtocolHeader::kSize + kDataEncodingBytes + (hi - lo);
+  ByteWriter w{channel_->acquire_payload(size), size};
   ProtocolHeader::begin(w, stream_id_, SegmentType::kData);
   w.u32(seq);
   w.u32(slot.message_id);
@@ -157,6 +158,11 @@ void ReliableStream::update_rtt(util::Duration sample) {
     rttvar_ = units::Millis{0.75 * rttvar_.value() +
                             0.25 * std::fabs(srtt_.value() - r.value())};
     srtt_ = 0.875 * srtt_ + 0.125 * r;
+    // Equal samples decay rttvar as 0.75^k into the subnormal range, where
+    // each update costs tens of times more. Flushing it to zero changes no
+    // result: the RTO reads it only as max(4 rttvar, 1 ms), and against any
+    // nonzero deviation a subnormal term is below half an ulp of the sum.
+    if (rttvar_.value() < std::numeric_limits<double>::min()) rttvar_ = units::Millis{};
   }
   const units::Millis rto = srtt_ + units::Millis{std::max(4.0 * rttvar_.value(), 1.0)};
   rto_base_ = std::max(rto.to_duration(), config_.rto_min);
@@ -267,12 +273,13 @@ void ReliableStream::update_hol_obs(util::TimePoint now) {
 }
 
 void ReliableStream::send_ack(util::TimePoint now) {
-  ByteWriter w{channel_->acquire_payload(ProtocolHeader::kSize + kAckEncodingBytes)};
-  ProtocolHeader::begin(w, stream_id_, SegmentType::kAck);
-  w.u32(rcv_next_);
   // SACK hints: the lowest (up to 8) buffered out-of-order sequences.
   const std::uint32_t sack_count =
       std::min<std::uint32_t>(rx_buffered_, kMaxSackHints);
+  const std::size_t size = ProtocolHeader::kSize + ack_encoding_bytes(sack_count);
+  ByteWriter w{channel_->acquire_payload(size), size};
+  ProtocolHeader::begin(w, stream_id_, SegmentType::kAck);
+  w.u32(rcv_next_);
   w.u32(sack_count);
   for (std::uint32_t seq = rcv_next_ + 1, written = 0; written < sack_count; ++seq) {
     if (!rx_slot(seq).occupied) continue;

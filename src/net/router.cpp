@@ -1,6 +1,5 @@
 #include "net/router.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "check/contracts.hpp"
@@ -10,28 +9,39 @@ namespace rdsim::net {
 
 namespace {
 
-/// The 32-bit ones'-complement sum of a packet, with the checksum field
-/// read as zero. Eight bytes are loaded at a time and split into their two
-/// 32-bit words; a short tail is zero-padded. The carries out of bit 31 are
-/// folded back in at the end (end-around carry), so the result is the
-/// integer sum of the words modulo 2^32 - 1.
+/// The 32-bit ones'-complement sum of a packet of at least
+/// ProtocolHeader::kSize bytes, with the checksum field read as zero. Eight
+/// bytes are loaded at a time straight from the packet and split into their
+/// two 32-bit words: the first load is masked to drop the checksum bytes, and
+/// a short tail is one load of the packet's last eight bytes shifted right,
+/// which zero-pads it. Every load has a fixed size and reads packet memory
+/// only. The carries out of bit 31 are folded back in at the end
+/// (end-around carry), so the result is the integer sum of the words modulo
+/// 2^32 - 1.
 std::uint32_t packet_checksum(const std::uint8_t* packet, std::size_t size) {
   constexpr std::uint64_t kLow = 0xffffffffu;
-  // The first load holds the header, whose checksum bytes count as zero.
-  std::uint8_t head[8] = {};
-  std::memcpy(head, packet, std::min(size, sizeof head));
-  std::memset(head + ProtocolHeader::kChecksumOffset, 0, 4);
-  std::uint64_t word = 0;
-  std::memcpy(&word, head, sizeof word);
+  // Keeps header bytes 0-2 (stream id, type) and byte 7; 3-6 are the checksum.
+  constexpr std::uint64_t kHeaderMask = 0xff00000000ffffffu;
+  static_assert(ProtocolHeader::kChecksumOffset == 3 && ProtocolHeader::kSize == 7);
+  const auto load = [packet](std::size_t at) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, packet + at, sizeof word);
+    return word;
+  };
+  if (size < sizeof(std::uint64_t)) {  // a bare header
+    std::uint32_t head = 0;
+    std::memcpy(&head, packet, sizeof head);
+    return head & 0x00ffffffu;
+  }
+  std::uint64_t word = load(0) & kHeaderMask;
   std::uint64_t sum = (word & kLow) + (word >> 32);
-  std::size_t i = sizeof head;
+  std::size_t i = sizeof word;
   for (; i + sizeof word <= size; i += sizeof word) {
-    std::memcpy(&word, packet + i, sizeof word);
+    word = load(i);
     sum += (word & kLow) + (word >> 32);
   }
   if (i < size) {
-    word = 0;
-    std::memcpy(&word, packet + i, size - i);
+    word = load(size - sizeof word) >> (8 * (sizeof word - (size - i)));
     sum += (word & kLow) + (word >> 32);
   }
   while (sum > kLow) sum = (sum & kLow) + (sum >> 32);
@@ -55,7 +65,7 @@ Payload ProtocolHeader::finish(ByteWriter& w) {
 
 Payload ProtocolHeader::seal(std::uint16_t stream_id, SegmentType type,
                              const Payload& body) {
-  ByteWriter w;
+  ByteWriter w{kSize + body.size()};
   begin(w, stream_id, type);
   w.raw(body.data(), body.size());
   return finish(w);

@@ -5,6 +5,7 @@
 // because the corrupt qdisc can hand us damaged bytes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -14,56 +15,75 @@
 
 namespace rdsim::net {
 
+/// Writes fields through a cursor into one buffer. A caller that knows the
+/// exact wire size passes it to the constructor, which sizes the buffer once,
+/// so every field is a bounds check and a fixed-size copy. A writer without
+/// a size (or one that outruns it) grows the buffer geometrically.
 class ByteWriter {
  public:
   ByteWriter() = default;
 
+  /// A fresh buffer of exactly `size` bytes.
+  explicit ByteWriter(std::size_t size) { buf_.resize(size); }
+
   /// Reuse a leased buffer (e.g. from a PayloadPool): keeps its capacity,
-  /// starts writing from offset zero.
-  explicit ByteWriter(std::vector<std::uint8_t>&& reuse) : buf_{std::move(reuse)} {
-    buf_.clear();
+  /// sizes it to `size` bytes and starts writing from offset zero.
+  explicit ByteWriter(std::vector<std::uint8_t>&& reuse, std::size_t size = 0)
+      : buf_{std::move(reuse)} {
+    buf_.resize(size);
   }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { append(&v, sizeof v); }
-  void u32(std::uint32_t v) { append(&v, sizeof v); }
-  void u64(std::uint64_t v) { append(&v, sizeof v); }
-  void i32(std::int32_t v) { append(&v, sizeof v); }
-  void i64(std::int64_t v) { append(&v, sizeof v); }
-  void f64(double v) { append(&v, sizeof v); }
+  void u8(std::uint8_t v) { put(&v, sizeof v); }
+  void u16(std::uint16_t v) { put(&v, sizeof v); }
+  void u32(std::uint32_t v) { put(&v, sizeof v); }
+  void u64(std::uint64_t v) { put(&v, sizeof v); }
+  void i32(std::int32_t v) { put(&v, sizeof v); }
+  void i64(std::int64_t v) { put(&v, sizeof v); }
+  void f64(double v) { put(&v, sizeof v); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    append(s.data(), s.size());
+    put(s.data(), s.size());
   }
   void bytes(const std::vector<std::uint8_t>& b) {
     u32(static_cast<std::uint32_t>(b.size()));
-    append(b.data(), b.size());
+    put(b.data(), b.size());
   }
   /// Append raw bytes without a length prefix.
-  void raw(const std::uint8_t* p, std::size_t n) { append(p, n); }
+  void raw(const std::uint8_t* p, std::size_t n) { put(p, n); }
 
   /// Overwrite 4 already-written bytes at `offset` (for checksum back-patching).
   void patch_u32(std::size_t offset, std::uint32_t v) {
     std::memcpy(buf_.data() + offset, &v, sizeof v);
   }
 
-  const std::vector<std::uint8_t>& data() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-  std::size_t size() const { return buf_.size(); }
+  /// The bytes written so far.
+  std::span<const std::uint8_t> data() const { return {buf_.data(), pos_}; }
+  /// The bytes written so far, as an owning buffer; the writer is left empty.
+  std::vector<std::uint8_t> take() {
+    buf_.resize(pos_);
+    pos_ = 0;
+    return std::move(buf_);
+  }
+  std::size_t size() const { return pos_; }
 
  private:
-  void append(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+  void put(const void* p, std::size_t n) {
+    if (n == 0) return;  // memcpy from an empty container's null data()
+    if (buf_.size() - pos_ < n) [[unlikely]] {
+      buf_.resize(std::max(pos_ + n, 2 * buf_.size()));
+    }
+    std::memcpy(buf_.data() + pos_, p, n);
+    pos_ += n;
   }
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;  ///< [0, pos_) written, [pos_, size()) not yet
+  std::size_t pos_{0};
 };
 
 class ByteReader {
  public:
   /// Empty view; every read fails with ok() == false.
   ByteReader() : buf_{nullptr}, size_{0} {}
-  explicit ByteReader(const std::vector<std::uint8_t>& buf) : buf_{buf.data()}, size_{buf.size()} {}
+  explicit ByteReader(std::span<const std::uint8_t> buf) : buf_{buf.data()}, size_{buf.size()} {}
   ByteReader(const std::uint8_t* data, std::size_t size) : buf_{data}, size_{size} {}
 
   bool ok() const { return ok_; }

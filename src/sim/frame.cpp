@@ -7,6 +7,12 @@ namespace rdsim::sim {
 
 namespace {
 
+/// Bytes encode_actor writes: id u32, kind u8, 13 f64, reverse u8.
+constexpr std::size_t kActorWireBytes = 4 + 1 + 13 * 8 + 1;
+/// Bytes WorldFrame::encode writes around the actors: frame id u32,
+/// sim time i64, night u8, fog f64, others count u32.
+constexpr std::size_t kFrameFixedWireBytes = 4 + 8 + 1 + 8 + 4;
+
 void encode_actor(net::ByteWriter& w, const ActorSnapshot& a) {
   w.u32(a.id);
   w.u8(static_cast<std::uint8_t>(a.kind));
@@ -50,7 +56,7 @@ ActorSnapshot decode_actor(net::ByteReader& r) {
 }  // namespace
 
 net::Payload WorldFrame::encode() const {
-  net::ByteWriter w;
+  net::ByteWriter w{kFrameFixedWireBytes + (1 + others.size()) * kActorWireBytes};
   w.u32(frame_id);
   w.i64(sim_time_us);
   w.u8(weather.night ? 1 : 0);
