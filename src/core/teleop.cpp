@@ -49,6 +49,7 @@ std::unique_ptr<net::MessageTransport> make_transport(
 
 TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
     : config_{validated(std::move(config))},
+      fault_windows_{resolve_fault_plan(config_.plan, scenario)},
       tc_{config_.seed},
       channel_{tc_, config_.rds.device},
       router_{channel_},
@@ -81,20 +82,35 @@ TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
   next_physics_ = clock_.now();
 }
 
+/// The plan's POI windows in first-match order: assignment by assignment,
+/// each one's windows in scenario order. Rejects an assignment that names a
+/// POI the scenario lacks, since it could never fire.
+std::vector<TeleopSession::FaultWindow> TeleopSession::resolve_fault_plan(
+    const std::vector<FaultAssignment>& plan, const sim::Scenario& scenario) {
+  std::vector<FaultWindow> windows;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const std::size_t before = windows.size();
+    for (const sim::PoiWindow& poi : scenario.pois) {
+      if (poi.name == plan[i].poi) windows.push_back({poi.from, poi.to, i});
+    }
+    if (windows.size() == before) {
+      throw std::invalid_argument{"fault plan names POI '" + plan[i].poi +
+                                  "', which scenario '" + scenario.name + "' lacks"};
+    }
+  }
+  return windows;
+}
+
 void TeleopSession::update_fault_plan() {
   const units::Meters s = vehicle_.runtime().ego_position();
-  const sim::Scenario& scenario = vehicle_.runtime().scenario();
 
   // Find the planned assignment whose POI contains the ego position.
   std::optional<std::size_t> due;
-  for (std::size_t i = 0; i < config_.plan.size(); ++i) {
-    for (const sim::PoiWindow& poi : scenario.pois) {
-      if (poi.name == config_.plan[i].poi && s >= poi.from && s < poi.to) {
-        due = i;
-        break;
-      }
+  for (const FaultWindow& w : fault_windows_) {
+    if (s >= w.from && s < w.to) {
+      due = w.assignment;
+      break;
     }
-    if (due) break;
   }
 
   if (due != active_assignment_) {

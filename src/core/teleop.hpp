@@ -79,6 +79,8 @@ struct RunResult {
 
 class TeleopSession {
  public:
+  /// Throws std::invalid_argument when the configuration cannot run, e.g.
+  /// when the fault plan names a POI that `scenario` lacks.
   TeleopSession(RunConfig config, sim::Scenario scenario);
 
   /// Advance one communication tick. Returns false once the run is over.
@@ -98,12 +100,22 @@ class TeleopSession {
   const mitigate::DegradationGovernor* governor() const { return governor_.get(); }
 
  private:
+  /// One POI window of the fault plan, resolved at construction.
+  struct FaultWindow {
+    units::Meters from;
+    units::Meters to;
+    std::size_t assignment;  ///< index into RunConfig::plan
+  };
+  static std::vector<FaultWindow> resolve_fault_plan(
+      const std::vector<FaultAssignment>& plan, const sim::Scenario& scenario);
   void update_fault_plan();
   void pump_video(util::TimePoint now);
   void pump_commands(util::TimePoint now);
   void update_mitigation(util::TimePoint now);
 
   RunConfig config_;
+  /// The plan's POI windows, searched in order on every tick.
+  std::vector<FaultWindow> fault_windows_;
   util::VirtualClock clock_;
 
   net::TrafficControl tc_;

@@ -80,6 +80,16 @@ TEST(TeleopSession, RejectsMtuThatOverflowsTheSegmentCountByName) {
   EXPECT_NE(rejection(rc).find("transport.mtu"), std::string::npos);
 }
 
+TEST(TeleopSession, RejectsFaultPlanNamingAnUnknownPoi) {
+  RunConfig rc = base_config("bad-poi");
+  rc.fault_injected = true;
+  rc.plan.push_back({"following", {net::FaultKind::kDelay, 25.0}});
+  rc.plan.push_back({"slalom-1", {net::FaultKind::kPacketLoss, 0.05}});
+  EXPECT_NE(rejection(rc).find("'slalom-1'"), std::string::npos);
+  rc.plan.pop_back();
+  EXPECT_EQ(rejection(rc), "");
+}
+
 TEST(TeleopSession, GoldenRunCompletesCleanly) {
   TeleopSession session{base_config("golden"), sim::make_following_scenario()};
   const RunResult r = session.run();
