@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "net/fault_injector.hpp"
 #include "sim/actor.hpp"
@@ -176,6 +177,13 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
       s.throttle = table.number(i, cth);
       s.steer = table.number(i, cst);
       s.brake = table.number(i, cbr);
+      // The analyzers pair ego rows in time order; reject the file instead.
+      if (i > 0 && !(s.t >= t.ego.back().t)) {
+        std::ostringstream msg;
+        msg << "ego row " << i + 1 << " has t = " << s.t << ", earlier than row " << i
+            << "'s t = " << t.ego.back().t << "; ego rows must be in time order";
+        throw std::invalid_argument{msg.str()};
+      }
       t.ego.push_back(s);
     }
   }

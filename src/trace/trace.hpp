@@ -97,6 +97,8 @@ class RunTrace {
   std::string ego_csv() const;
   std::string others_csv() const;
   std::string events_csv() const;
+  /// Parses the three tables back into a trace. Throws std::invalid_argument
+  /// naming the first ego row whose t is earlier than the row before it.
   static RunTrace from_csv(const std::string& ego_csv, const std::string& others_csv,
                            const std::string& events_csv);
 };

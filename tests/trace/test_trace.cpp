@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "check/contracts.hpp"
 #include "sim/scenario.hpp"
 #include "trace/trace.hpp"
 
@@ -93,6 +97,38 @@ RunTrace make_rich_trace() {
   t.faults.push_back({0.5, "loss", 0.05, true, "5%"});
   t.faults.push_back({1.9, "loss", 0.05, false, "5%"});
   return t;
+}
+
+TEST(RunTrace, FromCsvRejectsEgoRowsOutOfTimeOrder) {
+  RunTrace t;
+  for (int i = 0; i < 20; ++i) {
+    trace::EgoSample e;
+    e.t = (19 - i) * 0.05;
+    e.frame = static_cast<std::uint32_t>(i);
+    e.x = i * 0.5;
+    e.vx = 10.0;
+    t.ego.push_back(e);
+    trace::OtherSample o;
+    o.actor = 2;
+    o.role = "lead";
+    o.t = e.t;
+    o.distance = 25.0;
+    o.x = e.x + 25.0;
+    t.others.push_back(o);
+  }
+  const std::uint64_t violations = check::Registry::instance().total_violations();
+  std::string error;
+  try {
+    RunTrace::from_csv(t.ego_csv(), t.others_csv(), t.events_csv());
+  } catch (const std::invalid_argument& e) {
+    error = e.what();
+  }
+  EXPECT_NE(error.find("ego row 2 "), std::string::npos) << error;
+  EXPECT_EQ(check::Registry::instance().total_violations(), violations);
+
+  // Equal times are in order.
+  for (trace::EgoSample& e : t.ego) e.t = 1.0;
+  EXPECT_EQ(RunTrace::from_csv(t.ego_csv(), t.others_csv(), t.events_csv()).ego.size(), 20u);
 }
 
 TEST(RunTrace, CsvRoundTrip) {
