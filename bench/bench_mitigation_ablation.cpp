@@ -8,10 +8,8 @@
 // and reports what the governor + MRM buy (collisions) and what they cost
 // (steering-reversal rate, completion time, standstill time).
 //
-// The baseline reuses the shared bench campaign cache; the mitigated twin is
-// cached under its own config fingerprint (the mitigation knobs fold into
-// experiment_config_fingerprint).
-#include <chrono>
+// Both campaigns run in this process through bench/campaign.hpp, whose header
+// lines print each campaign's hash.
 #include <cstdio>
 
 #include "campaign.hpp"
@@ -21,28 +19,10 @@ using namespace rdsim;
 
 namespace {
 
-const core::CampaignResult& mitigated_campaign() {
-  static const core::CampaignResult result = [] {
-    core::ExperimentConfig config{};
-    config.mitigation.enabled = true;
-    const std::string cache_path = core::campaign_cache_path(config);
-    if (auto cached = core::load_campaign(cache_path)) {
-      std::printf("[mitigated campaign: cache hit %s]\n\n", cache_path.c_str());
-      return std::move(*cached);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    core::ExperimentHarness harness{config};
-    auto r = harness.run_campaign_parallel(/*n_workers=*/0);
-    const auto t1 = std::chrono::steady_clock::now();
-    std::printf("[mitigated campaign: %.1f s wall, hash %016llx]\n",
-                std::chrono::duration<double>(t1 - t0).count(),
-                static_cast<unsigned long long>(check::campaign_hash(r)));
-    if (core::save_campaign(cache_path, r)) {
-      std::printf("[mitigated campaign: cached to %s]\n\n", cache_path.c_str());
-    }
-    return r;
-  }();
-  return result;
+core::CampaignResult mitigated_campaign() {
+  core::ExperimentConfig config{};
+  config.mitigation.enabled = true;
+  return bench_helper::run_campaign("mitigated campaign", config);
 }
 
 double mean_fi_srr(const core::CampaignResult& campaign) {
@@ -76,7 +56,7 @@ int main() {
       static_cast<unsigned long long>(core::ExperimentConfig{}.seed));
 
   const core::CampaignResult& baseline = bench_helper::campaign();
-  const core::CampaignResult& mitigated = mitigated_campaign();
+  const core::CampaignResult mitigated = mitigated_campaign();
 
   std::printf("%s\n", core::report::render_mitigation_ablation(baseline, mitigated).c_str());
   std::printf("%s\n", core::report::render_mitigation(mitigated).c_str());

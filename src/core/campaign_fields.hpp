@@ -1,21 +1,19 @@
 // Internal field lists over the campaign result types.
 //
-// One template per struct enumerates its fields exactly once; the archives in
-// campaign_hash.cpp / campaign_io.cpp (hashing, serialization and
-// deserialization) all walk the same lists, so the three views can never
-// drift apart: any field added here is automatically hashed by
-// check::campaign_hash and round-tripped by the campaign cache.
+// One template per struct enumerates its fields exactly once, and the
+// HashArchive in campaign_hash.cpp walks the lists: any field added here is
+// automatically hashed by check::campaign_hash, and the `fields` lint flags a
+// member that no list names.
 //
-// The object type is a template parameter so the same list instantiates over
-// `T&` (reading into) and `const T&` (hashing / writing out). Archives
-// provide: f64, u32, u64, i32, sz (std::size_t), b (bool), str,
-// vec(v, element_fn), and opt_block(flag, fn) — a conditional block keyed on
-// a bool field. opt_block is how opt-in subsystems (mitigation) extend the
-// result types without perturbing existing golden hashes: the HashArchive
-// folds *nothing at all* when the flag is false, so a run with the
-// subsystem disabled hashes bit-identically to a build that predates it.
-// (The serialized blob always carries the presence byte — that format
-// change is what the campaign_io version bump covers.)
+// The object type is a template parameter, named by the `// T:` hint that
+// the `fields` lint reads; HashArchive visits `const T&`.
+// Archives provide: f64, qty (a units:: quantity), u32, u64, i32,
+// sz (std::size_t), b (bool), str, vec(v, element_fn), and
+// opt_block(flag, fn) — a conditional block keyed on a bool field. opt_block
+// is how opt-in subsystems (mitigation) extend the result types without
+// perturbing existing golden hashes: the HashArchive folds *nothing at all*
+// when the flag is false, so a run with the subsystem disabled hashes
+// bit-identically to a build that predates it.
 #pragma once
 
 #include "core/experiment.hpp"
@@ -254,8 +252,8 @@ void subject_fields(Ar& ar, T& s) {
 }
 
 /// The campaign-level ExperimentConfig fields that shape the result (the
-/// full RdsConfig / SafetyMonitorConfig are covered separately by
-/// experiment_config_fingerprint, which keys the bench cache).
+/// RdsConfig / SafetyMonitorConfig sub-configs are left out; see their
+/// declarations in experiment.hpp).
 template <typename Ar, typename T>  // T: [const] ExperimentConfig
 void experiment_config_fields(Ar& ar, T& c) {
   ar.u64(c.seed);

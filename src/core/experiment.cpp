@@ -44,6 +44,39 @@ sim::Scenario ExperimentHarness::make_run_scenario() const {
   return scenario;
 }
 
+RunResult ExperimentHarness::run_one(const SubjectProfile& profile, bool faulty,
+                                     check::ReplayRecorder* replay,
+                                     util::Random& plan_rng) const {
+  RunConfig rc;
+  rc.run_id = profile.id + (faulty ? "-FI" : "-NFI");
+  rc.subject_id = profile.id;
+  rc.fault_injected = faulty;
+  rc.rds = config_.rds;
+  rc.safety = config_.safety;
+  rc.driver = profile.driver;
+  rc.mitigation = config_.mitigation;
+  rc.seed = util::splitmix64(
+      profile.seed ^ (faulty ? 0xc2b2ae3d27d4eb4fULL : 0x9e3779b97f4a7c15ULL));
+  rc.replay = replay;
+  sim::Scenario scenario = make_run_scenario();
+  // Faulty run: randomized plan over the points of interest.
+  if (faulty) rc.plan = make_fault_plan(scenario, plan_rng);
+  const std::string run_id = rc.run_id;
+  TeleopSession session{std::move(rc), std::move(scenario)};
+  // One obs context per run, installed thread-locally for the duration:
+  // whichever pool worker executes this subject accumulates into it, and
+  // the collector merges finished runs in run-id order.
+  obs::Context obs_ctx;
+  RunResult result;
+  {
+    obs::ContextScope obs_scope{collector_ != nullptr ? &obs_ctx : nullptr};
+    RDSIM_OBS_TIMER(obs::metric::kRunWall);
+    result = session.run();
+  }
+  if (collector_ != nullptr) collector_->submit_run(run_id, std::move(obs_ctx));
+  return result;
+}
+
 SubjectResult ExperimentHarness::run_subject(const SubjectProfile& profile,
                                              check::ReplayRecorder* golden_replay,
                                              check::ReplayRecorder* faulty_replay) const {
@@ -51,60 +84,12 @@ SubjectResult ExperimentHarness::run_subject(const SubjectProfile& profile,
   result.profile = profile;
   // All streams below are SplitMix-derived from (profile seed, purpose), so a
   // subject's result depends on nothing outside its own profile — required
-  // for run_campaign_parallel to be bit-identical to the serial runner.
+  // for run_campaign_parallel to be bit-identical to the serial runner. The
+  // plan stream is drawn by the faulty run, then by the questionnaire.
   util::Random rng{profile.seed, /*stream=*/0x706c616eULL};
-
   // Golden run (§V.E.2): baseline reference of the subject's behaviour.
-  {
-    RunConfig rc;
-    rc.run_id = profile.id + "-NFI";
-    rc.subject_id = profile.id;
-    rc.fault_injected = false;
-    rc.rds = config_.rds;
-    rc.safety = config_.safety;
-    rc.driver = profile.driver;
-    rc.mitigation = config_.mitigation;
-    rc.seed = util::splitmix64(profile.seed ^ 0x9e3779b97f4a7c15ULL);
-    rc.replay = golden_replay;
-    const std::string run_id = rc.run_id;
-    TeleopSession session{std::move(rc), make_run_scenario()};
-    // One obs context per run, installed thread-locally for the duration:
-    // whichever pool worker executes this subject accumulates into it, and
-    // the collector merges finished runs in run-id order.
-    obs::Context obs_ctx;
-    {
-      obs::ContextScope obs_scope{collector_ != nullptr ? &obs_ctx : nullptr};
-      RDSIM_OBS_TIMER(obs::metric::kRunWall);
-      result.golden = session.run();
-    }
-    if (collector_ != nullptr) collector_->submit_run(run_id, std::move(obs_ctx));
-  }
-
-  // Faulty run: randomized plan over the points of interest.
-  {
-    RunConfig rc;
-    rc.run_id = profile.id + "-FI";
-    rc.subject_id = profile.id;
-    rc.fault_injected = true;
-    rc.rds = config_.rds;
-    rc.safety = config_.safety;
-    rc.driver = profile.driver;
-    rc.mitigation = config_.mitigation;
-    rc.seed = util::splitmix64(profile.seed ^ 0xc2b2ae3d27d4eb4fULL);
-    rc.replay = faulty_replay;
-    const sim::Scenario scenario = make_run_scenario();
-    rc.plan = make_fault_plan(scenario, rng);
-    const std::string run_id = rc.run_id;
-    TeleopSession session{std::move(rc), scenario};
-    obs::Context obs_ctx;
-    {
-      obs::ContextScope obs_scope{collector_ != nullptr ? &obs_ctx : nullptr};
-      RDSIM_OBS_TIMER(obs::metric::kRunWall);
-      result.faulty = session.run();
-    }
-    if (collector_ != nullptr) collector_->submit_run(run_id, std::move(obs_ctx));
-  }
-
+  result.golden = run_one(profile, /*faulty=*/false, golden_replay, rng);
+  result.faulty = run_one(profile, /*faulty=*/true, faulty_replay, rng);
   result.questionnaire = make_questionnaire(profile, result.faulty, rng);
   return result;
 }

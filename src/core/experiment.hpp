@@ -25,11 +25,11 @@ struct ExperimentConfig {
   /// 50 ms delay and 5 % loss, with golden-run crashes present. Any other
   /// seed gives a statistically equivalent campaign.
   std::uint64_t seed{14};
-  // Folded by experiment_config_fingerprint(), not the campaign field
-  // lists: these sub-configs predate campaign_fields.hpp and keep their
-  // own fingerprint so goldens stay stable.
-  RdsConfig rds{};                   // lint:allow(unhashed: experiment_config_fingerprint covers it)
-  SafetyMonitorConfig safety{};      // lint:allow(unhashed: experiment_config_fingerprint covers it)
+  // Not in the campaign field lists: these sub-configs predate
+  // campaign_fields.hpp, and folding them in would move every golden hash.
+  // Their effect on a campaign is still hashed, through the runs' results.
+  RdsConfig rds{};                   // lint:allow(unhashed: predates the field lists; folding it would move every golden hash)
+  SafetyMonitorConfig safety{};      // lint:allow(unhashed: predates the field lists; folding it would move every golden hash)
   /// Fraction of POIs that receive a fault in the faulty run.
   double poi_fault_probability{0.95};
   /// Relative weights of the five faults, in paper_fault_model() order
@@ -98,6 +98,12 @@ class ExperimentHarness {
   obs::CampaignCollector* collector() const { return collector_; }
 
  private:
+  /// One run of `profile`: the golden run, or the faulty run, whose fault
+  /// plan is drawn from `plan_rng`. Submits the run's obs context to the
+  /// collector, if one is attached.
+  RunResult run_one(const SubjectProfile& profile, bool faulty,
+                    check::ReplayRecorder* replay, util::Random& plan_rng) const;
+
   QuestionnaireResponse make_questionnaire(const SubjectProfile& profile,
                                            const RunResult& faulty,
                                            util::Random& rng) const;

@@ -53,10 +53,10 @@ class DelayDistributionTable {
 
 /// Two-state Gilbert–Elliott loss model parameters (netem `loss gemodel`).
 struct GilbertElliott {
-  units::Probability p{};                                ///< P(good -> bad)
-  units::Probability r{units::Probability::unchecked(1.0)};  ///< P(bad -> good)
-  units::Probability h{};  ///< loss probability in the good state (1-k in tc terms)
-  units::Probability k{units::Probability::unchecked(1.0)};  ///< loss prob., bad state
+  units::Probability p{};     ///< P(good -> bad)
+  units::Probability r{1.0};  ///< P(bad -> good)
+  units::Probability h{};     ///< loss probability in the good state (1-k in tc terms)
+  units::Probability k{1.0};  ///< loss prob., bad state
 };
 
 /// Full parameter set of one netem rule, the analogue of a

@@ -7,22 +7,6 @@
 
 namespace rdsim::util {
 
-double FirstOrderLowPass::step(double input, double dt_s) {
-  if (tau_s_ <= 0.0 || dt_s <= 0.0) {
-    value_ = input;
-    primed_ = true;
-    return value_;
-  }
-  if (!primed_) {
-    value_ = input;
-    primed_ = true;
-    return value_;
-  }
-  const double alpha = dt_s / (tau_s_ + dt_s);
-  value_ += alpha * (input - value_);
-  return value_;
-}
-
 ButterworthLowPass::ButterworthLowPass(double cutoff_hz, double sample_rate_hz) {
   if (cutoff_hz <= 0.0 || sample_rate_hz <= 0.0 || cutoff_hz >= sample_rate_hz / 2.0) {
     throw std::invalid_argument{"ButterworthLowPass: cutoff must be in (0, fs/2)"};
@@ -75,35 +59,6 @@ std::vector<double> ButterworthLowPass::filtfilt(const std::vector<double>& inpu
   std::vector<double> backward = filter(forward);
   std::reverse(backward.begin(), backward.end());
   return backward;
-}
-
-double RateLimiter::step(double target, double dt_s) {
-  if (dt_s <= 0.0) return value_;
-  const double max_step = max_rate_ * dt_s;
-  const double delta = target - value_;
-  if (delta > max_step) {
-    value_ += max_step;
-  } else if (delta < -max_step) {
-    value_ -= max_step;
-  } else {
-    value_ = target;
-  }
-  return value_;
-}
-
-std::vector<double> moving_average(const std::vector<double>& input, std::size_t window) {
-  if (window <= 1 || input.empty()) return input;
-  std::vector<double> out(input.size());
-  const auto n = static_cast<std::ptrdiff_t>(input.size());
-  const auto half = static_cast<std::ptrdiff_t>(window / 2);
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, i - half);
-    const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(n - 1, i + half);
-    double sum = 0.0;
-    for (std::ptrdiff_t j = lo; j <= hi; ++j) sum += input[static_cast<std::size_t>(j)];
-    out[static_cast<std::size_t>(i)] = sum / static_cast<double>(hi - lo + 1);
-  }
-  return out;
 }
 
 }  // namespace rdsim::util

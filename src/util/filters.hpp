@@ -1,31 +1,13 @@
-// Signal filters used by the steering pipeline and the SRR metric.
+// Signal filter for the SRR metric.
 //
 // SAE J2944's steering-reversal algorithm requires a low-pass filter in front
 // of the stationary-point search; we provide a 2nd-order Butterworth (the
-// common choice in the driving-metrics literature) plus a first-order
-// exponential filter and a slew-rate limiter used in the operator model.
+// common choice in the driving-metrics literature).
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace rdsim::util {
-
-/// First-order low-pass (exponential moving average) with a time constant.
-class FirstOrderLowPass {
- public:
-  /// `tau_s` time constant in seconds; `tau_s <= 0` passes through.
-  explicit FirstOrderLowPass(double tau_s) : tau_s_{tau_s} {}
-
-  double step(double input, double dt_s);
-  double value() const { return value_; }
-  void reset(double value = 0.0) { value_ = value; primed_ = false; }
-
- private:
-  double tau_s_;
-  double value_{0.0};
-  bool primed_{false};
-};
 
 /// 2nd-order Butterworth low-pass via bilinear transform. Fixed sample rate.
 class ButterworthLowPass {
@@ -51,23 +33,5 @@ class ButterworthLowPass {
   double x1_{0.0}, x2_{0.0}, y1_{0.0}, y2_{0.0};
   bool primed_{false};
 };
-
-/// Limits the rate of change of a signal (models actuator/neuromuscular
-/// bandwidth in the operator station).
-class RateLimiter {
- public:
-  explicit RateLimiter(double max_rate_per_s) : max_rate_{max_rate_per_s} {}
-
-  double step(double target, double dt_s);
-  double value() const { return value_; }
-  void reset(double value = 0.0) { value_ = value; }
-
- private:
-  double max_rate_;
-  double value_{0.0};
-};
-
-/// Centred moving average used for smoothing offline traces.
-std::vector<double> moving_average(const std::vector<double>& input, std::size_t window);
 
 }  // namespace rdsim::util

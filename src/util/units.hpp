@@ -27,7 +27,6 @@
 #pragma once
 
 #include <compare>
-#include <type_traits>
 
 #include "util/time.hpp"
 
@@ -237,14 +236,6 @@ class Probability {
   /// 1 - p (e.g. tc's gemodel encodes h as its complement).
   Probability complement() const { return Probability{1.0 - v_}; }
 
-  /// Construct without the range contract. Only for deserialization paths
-  /// (see from_raw below) where corrupt input is detected by other means.
-  static constexpr Probability unchecked(double p) {
-    Probability out;
-    out.v_ = p;
-    return out;
-  }
-
   friend constexpr auto operator<=>(Probability a, Probability b) {
     return a.v_ <=> b.v_;
   }
@@ -255,27 +246,5 @@ class Probability {
  private:
   double v_{0.0};
 };
-
-// ---- traits -----------------------------------------------------------------
-
-/// True for every strong unit type in this header; used by the campaign
-/// archives (hash / serialize / deserialize) to fold a quantity exactly as
-/// the raw double it wraps, keeping blobs and golden hashes bit-identical
-/// across the units migration.
-template <class T>
-inline constexpr bool is_quantity_v =
-    std::is_base_of_v<QuantityBase<T>, T> || std::is_same_v<T, Probability>;
-
-/// Rebuild a quantity from its raw magnitude (deserialization). Bypasses the
-/// Probability range contract on purpose: a corrupt blob must be rejected by
-/// the embedded-hash check, not explode mid-read.
-template <class Q>
-constexpr Q from_raw(double v) {
-  if constexpr (std::is_same_v<Q, Probability>) {
-    return Q::unchecked(v);
-  } else {
-    return Q{v};
-  }
-}
 
 }  // namespace rdsim::units

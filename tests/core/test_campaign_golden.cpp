@@ -424,6 +424,20 @@ TEST(CampaignGoldenMitigated, DisabledMitigationDoesNotChangeTheHash) {
   }
 }
 
+TEST(CampaignGoldenMitigated, OptBlockFoldsItsFlagOnlyWhenEnabled) {
+  // The opt_block rule on single runs: an enabled all-zero summary hashes
+  // differently from a disabled one, and a disabled block folds none of its
+  // fields.
+  const RunResult plain{};
+  RunResult enabled_zeros{};
+  enabled_zeros.mitigation.enabled = true;
+  EXPECT_NE(check::hash_run(enabled_zeros), check::hash_run(plain));
+
+  RunResult disabled_busy{};
+  disabled_busy.mitigation.transitions = 7;
+  EXPECT_EQ(check::hash_run(disabled_busy), check::hash_run(plain));
+}
+
 TEST(CampaignGolden, SubjectHashesAreOrderIndependent) {
   // SplitMix sub-seeding makes each subject a pure function of (campaign
   // seed, roster index): running one subject in isolation must reproduce its

@@ -8,34 +8,6 @@
 namespace rdsim::util {
 namespace {
 
-TEST(FirstOrderLowPass, PrimesWithFirstSample) {
-  FirstOrderLowPass lp{0.5};
-  EXPECT_DOUBLE_EQ(lp.step(3.0, 0.01), 3.0);
-}
-
-TEST(FirstOrderLowPass, ConvergesToStep) {
-  FirstOrderLowPass lp{0.1};
-  lp.step(0.0, 0.01);
-  double v = 0.0;
-  for (int i = 0; i < 500; ++i) v = lp.step(1.0, 0.01);
-  EXPECT_NEAR(v, 1.0, 1e-6);
-}
-
-TEST(FirstOrderLowPass, TimeConstantRoughlyRight) {
-  // After one time constant the response to a unit step is ~63%.
-  FirstOrderLowPass lp{0.5};
-  lp.step(0.0, 0.001);
-  double v = 0.0;
-  for (int i = 0; i < 500; ++i) v = lp.step(1.0, 0.001);  // 0.5 s elapsed
-  EXPECT_NEAR(v, 0.632, 0.02);
-}
-
-TEST(FirstOrderLowPass, ZeroTauPassesThrough) {
-  FirstOrderLowPass lp{0.0};
-  EXPECT_DOUBLE_EQ(lp.step(7.0, 0.01), 7.0);
-  EXPECT_DOUBLE_EQ(lp.step(-3.0, 0.01), -3.0);
-}
-
 TEST(Butterworth, RejectsInvalidCutoff) {
   EXPECT_THROW(ButterworthLowPass(0.0, 100.0), std::invalid_argument);
   EXPECT_THROW(ButterworthLowPass(60.0, 100.0), std::invalid_argument);
@@ -96,32 +68,6 @@ TEST(Butterworth, FilterPrimedAvoidsStartupTransient) {
   const std::vector<double> constant(100, 5.0);
   const auto out = lp.filter(constant);
   for (double v : out) EXPECT_NEAR(v, 5.0, 1e-9);
-}
-
-TEST(RateLimiter, LimitsSlew) {
-  RateLimiter rl{1.0};  // one unit per second
-  EXPECT_DOUBLE_EQ(rl.step(10.0, 0.1), 0.1);
-  EXPECT_DOUBLE_EQ(rl.step(10.0, 0.1), 0.2);
-  EXPECT_DOUBLE_EQ(rl.step(-10.0, 0.1), 0.1);
-}
-
-TEST(RateLimiter, ReachesTargetWithinLimit) {
-  RateLimiter rl{100.0};
-  EXPECT_DOUBLE_EQ(rl.step(0.5, 0.1), 0.5);
-}
-
-TEST(MovingAverage, SmoothsAndPreservesLength) {
-  const std::vector<double> x{0, 0, 6, 0, 0};
-  const auto y = moving_average(x, 3);
-  ASSERT_EQ(y.size(), x.size());
-  EXPECT_NEAR(y[2], 2.0, 1e-12);
-  EXPECT_NEAR(y[1], 2.0, 1e-12);
-}
-
-TEST(MovingAverage, WindowOnePassesThrough) {
-  const std::vector<double> x{1, 2, 3};
-  EXPECT_EQ(moving_average(x, 1), x);
-  EXPECT_TRUE(moving_average({}, 5).empty());
 }
 
 }  // namespace

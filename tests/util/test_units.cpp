@@ -84,15 +84,6 @@ TEST(Units, SameUnitArithmetic) {
   EXPECT_GE(Meters{2.0}, Meters{2.0});
 }
 
-TEST(Units, FromRawRebuildsQuantities) {
-  EXPECT_EQ(from_raw<Seconds>(1.5), Seconds{1.5});
-  EXPECT_EQ(from_raw<Millis>(20.0), Millis{20.0});
-  EXPECT_EQ(from_raw<BytesPerSecond>(125000.0), BytesPerSecond{125000.0});
-  // from_raw deliberately bypasses the Probability contract (corrupt blobs
-  // are rejected by the archive's embedded hash instead).
-  EXPECT_DOUBLE_EQ(from_raw<Probability>(1.5).value(), 1.5);
-}
-
 // ---- Probability range contract ---------------------------------------------
 
 class ProbabilityContract : public ::testing::Test {

@@ -1,10 +1,10 @@
 """Hash-field-coverage lint (ctest `fields_lint`).
 
 `src/core/campaign_fields.hpp` enumerates, once per struct, every field that
-the campaign hash, serializer and deserializer fold. The one remaining way to
-break the bit-exact-replay contract *silently* is to add a member to one of
-those structs and forget to list it: the member escapes hashing and
-serialization and nothing fails until two campaigns diverge.
+the campaign hash folds. The one remaining way to break the bit-exact-replay
+contract *silently* is to add a member to one of those structs and forget to
+list it: the member escapes hashing and nothing fails until two campaigns
+diverge.
 
 This rule closes that gap statically:
 

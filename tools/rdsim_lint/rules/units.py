@@ -32,15 +32,13 @@ CONVERSION_LAYER = {
 # Audited raw-suffix declaration counts (matching lines per file). These are
 # deliberate: serialized wire/trace formats stay raw doubles (stable layout,
 # wrapped at call sites), DriverParams documents each gain's unit per field,
-# filters and the road builder are generic numeric utilities. Ratchet: lower
+# the road builder is a generic numeric utility. Ratchet: lower
 # these when a file migrates further; never raise one. Re-measured when the
 # lint moved onto the rdsim_lint engine — every entry equals its head count.
 BASELINE = {
     # 19 documented DriverParams model gains; display_staleness() migrated to
     # units::Seconds when the mitigation estimator started consuming it.
     "src/core/driver.hpp": 19,
-    "src/util/filters.hpp": 5,
-    "src/util/filters.cpp": 2,
     "src/sim/road.hpp": 4,
     "src/sim/road.cpp": 4,
     "src/trace/trace.hpp": 2,
