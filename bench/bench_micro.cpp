@@ -43,7 +43,7 @@ BENCHMARK(BM_TcRuleParse);
 
 void BM_ReliableStreamRoundTrip(benchmark::State& state) {
   net::TrafficControl tc;
-  net::Channel channel{tc, "lo"};
+  net::Channel channel{tc};
   net::PacketRouter router{channel};
   net::StreamConfig cfg;
   cfg.mtu = 65000;

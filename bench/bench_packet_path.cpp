@@ -52,7 +52,7 @@ struct ScenarioResult {
 /// one 30 kB frame every 33 ms, polled at 5 ms ticks, delivered bytes digested.
 ScenarioResult run_scenario(std::uint64_t seed, std::uint64_t ticks, bool prewarm_pool) {
   net::TrafficControl tc{seed};
-  net::Channel ch{tc, "lo"};
+  net::Channel ch{tc};
 
   if (prewarm_pool) {
     // Populate freelists with odd-capacity junk so a pooling bug that leaks
@@ -147,7 +147,6 @@ double qdisc_packets_per_second(std::uint64_t packets) {
       q.dequeue_ready(now, sink);
     }
   }
-  q.clear();
   released = sink.n;
   const auto t1 = std::chrono::steady_clock::now();
   const double s = wall_seconds(t0, t1);
@@ -217,7 +216,7 @@ int main(int argc, char** argv) {
   double idle_ns = 0.0;
   {
     net::TrafficControl tc{seed};
-    net::Channel ch{tc, "lo"};
+    net::Channel ch{tc};
     net::PacketRouter router{ch};
     router.poll(util::TimePoint{});  // settle lazy init outside the window
     util::AllocCounter allocs;

@@ -20,7 +20,7 @@ namespace {
 
 void run_with_rule(const std::string& rule) {
   net::TrafficControl tc;
-  net::Channel channel{tc, "lo"};
+  net::Channel channel{tc};
   net::PacketRouter router{channel};
   net::StreamConfig cfg;
   cfg.mtu = 65000;

@@ -59,7 +59,6 @@ struct RdsConfig {
   net::StreamConfig transport{};        ///< shared by video & command streams
   sim::VehicleParams vehicle{};
   double road_scale{1.0};               ///< world geometry scale (model rig: 0.25)
-  std::string device{"lo"};             ///< emulated interface under tc control
 
   double physics_hz{100.0};
   double comms_hz{400.0};               ///< network/operator sub-tick rate

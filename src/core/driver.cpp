@@ -73,7 +73,7 @@ double DriverModel::idm_accel(double speed, double target_speed,
 DriverModel::Decision DriverModel::decide(util::TimePoint now) {
   Decision d = decision_;  // default: hold the previous decision
 
-  const auto view = perception_.read(now);
+  const DisplayedView* view = perception_.read(now);
   if (!view) return d;
   const sim::WorldFrame& frame = view->frame;
 

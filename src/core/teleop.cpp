@@ -51,9 +51,9 @@ TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
     : config_{validated(std::move(config))},
       fault_windows_{resolve_fault_plan(config_.plan, scenario)},
       tc_{config_.seed},
-      channel_{tc_, config_.rds.device},
+      channel_{tc_},
       router_{channel_},
-      injector_{tc_, config_.rds.device},
+      injector_{tc_},
       vehicle_{config_.rds, std::move(scenario), config_.safety, config_.seed},
       recorder_{config_.run_id, config_.subject_id, config_.fault_injected,
                 config_.rds.log_hz} {
@@ -177,7 +177,7 @@ bool TeleopSession::step() {
       if (config_.replay != nullptr) {
         check::Fnv1a net;
         net.u64(check::hash_channel(channel_));
-        net.u64(check::hash_qdisc(tc_.root(config_.rds.device)));
+        net.u64(check::hash_qdisc(tc_.root()));
         config_.replay->record_tick(vehicle_.world().frame_counter(),
                                     check::hash_frame(vehicle_.world().snapshot()),
                                     net.digest());

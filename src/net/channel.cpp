@@ -23,10 +23,7 @@ class Channel::DeliverySink final : public PacketSink {
   util::TimePoint now_;
 };
 
-// Looking up the slot materializes the default pfifo, so `in_flight` is
-// valid immediately.
-Channel::Channel(TrafficControl& tc, std::string device)
-    : tc_{&tc}, device_{std::move(device)}, root_{&tc_->root_slot(device_)} {}
+Channel::Channel(TrafficControl& tc) : root_{&tc.root_slot()} {}
 
 std::uint64_t Channel::send(LinkDirection dir, Packet&& packet, util::TimePoint now) {
   packet.id = next_id_++;

@@ -1,11 +1,11 @@
-// Bidirectional communication channel over an emulated network device.
+// Bidirectional communication channel over the emulated loopback link.
 //
 // Mirrors the paper's setup (§V.D): CARLA server and client both run on the
 // same host and exchange traffic over the loopback interface, so a single
 // egress qdisc on `lo` disturbs *both* the downlink video and the uplink
-// driving commands. A Channel therefore owns one device in a TrafficControl
-// table and pushes packets from both directions through the same root qdisc;
-// delivered packets are routed to the destination endpoint's inbox.
+// driving commands. A Channel therefore pushes packets from both directions
+// through the TrafficControl's one root qdisc; delivered packets are routed
+// to the destination endpoint's inbox.
 //
 // The packet path is allocation-free in steady state: senders build payloads
 // in buffers leased from the channel's PayloadPool (acquire_payload), move
@@ -14,8 +14,7 @@
 // without touching the queue while nothing can be released yet.
 #pragma once
 
-#include <functional>
-#include <string>
+#include <optional>
 
 #include "net/payload_pool.hpp"
 #include "net/tc.hpp"
@@ -41,9 +40,8 @@ struct DirectionStats {
 
 class Channel {
  public:
-  /// `tc` is borrowed and must outlive the channel. `device` names the
-  /// emulated interface ("lo" in the paper's setup).
-  Channel(TrafficControl& tc, std::string device);
+  /// `tc` is borrowed and must outlive the channel.
+  explicit Channel(TrafficControl& tc);
 
   /// Queue `packet` for transmission at `now`. The channel assigns the
   /// packet id and flow from `dir`; everything else (payload, wire_size)
@@ -69,8 +67,6 @@ class Channel {
   std::size_t inbox_size(LinkDirection dir) const;
 
   const DirectionStats& stats(LinkDirection dir) const;
-  const std::string& device() const { return device_; }
-  TrafficControl& traffic_control() { return *tc_; }
 
   /// Packets still inside the qdisc (in flight).
   std::size_t in_flight() const { return (*root_)->backlog(); }
@@ -94,10 +90,7 @@ class Channel {
   const util::SeqQueue<Packet>& inbox(LinkDirection dir) const;
   DirectionStats& mutable_stats(LinkDirection dir);
 
-  TrafficControl* tc_;
-  std::string device_;
-  /// The device's root slot in `tc_`, which tc add/del re-point; held so a
-  /// send or step skips the device lookup.
+  /// The root slot of the borrowed TrafficControl, which tc add/del re-point.
   const QdiscPtr* root_;
   std::uint64_t next_id_{1};
   // Inboxes are rings, so a steady packet flow reuses their slots and does

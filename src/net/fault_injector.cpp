@@ -62,15 +62,12 @@ std::vector<FaultSpec> paper_fault_model() {
   };
 }
 
-FaultInjector::FaultInjector(TrafficControl& tc, std::string device)
-    : tc_{&tc}, device_{std::move(device)} {}
-
 void FaultInjector::inject(const FaultSpec& fault, util::TimePoint now) {
   if (active_) {
-    tc_->change(device_, fault.to_config());
+    tc_->change(fault.to_config());
     log_.push_back({now, *active_, /*added=*/false});
   } else {
-    tc_->add(device_, fault.to_config());
+    tc_->add(fault.to_config());
   }
   active_ = fault;
   log_.push_back({now, fault, /*added=*/true});
@@ -84,7 +81,7 @@ void FaultInjector::inject(const FaultSpec& fault, util::TimePoint now) {
 
 void FaultInjector::remove(util::TimePoint now) {
   if (!active_) return;
-  tc_->del(device_);
+  tc_->del();
   log_.push_back({now, *active_, /*added=*/false});
   active_.reset();
   if (window_span_ != obs::kNoSpan) {

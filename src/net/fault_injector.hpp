@@ -4,8 +4,8 @@
 //   { timestamp, fault type, value, added/deleted }
 // and §V.C defines the fault model: {5, 25, 50} ms delay and {2, 5} % packet
 // loss, injected at points of interest with a situation-dependent duration.
-// The FaultInjector executes tc rule strings against a TrafficControl table
-// on demand and keeps exactly that event log.
+// The FaultInjector installs, changes and deletes the netem rule on the
+// loopback link's TrafficControl on demand and keeps exactly that event log.
 #pragma once
 
 #include <optional>
@@ -59,12 +59,13 @@ struct FaultEvent {
 
 class FaultInjector {
  public:
-  FaultInjector(TrafficControl& tc, std::string device);
+  /// `tc` is borrowed and must outlive the injector.
+  explicit FaultInjector(TrafficControl& tc) : tc_{&tc} {}
 
   /// Install `fault` now; replaces any active fault (change semantics).
   void inject(const FaultSpec& fault, util::TimePoint now);
 
-  /// Remove the active fault, reverting the device to the default pfifo.
+  /// Remove the active fault, reverting the link to the default pfifo.
   void remove(util::TimePoint now);
 
   bool active() const { return active_.has_value(); }
@@ -75,7 +76,6 @@ class FaultInjector {
 
  private:
   TrafficControl* tc_;
-  std::string device_;
   std::optional<FaultSpec> active_;
   std::vector<FaultEvent> log_;
   std::size_t injections_{0};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 #include "check/contracts.hpp"
 #include "obs/catalog.hpp"
@@ -36,7 +35,6 @@ std::string NetemConfig::describe() const {
       case DelayDistribution::kNormal: os << " distribution normal"; break;
       case DelayDistribution::kPareto: os << " distribution pareto"; break;
       case DelayDistribution::kParetoNormal: os << " distribution paretonormal"; break;
-      case DelayDistribution::kTable: os << " distribution <table>"; break;
     }
   }
   if (gemodel) {
@@ -59,49 +57,8 @@ std::string NetemConfig::describe() const {
   return os.str();
 }
 
-DelayDistributionTable DelayDistributionTable::from_values(
-    std::vector<std::int16_t> values) {
-  if (values.empty()) {
-    throw std::invalid_argument{"DelayDistributionTable: empty table"};
-  }
-  DelayDistributionTable t;
-  t.values_ = std::move(values);
-  return t;
-}
-
-DelayDistributionTable DelayDistributionTable::parse(const std::string& text) {
-  std::vector<std::int16_t> values;
-  std::istringstream is{text};
-  std::string token;
-  while (is >> token) {
-    if (token.front() == '#') {
-      std::string rest;
-      std::getline(is, rest);  // drop the comment line
-      continue;
-    }
-    try {
-      values.push_back(static_cast<std::int16_t>(std::stoi(token)));
-    } catch (const std::exception&) {
-      throw std::invalid_argument{"DelayDistributionTable: bad token '" + token + "'"};
-    }
-  }
-  return from_values(std::move(values));
-}
-
-double DelayDistributionTable::sample(double u) const {
-  const auto idx = static_cast<std::size_t>(
-      util::clamp(u, 0.0, 1.0 - 1e-12) * static_cast<double>(values_.size()));
-  // NETEM_DIST_SCALE: table entries are deviates in sigmas times 8192.
-  return static_cast<double>(values_[idx]) / 8192.0;
-}
-
 NetemQdisc::NetemQdisc(NetemConfig config, std::uint64_t seed)
-    : config_{std::move(config)}, rng_{seed, /*stream=*/0x6e6574656dULL} {
-  if (config_.distribution == DelayDistribution::kTable &&
-      !config_.distribution_table) {
-    throw std::invalid_argument{"netem: distribution table selected but not provided"};
-  }
-}
+    : config_{std::move(config)}, rng_{seed, /*stream=*/0x6e6574656dULL} {}
 
 double NetemQdisc::correlated_uniform(double correlation, double& state) {
   // netem's get_crandom: blend the previous deviate with a fresh one.
@@ -139,8 +96,6 @@ double NetemQdisc::sample_jitter_unit() {
       const double x = util::clamp(std::pow(u, -1.0 / alpha) - 1.5, -1.0, 4.0);
       return 0.75 * z + 0.25 * x;
     }
-    case DelayDistribution::kTable:
-      return config_.distribution_table->sample(rng_.uniform());
   }
   return 0.0;
 }

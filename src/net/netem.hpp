@@ -7,8 +7,6 @@
 // corruption, re-ordering, rate control, and a queue limit.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,35 +18,12 @@
 
 namespace rdsim::net {
 
-/// Jitter distribution, mirroring netem's delay distribution tables.
+/// Jitter distribution, one per name tc's `distribution` keyword accepts.
 enum class DelayDistribution : std::uint8_t {
   kUniform,        ///< uniform in [-jitter, +jitter] (netem default)
   kNormal,         ///< truncated normal, sigma = jitter
   kPareto,         ///< heavy-tailed, scaled to jitter
   kParetoNormal,   ///< netem's paretonormal mixture (0.75 normal + 0.25 pareto)
-  kTable,          ///< custom empirical table (netem's /usr/lib/tc/*.dist)
-};
-
-/// An empirical jitter distribution in the format of netem's `.dist` files:
-/// a quantized inverse CDF whose entries are deviates in units of sigma,
-/// scaled by 1/8192 (NETEM_DIST_SCALE). Sampling picks a uniformly random
-/// entry — exactly what the kernel does.
-class DelayDistributionTable {
- public:
-  /// Raw table values, each `value / 8192.0` being the deviate in sigmas.
-  static DelayDistributionTable from_values(std::vector<std::int16_t> values);
-
-  /// Parse the textual `.dist` format: whitespace-separated integers,
-  /// '#' comments. Throws std::invalid_argument when empty/malformed.
-  static DelayDistributionTable parse(const std::string& text);
-
-  /// Deviate in units of the configured jitter, for a uniform u in [0,1).
-  double sample(double u) const;
-
-  std::size_t size() const { return values_.size(); }
-
- private:
-  std::vector<std::int16_t> values_;
 };
 
 /// Two-state Gilbert–Elliott loss model parameters (netem `loss gemodel`).
@@ -67,7 +42,6 @@ struct NetemConfig {
   util::Duration jitter{};            ///< +/- variation
   units::Probability delay_correlation{};  ///< correlation of successive jitter
   DelayDistribution distribution{DelayDistribution::kUniform};
-  std::shared_ptr<const DelayDistributionTable> distribution_table{};  ///< kTable
 
   // Loss.
   units::Probability loss_probability{};  ///< independent random loss
@@ -118,12 +92,6 @@ class NetemQdisc final : public Qdisc {
   std::optional<util::TimePoint> next_event_at() const override;
   std::size_t backlog() const override { return keys_.size(); }
   std::uint64_t backlog_bytes() const override { return backlog_bytes_; }
-  void clear() override {
-    keys_.clear();
-    slots_.clear();
-    free_head_ = kNoSlot;
-    backlog_bytes_ = 0;
-  }
   const QdiscStats& stats() const override { return stats_; }
   std::string kind() const override { return "netem"; }
 

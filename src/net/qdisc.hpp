@@ -48,9 +48,6 @@ class Qdisc {
   /// Wire bytes currently queued (sum of effective_wire_size).
   virtual std::uint64_t backlog_bytes() const = 0;
 
-  /// Drop all queued packets (used when a tc rule is deleted).
-  virtual void clear() = 0;
-
   virtual const QdiscStats& stats() const = 0;
   virtual std::string kind() const = 0;
 
@@ -76,10 +73,6 @@ class FifoQdisc final : public Qdisc {
   std::optional<util::TimePoint> next_event_at() const override;
   std::size_t backlog() const override { return queue_.size(); }
   std::uint64_t backlog_bytes() const override { return backlog_bytes_; }
-  void clear() override {
-    queue_.clear();
-    backlog_bytes_ = 0;
-  }
   const QdiscStats& stats() const override { return stats_; }
   std::string kind() const override { return "pfifo"; }
 

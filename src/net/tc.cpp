@@ -4,12 +4,16 @@
 #include <cctype>
 #include <charconv>
 #include <sstream>
+#include <string_view>
 
 #include "util/time.hpp"
 
 namespace rdsim::net {
 
 namespace {
+
+/// The one device tc commands may name.
+constexpr std::string_view kDevice = "lo";
 
 /// Split on whitespace.
 std::vector<std::string> tokenize(const std::string& s) {
@@ -171,45 +175,28 @@ NetemConfig parse_netem(const std::string& spec) {
   return parse_netem_args(tokens);
 }
 
-TrafficControl::Entry& TrafficControl::entry(const std::string& device) {
-  auto it = table_.find(device);
-  if (it == table_.end()) {
-    Entry e;
-    e.qdisc = std::make_unique<FifoQdisc>();
-    it = table_.emplace(device, std::move(e)).first;
+void TrafficControl::add(const NetemConfig& config) {
+  if (is_netem_) {
+    throw TcParseError{"RTNETLINK answers: File exists (netem already installed on lo)"};
   }
-  return it->second;
+  root_ = std::make_unique<NetemQdisc>(config, seed_ + next_stream_++);
+  is_netem_ = true;
 }
 
-void TrafficControl::add(const std::string& device, const NetemConfig& config) {
-  Entry& e = entry(device);
-  if (e.is_netem) {
-    throw TcParseError{"RTNETLINK answers: File exists (netem already installed on " +
-                       device + ")"};
-  }
-  e.qdisc = std::make_unique<NetemQdisc>(config, seed_ + next_stream_++);
-  e.is_netem = true;
+void TrafficControl::change(const NetemConfig& config) {
+  if (!is_netem_) throw TcParseError{"cannot change: no netem qdisc installed on lo"};
+  static_cast<NetemQdisc&>(*root_).change(config);
 }
 
-void TrafficControl::change(const std::string& device, const NetemConfig& config) {
-  Entry& e = entry(device);
-  if (!e.is_netem) {
-    throw TcParseError{"cannot change: no netem qdisc installed on " + device};
+void TrafficControl::del() {
+  if (!is_netem_) {
+    throw TcParseError{"RTNETLINK answers: No such file or directory (no netem on lo)"};
   }
-  static_cast<NetemQdisc&>(*e.qdisc).change(config);
+  root_ = std::make_unique<FifoQdisc>();
+  is_netem_ = false;
 }
 
-void TrafficControl::del(const std::string& device) {
-  Entry& e = entry(device);
-  if (!e.is_netem) {
-    throw TcParseError{"RTNETLINK answers: No such file or directory (no netem on " +
-                       device + ")"};
-  }
-  e.qdisc = std::make_unique<FifoQdisc>();
-  e.is_netem = false;
-}
-
-std::string TrafficControl::execute(const std::string& command) {
+void TrafficControl::execute(const std::string& command) {
   auto tokens = tokenize(command);
   // Accept an optional leading "tc".
   std::size_t i = 0;
@@ -225,45 +212,30 @@ std::string TrafficControl::execute(const std::string& command) {
   const std::string verb = lower(tokens[i++]);
   expect("dev");
   if (i >= tokens.size()) throw TcParseError{"missing device in tc command"};
-  const std::string device = tokens[i++];
+  if (tokens[i] != kDevice) throw TcParseError{"Cannot find device \"" + tokens[i] + "\""};
+  ++i;
   expect("root");
 
   if (verb == "del") {
-    del(device);
-    return device;
+    del();
+    return;
   }
   expect("netem");
   const std::vector<std::string> rest{tokens.begin() + static_cast<std::ptrdiff_t>(i),
                                       tokens.end()};
   const NetemConfig cfg = parse_netem_args(rest);
   if (verb == "add") {
-    add(device, cfg);
+    add(cfg);
   } else if (verb == "change") {
-    change(device, cfg);
+    change(cfg);
   } else {
     throw TcParseError{"unknown tc verb '" + verb + "'"};
   }
-  return device;
 }
 
-Qdisc& TrafficControl::root(const std::string& device) { return *entry(device).qdisc; }
-
-bool TrafficControl::has_netem(const std::string& device) const {
-  const auto it = table_.find(device);
-  return it != table_.end() && it->second.is_netem;
-}
-
-std::optional<NetemConfig> TrafficControl::netem_config(const std::string& device) const {
-  const auto it = table_.find(device);
-  if (it == table_.end() || !it->second.is_netem) return std::nullopt;
-  return static_cast<const NetemQdisc&>(*it->second.qdisc).config();
-}
-
-std::vector<std::string> TrafficControl::devices() const {
-  std::vector<std::string> out;
-  out.reserve(table_.size());
-  for (const auto& [name, _] : table_) out.push_back(name);
-  return out;
+std::optional<NetemConfig> TrafficControl::netem_config() const {
+  if (!is_netem_) return std::nullopt;
+  return static_cast<const NetemQdisc&>(*root_).config();
 }
 
 }  // namespace rdsim::net

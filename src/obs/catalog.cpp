@@ -46,14 +46,10 @@ const MetricId kNetemReordered =
     register_counter("qdisc.netem.reordered", "Packets sent ahead of queue order");
 const MetricId kNetemDepth = register_gauge(
     "qdisc.netem.depth", "Netem backlog after each op", "packets");
-const MetricId kTbfEnqueued =
-    register_counter("qdisc.tbf.enqueued", "Packets accepted by TbfQdisc");
-const MetricId kTbfDequeued =
-    register_counter("qdisc.tbf.dequeued", "Packets released by TbfQdisc");
-const MetricId kTbfDroppedOverlimit = register_counter(
-    "qdisc.tbf.dropped_overlimit", "Packets tail-dropped at the TBF limit");
-const MetricId kTbfDepth =
-    register_gauge("qdisc.tbf.depth", "TBF backlog after each op", "packets");
+// No qdisc records this counter, so it reads 0. It stays registered because
+// rdsim_bench/bench.cpp sums it into its packet count.
+const MetricId kTbfDequeued = register_counter(
+    "qdisc.tbf.dequeued", "Packets released by a TBF qdisc (none is built: always 0)");
 
 // ---- payload pool ----
 const MetricId kPoolFresh = register_counter(

@@ -9,7 +9,7 @@
 
 namespace rdsim::obs::metric {
 
-// ---- qdisc layer (netem / tbf / pfifo) ----
+// ---- qdisc layer (netem / pfifo) ----
 extern const MetricId kFifoEnqueued;
 extern const MetricId kFifoDequeued;
 extern const MetricId kFifoDroppedOverlimit;
@@ -22,10 +22,7 @@ extern const MetricId kNetemDuplicated;
 extern const MetricId kNetemCorrupted;
 extern const MetricId kNetemReordered;
 extern const MetricId kNetemDepth;
-extern const MetricId kTbfEnqueued;
-extern const MetricId kTbfDequeued;
-extern const MetricId kTbfDroppedOverlimit;
-extern const MetricId kTbfDepth;
+extern const MetricId kTbfDequeued;  ///< always zero; see catalog.cpp
 
 // ---- payload pool (per-channel buffer freelist) ----
 extern const MetricId kPoolFresh;       ///< acquisitions that heap-allocated

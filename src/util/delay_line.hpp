@@ -6,9 +6,7 @@
 // whose timestamp is <= t - delay.
 #pragma once
 
-#include <deque>
-#include <optional>
-
+#include "util/ring_buffer.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::util {
@@ -18,31 +16,32 @@ class DelayLine {
  public:
   explicit DelayLine(Duration delay) : delay_{delay} {}
 
-  Duration delay() const { return delay_; }
-  void set_delay(Duration delay) { delay_ = delay; }
-
   /// Record `value` as produced at time `t`. Timestamps must be monotone.
-  void push(TimePoint t, T value) { entries_.push_back({t, std::move(value)}); }
+  /// The value is copied into a recycled slot, so a T that owns buffers
+  /// reuses their capacity.
+  void push(TimePoint t, const T& value) {
+    Entry& e = entries_.push_back();
+    e.t = t;
+    e.value = value;
+  }
 
-  /// Newest value visible at time `now` (produced at or before now - delay).
-  /// Consumed entries older than the visible one are discarded.
-  std::optional<T> read(TimePoint now) {
+  /// Newest value visible at time `now` (produced at or before now - delay),
+  /// or nullptr while nothing is visible yet. Once a value has been visible
+  /// it stays visible until a newer one is; older entries are discarded. The
+  /// pointer is valid until the next push().
+  const T* read(TimePoint now) {
     const TimePoint visible_until = now - delay_;
-    std::optional<T> result;
-    while (!entries_.empty() && entries_.front().t <= visible_until) {
-      result = std::move(entries_.front().value);
+    if (!front_visible_) {
+      if (entries_.empty() || entries_.front().t > visible_until) return nullptr;
+      front_visible_ = true;
+    }
+    // The front entry is the newest visible one; step past it while its
+    // successor is visible too.
+    while (entries_.size() > 1 && entries_[entries_.head() + 1].t <= visible_until) {
       entries_.pop_front();
     }
-    if (result) last_ = result;
-    return last_;
+    return &entries_.front().value;
   }
-
-  void clear() {
-    entries_.clear();
-    last_.reset();
-  }
-
-  std::size_t pending() const { return entries_.size(); }
 
  private:
   struct Entry {
@@ -51,8 +50,8 @@ class DelayLine {
   };
 
   Duration delay_;
-  std::deque<Entry> entries_;
-  std::optional<T> last_;
+  SeqQueue<Entry> entries_;
+  bool front_visible_{false};  ///< entries_.front() has been visible
 };
 
 }  // namespace rdsim::util

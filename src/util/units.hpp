@@ -209,8 +209,7 @@ constexpr Seconds operator/(MetersPerSecond v, MetersPerSecond2 a) {
   return Seconds{v.value() / a.value()};
 }
 
-/// Serialization time of `bytes` over `rate` — the one formula the rate
-/// shapers (netem rate control, tbf) share.
+/// Serialization time of `bytes` over `rate`, for netem's rate control.
 constexpr Seconds transmit_time(double bytes, BytesPerSecond rate) {
   return Seconds{bytes / rate.value()};
 }

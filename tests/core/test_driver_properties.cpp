@@ -4,6 +4,8 @@
 // study to mean anything.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/teleop.hpp"
 #include "metrics/srr.hpp"
 
@@ -14,6 +16,13 @@ struct SubjectScenarioCase {
   int subject;           // 1..12
   const char* scenario;  // following | slalom | overtake
 };
+
+// Names each case "T<subject>_<scenario>", which ctest discovery turns into
+// the test name; without it gtest prints the struct's raw bytes (padding and
+// the scenario pointer), which change from build to build.
+void PrintTo(const SubjectScenarioCase& c, std::ostream* os) {
+  *os << 'T' << c.subject << '_' << c.scenario;
+}
 
 class CleanLinkStability : public ::testing::TestWithParam<SubjectScenarioCase> {};
 
@@ -51,11 +60,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SubjectScenarioCase{8, "overtake"},
                       SubjectScenarioCase{9, "slalom"},
                       SubjectScenarioCase{11, "overtake"},
-                      SubjectScenarioCase{12, "following"}),
-    [](const ::testing::TestParamInfo<SubjectScenarioCase>& param_info) {
-      return "T" + std::to_string(param_info.param.subject) + "_" +
-             param_info.param.scenario;
-    });
+                      SubjectScenarioCase{12, "following"}));
 
 class ExtremeDriverParams : public ::testing::TestWithParam<double> {};
 

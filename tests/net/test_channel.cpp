@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "net/router.hpp"
-#include "net/tbf.hpp"
 
 namespace rdsim::net {
 namespace {
@@ -12,7 +11,7 @@ using util::TimePoint;
 
 TEST(Channel, DeliversBothDirections) {
   TrafficControl tc;
-  Channel ch{tc, "lo"};
+  Channel ch{tc};
   ch.send(LinkDirection::kDownlink, {1, 2, 3}, 100, TimePoint{});
   ch.send(LinkDirection::kUplink, {4, 5}, 50, TimePoint{});
   ch.step(TimePoint{});
@@ -28,8 +27,8 @@ TEST(Channel, DeliversBothDirections) {
 TEST(Channel, SharedQdiscAffectsBothDirections) {
   // The paper's loopback setup: one netem rule disturbs video *and* commands.
   TrafficControl tc;
-  Channel ch{tc, "lo"};
-  tc.add("lo", parse_netem("delay 30ms"));
+  Channel ch{tc};
+  tc.add(parse_netem("delay 30ms"));
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ch.send(LinkDirection::kUplink, {2}, 10, TimePoint{});
   ch.step(TimePoint::from_micros(29000));
@@ -42,8 +41,8 @@ TEST(Channel, SharedQdiscAffectsBothDirections) {
 
 TEST(Channel, TracksLatencyStats) {
   TrafficControl tc;
-  Channel ch{tc, "lo"};
-  tc.add("lo", parse_netem("delay 10ms"));
+  Channel ch{tc};
+  tc.add(parse_netem("delay 10ms"));
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ch.step(TimePoint::from_micros(10000));
   const auto& stats = ch.stats(LinkDirection::kDownlink);
@@ -54,8 +53,8 @@ TEST(Channel, TracksLatencyStats) {
 
 TEST(Channel, InFlightCountsQueuedPackets) {
   TrafficControl tc;
-  Channel ch{tc, "lo"};
-  tc.add("lo", parse_netem("delay 1000ms"));
+  Channel ch{tc};
+  tc.add(parse_netem("delay 1000ms"));
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ch.send(LinkDirection::kDownlink, {2}, 10, TimePoint{});
   ch.step(TimePoint{});
@@ -124,7 +123,7 @@ TEST(ProtocolHeader, RejectsEverySingleBitFlip) {
 
 TEST(PacketRouter, RoutesByStreamId) {
   TrafficControl tc;
-  Channel ch{tc, "lo"};
+  Channel ch{tc};
   PacketRouter router{ch};
   int got_a = 0;
   int got_b = 0;
@@ -148,12 +147,12 @@ TEST(PacketRouter, DropsCorruptedPacketsLikeTcpChecksum) {
   // A corrupt qdisc plus the router checksum turns corruption into loss —
   // the §V.C observation that corruption has no distinct user-visible effect.
   TrafficControl tc;
-  Channel ch{tc, "lo"};
+  Channel ch{tc};
   PacketRouter router{ch};
   int delivered = 0;
   router.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection,
                                 TimePoint) { ++delivered; });
-  tc.add("lo", parse_netem("corrupt 100%"));
+  tc.add(parse_netem("corrupt 100%"));
   for (int i = 0; i < 50; ++i) {
     ch.send(LinkDirection::kDownlink,
             ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3, 4, 5}), 10, TimePoint{});
@@ -161,43 +160,6 @@ TEST(PacketRouter, DropsCorruptedPacketsLikeTcpChecksum) {
   router.poll(TimePoint{});
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(router.checksum_failures(), 50u);
-}
-
-TEST(Tbf, EnforcesSustainedRate) {
-  TbfConfig cfg;
-  cfg.rate = units::BytesPerSecond{1000.0};
-  cfg.burst_bytes = 100.0;
-  TbfQdisc q{cfg};
-  // 10 packets of 100 bytes = 1000 bytes; at 1000 B/s it takes ~0.9 s after
-  // the initial burst.
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    Packet p;
-    p.id = i;
-    p.wire_size = 100;
-    q.enqueue(std::move(p), TimePoint{});
-  }
-  // Polling every 50 ms, packets emerge at ~1 per 100 ms (rate / size).
-  std::size_t total = q.drain(TimePoint{}).size();
-  EXPECT_EQ(total, 1u);  // initial burst
-  for (int ms = 50; ms <= 1000; ms += 50) {
-    total += q.drain(TimePoint::from_seconds(ms / 1000.0)).size();
-  }
-  EXPECT_GE(total, 9u);
-  EXPECT_LE(q.backlog(), 1u);
-}
-
-TEST(Tbf, BurstAllowsInitialSpike) {
-  TbfConfig cfg;
-  cfg.rate = units::BytesPerSecond{100.0};
-  cfg.burst_bytes = 1000.0;
-  TbfQdisc q{cfg};
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    Packet p;
-    p.id = i;
-    p.wire_size = 100;
-    q.enqueue(std::move(p), TimePoint{});
-  }
-  EXPECT_EQ(q.drain(TimePoint{}).size(), 10u);
 }
 
 }  // namespace

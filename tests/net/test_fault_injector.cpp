@@ -41,14 +41,14 @@ TEST(PaperFaultModel, HasTheFivePaperFaults) {
 
 TEST(FaultInjector, InjectAndRemoveLogsEvents) {
   TrafficControl tc;
-  FaultInjector inj{tc, "lo"};
+  FaultInjector inj{tc};
   EXPECT_FALSE(inj.active());
   inj.inject({FaultKind::kDelay, 50.0}, TimePoint::from_seconds(1.0));
   EXPECT_TRUE(inj.active());
-  EXPECT_TRUE(tc.has_netem("lo"));
+  EXPECT_TRUE(tc.has_netem());
   inj.remove(TimePoint::from_seconds(2.0));
   EXPECT_FALSE(inj.active());
-  EXPECT_FALSE(tc.has_netem("lo"));
+  EXPECT_FALSE(tc.has_netem());
 
   ASSERT_EQ(inj.log().size(), 2u);
   EXPECT_TRUE(inj.log()[0].added);
@@ -59,11 +59,11 @@ TEST(FaultInjector, InjectAndRemoveLogsEvents) {
 
 TEST(FaultInjector, InjectReplacesActiveFault) {
   TrafficControl tc;
-  FaultInjector inj{tc, "lo"};
+  FaultInjector inj{tc};
   inj.inject({FaultKind::kDelay, 5.0}, TimePoint{});
   inj.inject({FaultKind::kPacketLoss, 0.05}, TimePoint::from_seconds(1.0));
   EXPECT_EQ(inj.active_fault()->kind, FaultKind::kPacketLoss);
-  EXPECT_DOUBLE_EQ(tc.netem_config("lo")->loss_probability.value(), 0.05);
+  EXPECT_DOUBLE_EQ(tc.netem_config()->loss_probability.value(), 0.05);
   EXPECT_EQ(inj.injections(), 2u);
   // Log shows: add(5ms), delete(5ms), add(5%).
   ASSERT_EQ(inj.log().size(), 3u);
@@ -73,7 +73,7 @@ TEST(FaultInjector, InjectReplacesActiveFault) {
 
 TEST(FaultInjector, RemoveWithoutActiveIsNoOp) {
   TrafficControl tc;
-  FaultInjector inj{tc, "lo"};
+  FaultInjector inj{tc};
   inj.remove(TimePoint{});
   EXPECT_TRUE(inj.log().empty());
 }

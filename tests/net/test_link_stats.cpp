@@ -35,7 +35,8 @@ TEST(NetemDescribe, RoundTripsThroughParser) {
   for (const char* spec :
        {"delay 50ms", "delay 100ms 10ms 25%", "loss 5%", "loss 2% 50%",
         "delay 20ms loss 1% duplicate 2% corrupt 0.5%",
-        "delay 10ms 2ms distribution normal"}) {
+        "delay 10ms 2ms distribution normal", "delay 10ms 2ms distribution pareto",
+        "delay 10ms 2ms distribution paretonormal"}) {
     const NetemConfig original = parse_netem(spec);
     const NetemConfig reparsed = parse_netem(original.describe());
     EXPECT_EQ(reparsed.delay, original.delay) << spec;
@@ -53,7 +54,7 @@ TEST(NetemDescribe, RoundTripsThroughParser) {
 
 TEST(Channel, StatsSeparatedByDirection) {
   TrafficControl tc;
-  Channel ch{tc, "lo"};
+  Channel ch{tc};
   for (int i = 0; i < 3; ++i) ch.send(LinkDirection::kDownlink, {1}, 100, TimePoint{});
   ch.send(LinkDirection::kUplink, {2}, 50, TimePoint{});
   ch.step(TimePoint{});

@@ -178,7 +178,7 @@ TEST(NetemHeap, DuplicateIsReleasedBeforeTheOriginal) {
 std::uint64_t delivered_digest(std::uint64_t seed, const std::string& rule,
                                bool use_move_path) {
   TrafficControl tc{seed};
-  Channel ch{tc, "lo"};
+  Channel ch{tc};
   tc.execute("qdisc add dev lo root " + rule);
   check::Fnv1a h;
   std::uint32_t fill = 0x12345u;
@@ -230,7 +230,7 @@ TEST(PacketPath, MovedAndCopiedSendsDeliverIdenticalBytes) {
 
 TEST(PacketPath, IdleTicksDoNotAllocate) {
   TrafficControl tc{5};
-  Channel ch{tc, "lo"};
+  Channel ch{tc};
   PacketRouter router{ch};
   ReliableStream stream{router, ch, 1, LinkDirection::kDownlink};
   // Prime: move one message through so every lazy structure exists, then
@@ -254,7 +254,7 @@ TEST(PacketPath, IdleTicksDoNotAllocate) {
 
 TEST(PacketPath, WarmStreamTickReusesPooledPayloads) {
   TrafficControl tc{5};
-  Channel ch{tc, "lo"};
+  Channel ch{tc};
   PacketRouter router{ch};
   ReliableStream stream{router, ch, 1, LinkDirection::kDownlink};
   const Payload msg(2000, 9);
@@ -296,7 +296,7 @@ struct WarmPass {
 WarmPass measure_warm_stream(std::uint32_t wire, std::size_t payload_bytes, int messages,
                              Duration poll, int send_every) {
   TrafficControl tc{5};
-  Channel ch{tc, "lo"};
+  Channel ch{tc};
   tc.execute("qdisc add dev lo root netem delay 5ms");
   PacketRouter router{ch};
   StreamConfig cfg;
@@ -374,8 +374,7 @@ TEST(QdiscIntrospection, SummaryAndBacklogBytesAreConsistent) {
   NetemConfig ncfg;
   ncfg.delay = Duration::millis(10);
   NetemQdisc netem{ncfg, 1};
-  TbfQdisc tbf{TbfConfig{}};
-  Qdisc* const qdiscs[] = {&fifo, &netem, &tbf};
+  Qdisc* const qdiscs[] = {&fifo, &netem};
   for (Qdisc* q : qdiscs) {
     for (std::uint64_t i = 0; i < 3; ++i) {
       Packet p;
@@ -390,7 +389,7 @@ TEST(QdiscIntrospection, SummaryAndBacklogBytesAreConsistent) {
     const std::string s = q->summary();
     EXPECT_NE(s.find("qdisc " + q->kind()), std::string::npos) << s;
     EXPECT_NE(s.find("backlog 300b 3p"), std::string::npos) << s;
-    q->clear();
+    q->drain(TimePoint::from_seconds(1e6));
     EXPECT_EQ(q->backlog(), 0u) << q->kind();
     EXPECT_EQ(q->backlog_bytes(), 0u) << q->kind();
     EXPECT_FALSE(q->next_event_at().has_value()) << q->kind();
@@ -408,14 +407,14 @@ TEST(QdiscIntrospection, FifoNextEventIsTheHeadEnqueueTime) {
 
 TEST(ChannelNextEvent, TracksTheRootQdisc) {
   TrafficControl tc;
-  Channel ch{tc, "lo"};
-  tc.add("lo", parse_netem("delay 30ms"));
+  Channel ch{tc};
+  tc.add(parse_netem("delay 30ms"));
   EXPECT_FALSE(ch.next_event_at().has_value());
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ASSERT_TRUE(ch.next_event_at().has_value());
   EXPECT_EQ(ch.next_event_at()->count_micros(), 30000);
-  ASSERT_TRUE(tc.next_event_at("lo").has_value());
-  EXPECT_EQ(tc.next_event_at("lo")->count_micros(), 30000);
+  ASSERT_TRUE(tc.root().next_event_at().has_value());
+  EXPECT_EQ(tc.root().next_event_at()->count_micros(), 30000);
   ch.step(TimePoint::from_micros(30000));
   EXPECT_FALSE(ch.next_event_at().has_value());
 }

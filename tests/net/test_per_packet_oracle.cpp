@@ -80,7 +80,7 @@ struct RttRun {
 RttRun run_rtt(std::uint64_t seed, const std::string& netem, int steps,
                int change_at = -1, const std::string& later = {}) {
   TrafficControl tc{seed};
-  Channel channel{tc, "lo"};
+  Channel channel{tc};
   tc.execute("qdisc add dev lo root netem " + netem);
   PacketRouter router{channel};
   StreamConfig cfg;

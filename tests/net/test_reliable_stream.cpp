@@ -12,7 +12,7 @@ using util::TimePoint;
 
 struct StreamFixture : public ::testing::Test {
   StreamFixture()
-      : channel{tc, "lo"}, router{channel},
+      : channel{tc}, router{channel},
         stream{router, channel, 1, LinkDirection::kDownlink, config()} {}
 
   static StreamConfig config() {
@@ -78,7 +78,7 @@ TEST_F(StreamFixture, InOrderDeliveryOfManyMessages) {
 }
 
 TEST_F(StreamFixture, RecoversFromLossViaRetransmission) {
-  tc.add("lo", parse_netem("loss 30%"));
+  tc.add(parse_netem("loss 30%"));
   for (int i = 0; i < 50; ++i) {
     stream.send_message({static_cast<std::uint8_t>(i)}, 100, now);
   }
@@ -95,10 +95,10 @@ TEST_F(StreamFixture, RecoversFromLossViaRetransmission) {
 TEST_F(StreamFixture, LossCausesHeadOfLineStall) {
   // With 200 ms min RTO, a lost segment stalls delivery of everything behind
   // it for on the order of the RTO.
-  tc.add("lo", parse_netem("loss 100%"));
+  tc.add(parse_netem("loss 100%"));
   stream.send_message({1}, 100, now);
   run_for(Duration::millis(50));
-  tc.del("lo");
+  tc.del();
   stream.send_message({2}, 100, now);
   run_for(Duration::millis(50));
   // Message 2's segment arrived, but message 1 blocks delivery.
@@ -116,10 +116,10 @@ TEST_F(StreamFixture, LossCausesHeadOfLineStall) {
 TEST_F(StreamFixture, FastRetransmitBeatsRtoWhenTrafficFlows) {
   // Drop exactly one segment, then keep sending: dup-ACKs should trigger a
   // fast retransmit well before the 200 ms RTO.
-  tc.add("lo", parse_netem("loss 100%"));
+  tc.add(parse_netem("loss 100%"));
   stream.send_message({9}, 100, now);
   run_for(Duration::millis(2));
-  tc.del("lo");
+  tc.del();
   for (int i = 0; i < 6; ++i) {
     stream.send_message({static_cast<std::uint8_t>(i)}, 100, now);
     run_for(Duration::millis(5));
@@ -133,7 +133,7 @@ TEST_F(StreamFixture, FastRetransmitBeatsRtoWhenTrafficFlows) {
 }
 
 TEST_F(StreamFixture, DelayInflatesMessageLatency) {
-  tc.add("lo", parse_netem("delay 50ms"));
+  tc.add(parse_netem("delay 50ms"));
   stream.send_message({1}, 100, now);
   run_for(Duration::millis(200));
   const auto d = stream.pop_delivered();
@@ -143,7 +143,7 @@ TEST_F(StreamFixture, DelayInflatesMessageLatency) {
 }
 
 TEST_F(StreamFixture, DuplicatesAreDiscardedByReceiver) {
-  tc.add("lo", parse_netem("duplicate 100%"));
+  tc.add(parse_netem("duplicate 100%"));
   for (int i = 0; i < 10; ++i) stream.send_message({static_cast<std::uint8_t>(i)}, 100, now);
   run_for(Duration::millis(20));
   int received = 0;
@@ -153,11 +153,11 @@ TEST_F(StreamFixture, DuplicatesAreDiscardedByReceiver) {
 }
 
 TEST_F(StreamFixture, CorruptionBehavesAsLoss) {
-  tc.add("lo", parse_netem("corrupt 100%"));
+  tc.add(parse_netem("corrupt 100%"));
   stream.send_message({42}, 100, now);
   run_for(Duration::millis(100));
   EXPECT_FALSE(stream.pop_delivered().has_value());  // every copy mangled
-  tc.del("lo");
+  tc.del();
   run_for(Duration::millis(500));  // retransmission over the clean link
   const auto d = stream.pop_delivered();
   ASSERT_TRUE(d.has_value());
@@ -168,7 +168,7 @@ TEST_F(StreamFixture, WindowLimitsInFlightSegments) {
   StreamConfig cfg = config();
   cfg.window_segments = 4;
   ReliableStream small{router, channel, 2, LinkDirection::kDownlink, cfg};
-  tc.add("lo", parse_netem("delay 500ms"));  // keep ACKs away
+  tc.add(parse_netem("delay 500ms"));  // keep ACKs away
   for (int i = 0; i < 20; ++i) small.send_message({static_cast<std::uint8_t>(i)}, 100, now);
   small.step(now);
   EXPECT_EQ(small.unacked_segments(), 4u);
@@ -176,7 +176,7 @@ TEST_F(StreamFixture, WindowLimitsInFlightSegments) {
 }
 
 TEST_F(StreamFixture, RtoBacksOffExponentially) {
-  tc.add("lo", parse_netem("loss 100%"));
+  tc.add(parse_netem("loss 100%"));
   stream.send_message({1}, 100, now);
   run_for(Duration::seconds(3.0));
   // With min RTO 200 ms, max 2 s and doubling, ~5-7 attempts fit in 3 s;
@@ -186,7 +186,7 @@ TEST_F(StreamFixture, RtoBacksOffExponentially) {
 }
 
 TEST_F(StreamFixture, SrttTracksPathDelay) {
-  tc.add("lo", parse_netem("delay 20ms"));
+  tc.add(parse_netem("delay 20ms"));
   for (int i = 0; i < 20; ++i) {
     stream.send_message({1}, 100, now);
     run_for(Duration::millis(60));
@@ -198,7 +198,7 @@ TEST_F(StreamFixture, SrttTracksPathDelay) {
 TEST_F(StreamFixture, BidirectionalFaultHitsAcks) {
   // Even if only data gets through untouched, delayed ACKs stretch the
   // sender's RTT estimate — both directions share the device.
-  tc.add("lo", parse_netem("delay 100ms"));
+  tc.add(parse_netem("delay 100ms"));
   stream.send_message({1}, 100, now);
   run_for(Duration::millis(500));
   EXPECT_GE(stream.stats().srtt.value(), 190.0);

@@ -86,7 +86,7 @@ RunOutcome run_one(std::uint64_t seed, const Rule& rule, std::uint32_t window,
                             " window " + std::to_string(window) + " ack_delay " +
                             std::to_string(ack_delay_ms) + "ms";
   TrafficControl tc{seed};
-  Channel channel{tc, "lo"};
+  Channel channel{tc};
   if (rule.netem != nullptr) tc.execute(std::string{"qdisc add dev lo root netem "} + rule.netem);
   PacketRouter router{channel};
   StreamConfig cfg;

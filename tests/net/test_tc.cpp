@@ -1,4 +1,4 @@
-// The tc rule language and traffic-control table.
+// The tc rule language and the loopback link's root qdisc.
 #include <gtest/gtest.h>
 
 #include "net/tc.hpp"
@@ -125,55 +125,55 @@ TEST(ParseNetem, UnknownKeywordThrows) {
 
 TEST(TrafficControl, DefaultDeviceIsPfifo) {
   TrafficControl tc;
-  EXPECT_EQ(tc.root("lo").kind(), "pfifo");
-  EXPECT_FALSE(tc.has_netem("lo"));
+  EXPECT_EQ(tc.root().kind(), "pfifo");
+  EXPECT_FALSE(tc.has_netem());
 }
 
 TEST(TrafficControl, AddInstallsNetem) {
   TrafficControl tc;
-  tc.add("lo", parse_netem("delay 50ms"));
-  EXPECT_TRUE(tc.has_netem("lo"));
-  EXPECT_EQ(tc.root("lo").kind(), "netem");
-  ASSERT_TRUE(tc.netem_config("lo").has_value());
-  EXPECT_EQ(tc.netem_config("lo")->delay, Duration::millis(50));
+  tc.add(parse_netem("delay 50ms"));
+  EXPECT_TRUE(tc.has_netem());
+  EXPECT_EQ(tc.root().kind(), "netem");
+  ASSERT_TRUE(tc.netem_config().has_value());
+  EXPECT_EQ(tc.netem_config()->delay, Duration::millis(50));
 }
 
 TEST(TrafficControl, DoubleAddFails) {
   TrafficControl tc;
-  tc.add("lo", parse_netem("delay 5ms"));
-  EXPECT_THROW(tc.add("lo", parse_netem("delay 10ms")), TcParseError);
+  tc.add(parse_netem("delay 5ms"));
+  EXPECT_THROW(tc.add(parse_netem("delay 10ms")), TcParseError);
 }
 
 TEST(TrafficControl, ChangeRequiresExistingRule) {
   TrafficControl tc;
-  EXPECT_THROW(tc.change("lo", parse_netem("delay 5ms")), TcParseError);
-  tc.add("lo", parse_netem("delay 5ms"));
-  tc.change("lo", parse_netem("loss 5%"));
-  EXPECT_DOUBLE_EQ(tc.netem_config("lo")->loss_probability.value(), 0.05);
+  EXPECT_THROW(tc.change(parse_netem("delay 5ms")), TcParseError);
+  tc.add(parse_netem("delay 5ms"));
+  tc.change(parse_netem("loss 5%"));
+  EXPECT_DOUBLE_EQ(tc.netem_config()->loss_probability.value(), 0.05);
 }
 
 TEST(TrafficControl, DelRevertsToPfifoAndDropsQueue) {
   TrafficControl tc;
-  tc.add("lo", parse_netem("delay 1000ms"));
+  tc.add(parse_netem("delay 1000ms"));
   Packet p;
   p.id = 1;
   p.wire_size = 10;
-  tc.root("lo").enqueue(std::move(p), util::TimePoint{});
-  EXPECT_EQ(tc.root("lo").backlog(), 1u);
-  tc.del("lo");
-  EXPECT_FALSE(tc.has_netem("lo"));
-  EXPECT_EQ(tc.root("lo").backlog(), 0u);  // kernel drops queued packets
-  EXPECT_THROW(tc.del("lo"), TcParseError);
+  tc.root().enqueue(std::move(p), util::TimePoint{});
+  EXPECT_EQ(tc.root().backlog(), 1u);
+  tc.del();
+  EXPECT_FALSE(tc.has_netem());
+  EXPECT_EQ(tc.root().backlog(), 0u);  // kernel drops queued packets
+  EXPECT_THROW(tc.del(), TcParseError);
 }
 
 TEST(TrafficControl, ExecuteFullCommandStrings) {
   TrafficControl tc;
-  EXPECT_EQ(tc.execute("tc qdisc add dev lo root netem delay 50ms"), "lo");
-  EXPECT_TRUE(tc.has_netem("lo"));
+  tc.execute("tc qdisc add dev lo root netem delay 50ms");
+  EXPECT_TRUE(tc.has_netem());
   tc.execute("qdisc change dev lo root netem loss 5%");
-  EXPECT_DOUBLE_EQ(tc.netem_config("lo")->loss_probability.value(), 0.05);
+  EXPECT_DOUBLE_EQ(tc.netem_config()->loss_probability.value(), 0.05);
   tc.execute("tc qdisc del dev lo root");
-  EXPECT_FALSE(tc.has_netem("lo"));
+  EXPECT_FALSE(tc.has_netem());
 }
 
 TEST(TrafficControl, ExecuteRejectsMalformedCommands) {
@@ -183,13 +183,18 @@ TEST(TrafficControl, ExecuteRejectsMalformedCommands) {
   EXPECT_THROW(tc.execute("tc filter add dev lo"), TcParseError);
 }
 
-TEST(TrafficControl, IndependentDevices) {
+// The emulated host has one interface, `lo`; like tc on a host without the
+// named device, a rule for any other device is refused and changes nothing.
+TEST(TrafficControl, RejectsCommandForAnotherDevice) {
   TrafficControl tc;
-  tc.add("eth0", parse_netem("delay 5ms"));
-  tc.root("lo");  // materialize the default qdisc on a second device
-  EXPECT_TRUE(tc.has_netem("eth0"));
-  EXPECT_FALSE(tc.has_netem("lo"));
-  EXPECT_EQ(tc.devices().size(), 2u);
+  try {
+    tc.execute("qdisc add dev eth0 root netem delay 5ms");
+    FAIL() << "a rule for eth0 was accepted";
+  } catch (const TcParseError& e) {
+    EXPECT_NE(std::string{e.what()}.find("eth0"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(tc.has_netem());
+  EXPECT_EQ(tc.root().kind(), "pfifo");
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ using util::TimePoint;
 /// seed and wrapped in an obs context so every instrument records.
 struct ObservedStream {
   explicit ObservedStream(std::uint64_t tc_seed)
-      : tc{tc_seed}, channel{tc, "lo"}, router{channel},
+      : tc{tc_seed}, channel{tc}, router{channel},
         stream{router, channel, 1, LinkDirection::kDownlink, config()},
         scope{&ctx} {}
 
@@ -78,7 +78,7 @@ TEST(ObsStreamCounters, RetransmitsCoverLossesUnderNetemLoss) {
   for (const char* loss : {"loss 2%", "loss 5%", "loss 20%"}) {
     for (const std::uint64_t seed : {7ull, 11ull, 42ull}) {
       ObservedStream s{seed};
-      s.tc.add("lo", parse_netem(loss));
+      s.tc.add(parse_netem(loss));
       constexpr int kMessages = 40;
       for (int i = 0; i < kMessages; ++i) {
         s.stream.send_message({static_cast<std::uint8_t>(i)}, 100, s.now);
@@ -114,7 +114,7 @@ TEST(ObsStreamCounters, HolStallMicrosEqualsSumOfTracedStallSpans) {
   // endpoints, so the microsecond total must equal the span-duration sum
   // exactly — and the span count must match the windows counter.
   ObservedStream s{42};
-  s.tc.add("lo", parse_netem("loss 30%"));
+  s.tc.add(parse_netem("loss 30%"));
   for (int i = 0; i < 40; ++i) {
     s.stream.send_message({static_cast<std::uint8_t>(i)}, 100, s.now);
   }
@@ -139,10 +139,10 @@ TEST(ObsStreamCounters, HolStallMicrosEqualsSumOfTracedStallSpans) {
 TEST(ObsStreamCounters, RtoEventsMatchStreamStats) {
   ObservedStream s{7};
   // Total blackout long enough that only RTO can recover the segment.
-  s.tc.add("lo", parse_netem("loss 100%"));
+  s.tc.add(parse_netem("loss 100%"));
   s.stream.send_message({1}, 100, s.now);
   s.run_for(Duration::millis(300));
-  s.tc.del("lo");
+  s.tc.del();
   s.run_for(Duration::seconds(2.0));
   ASSERT_TRUE(s.stream.pop_delivered().has_value());
   EXPECT_GT(s.counter(obs::metric::kStreamRtoEvents), 0u);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/types.hpp"
 
 namespace rdsim::sim {
@@ -37,6 +39,14 @@ struct OverlapCase {
   double dx, dy, heading_b;
   bool expect_overlap;
 };
+
+// Names each case by its fields ("dx4.5_dy0_h0_overlap"); without it gtest
+// prints the struct's raw bytes, padding included, and the ctest names that
+// discovery derives from them change from build to build.
+void PrintTo(const OverlapCase& c, std::ostream* os) {
+  *os << "dx" << c.dx << "_dy" << c.dy << "_h" << c.heading_b
+      << (c.expect_overlap ? "_overlap" : "_clear");
+}
 
 class BoxOverlapTest : public ::testing::TestWithParam<OverlapCase> {};
 

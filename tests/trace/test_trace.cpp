@@ -52,7 +52,7 @@ TEST(TraceRecorder, CapturesSensorEvents) {
 
 TEST(TraceRecorder, IngestsFaultLog) {
   net::TrafficControl tc;
-  net::FaultInjector inj{tc, "lo"};
+  net::FaultInjector inj{tc};
   inj.inject({net::FaultKind::kDelay, 50.0}, util::TimePoint::from_seconds(1.0));
   inj.remove(util::TimePoint::from_seconds(2.5));
 
