@@ -44,16 +44,15 @@ BENCHMARK(BM_TcRuleParse);
 void BM_ReliableStreamRoundTrip(benchmark::State& state) {
   net::TrafficControl tc;
   net::Channel channel{tc};
-  net::PacketRouter router{channel};
   net::StreamConfig cfg;
   cfg.mtu = 65000;
-  net::ReliableStream stream{router, channel, 1, net::LinkDirection::kDownlink, cfg};
+  net::ReliableStream stream{channel, 1, net::LinkDirection::kDownlink, cfg};
   std::int64_t t = 0;
   const net::Payload msg(256, 0x5A);
   for (auto _ : state) {
     t += 1000;
     stream.send_message(msg, 65000, util::TimePoint::from_micros(t));
-    router.poll(util::TimePoint::from_micros(t));
+    channel.poll(util::TimePoint::from_micros(t));
     stream.step(util::TimePoint::from_micros(t));
     while (stream.pop_delivered()) {
     }

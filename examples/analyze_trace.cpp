@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "metrics/extended.hpp"
@@ -37,9 +38,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string stem = argv[1];
-  const auto run = trace::RunTrace::from_csv(slurp(stem + "_ego.csv"),
-                                             slurp(stem + "_others.csv"),
-                                             slurp(stem + "_events.csv"));
+  trace::RunTrace run;
+  try {
+    run = trace::RunTrace::from_csv(slurp(stem + "_ego.csv"), slurp(stem + "_others.csv"),
+                                    slurp(stem + "_events.csv"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", stem.c_str(), e.what());
+    return 1;
+  }
   if (run.ego.empty()) {
     std::fprintf(stderr, "no ego samples in %s_ego.csv\n", stem.c_str());
     return 1;

@@ -21,10 +21,9 @@ namespace {
 void run_with_rule(const std::string& rule) {
   net::TrafficControl tc;
   net::Channel channel{tc};
-  net::PacketRouter router{channel};
   net::StreamConfig cfg;
   cfg.mtu = 65000;
-  net::ReliableStream stream{router, channel, 1, net::LinkDirection::kDownlink, cfg};
+  net::ReliableStream stream{channel, 1, net::LinkDirection::kDownlink, cfg};
 
   if (!rule.empty()) {
     const std::string command = "tc qdisc add dev lo root netem " + rule;
@@ -44,7 +43,7 @@ void run_with_rule(const std::string& rule) {
       stream.send_message(net::Payload(128, 0x42), 256000, now);
       next_frame_us += 33333;
     }
-    router.poll(now);
+    channel.poll(now);
     stream.step(now);
     while (auto msg = stream.pop_delivered()) {
       latency_ms.add(msg->latency().to_millis());

@@ -78,7 +78,6 @@ std::uint64_t hash_channel(const net::Channel& channel) {
     h.u64(s.packets_delivered);
     h.u64(s.bytes_sent);
     h.i64(s.total_latency.count_micros());
-    h.u64(channel.inbox_size(dir));
   }
   h.u64(channel.in_flight());
   return h.digest();

@@ -21,8 +21,9 @@ std::uint64_t hash_frame(const sim::WorldFrame& frame);
 /// next release time).
 std::uint64_t hash_qdisc(const net::Qdisc& qdisc);
 
-/// Fingerprint of a channel's delivery state (per-direction stats, inbox
-/// depths, packets in flight).
+/// Fingerprint of a channel's delivery state (per-direction stats, packets in
+/// flight). Its inboxes are empty between polls, so their depths are not
+/// folded.
 std::uint64_t hash_channel(const net::Channel& channel);
 
 }  // namespace rdsim::check

@@ -78,9 +78,6 @@ void qoe_fields(Ar& ar, T& q) {
   ar.qty(q.longest_freeze);
   ar.qty(q.staleness_sum);
   ar.sz(q.staleness_samples);
-  // QoeStats::transport is deliberately absent: it is a verbatim copy of
-  // the stream counters already folded by stream_stats_fields below, and
-  // double-hashing the copy would change every pre-existing golden hash.
 }
 
 template <typename Ar, typename T>  // T: [const] net::StreamStats

@@ -14,29 +14,12 @@ namespace rdsim::core {
 
 /// QoE bookkeeping over a run: how often and how long the display froze.
 struct QoeStats {
-  /// Transport-side health counters, copied verbatim at run end from the
-  /// ReliableStream's own StreamStats (video + command) — the single source
-  /// of truth that reports and the mitigation link-quality estimator share.
-  /// Deliberately NOT part of campaign_fields' qoe_fields: the same counters
-  /// are already hashed via stream_stats_fields, and re-folding a copy would
-  /// change every existing golden hash for no information gain.
-  struct Transport {
-    std::uint64_t retransmits_rto{0};
-    std::uint64_t retransmits_fast{0};
-    std::uint64_t stale_segments{0};
-
-    std::uint64_t retransmits() const { return retransmits_rto + retransmits_fast; }
-  };
-
   units::Seconds watch_time{};
   units::Seconds frozen_time{};       ///< staleness beyond one frame period
   std::size_t freeze_episodes{0};     ///< freezes longer than 300 ms
   units::Seconds longest_freeze{};
   units::Seconds staleness_sum{};
   std::size_t staleness_samples{0};
-  // Diagnostic-only mirror of net::StreamStats; the authoritative copy is
-  // hashed via stream_stats_fields, so folding this too would double-count.
-  Transport transport{};  // lint:allow(unhashed: diagnostic mirror of hashed StreamStats)
 
   double frozen_fraction() const {
     return watch_time.value() > 0.0 ? frozen_time.value() / watch_time.value() : 0.0;

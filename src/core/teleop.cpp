@@ -35,14 +35,12 @@ RunConfig validated(RunConfig config) {
 }
 
 std::unique_ptr<net::MessageTransport> make_transport(
-    bool datagram, net::PacketRouter& router, net::Channel& channel,
-    std::uint16_t stream_id, net::LinkDirection direction,
-    const net::StreamConfig& stream) {
+    bool datagram, net::Channel& channel, std::uint16_t stream_id,
+    net::LinkDirection direction, const net::StreamConfig& stream) {
   if (datagram) {
-    return std::make_unique<net::DatagramSocket>(router, channel, stream_id, direction);
+    return std::make_unique<net::DatagramSocket>(channel, stream_id, direction);
   }
-  return std::make_unique<net::ReliableStream>(router, channel, stream_id, direction,
-                                               stream);
+  return std::make_unique<net::ReliableStream>(channel, stream_id, direction, stream);
 }
 
 }  // namespace
@@ -52,15 +50,14 @@ TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
       fault_windows_{resolve_fault_plan(config_.plan, scenario)},
       tc_{config_.seed},
       channel_{tc_},
-      router_{channel_},
       injector_{tc_},
       vehicle_{config_.rds, std::move(scenario), config_.safety, config_.seed},
       recorder_{config_.run_id, config_.subject_id, config_.fault_injected,
                 config_.rds.log_hz} {
   const auto& rds = config_.rds;
-  video_ = make_transport(rds.datagram_video, router_, channel_, kVideoStreamId,
+  video_ = make_transport(rds.datagram_video, channel_, kVideoStreamId,
                           net::LinkDirection::kDownlink, rds.transport);
-  commands_ = make_transport(rds.datagram_commands, router_, channel_, kCommandStreamId,
+  commands_ = make_transport(rds.datagram_commands, channel_, kCommandStreamId,
                              net::LinkDirection::kUplink, rds.transport);
 
   operator_ = std::make_unique<OperatorSubsystem>(
@@ -197,7 +194,7 @@ bool TeleopSession::step() {
   }
   {
     RDSIM_OBS_TIMER(obs::metric::kPhaseRouter);
-    router_.poll(now);
+    channel_.poll(now);
   }
   if (estimator_) {
     RDSIM_OBS_TIMER(obs::metric::kPhaseMitigate);
@@ -239,15 +236,6 @@ RunResult TeleopSession::run() {
   result.frames_skipped_sender = frames_skipped_sender_;
   result.safety_activations = vehicle_.safety_activations();
   result.faults_injected = injector_.injections();
-
-  // Transport QoE: one source of truth — the streams' own StreamStats,
-  // summed over both directions (zero with datagram transports).
-  result.qoe.transport.retransmits_rto =
-      result.video_stats.retransmits_rto + result.command_stats.retransmits_rto;
-  result.qoe.transport.retransmits_fast =
-      result.video_stats.retransmits_fast + result.command_stats.retransmits_fast;
-  result.qoe.transport.stale_segments =
-      result.video_stats.stale_segments + result.command_stats.stale_segments;
 
   if (governor_) {
     governor_->finalize(clock_.now());

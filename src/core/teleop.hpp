@@ -120,7 +120,6 @@ class TeleopSession {
 
   net::TrafficControl tc_;
   net::Channel channel_;
-  net::PacketRouter router_;
   // One transport per direction, of the kind RdsConfig picks; after
   // construction the session drives both through the same seam.
   std::unique_ptr<net::MessageTransport> video_;

@@ -5,7 +5,7 @@
 namespace rdsim::net {
 
 namespace {
-// Flow ids: low bit encodes direction so the router can demultiplex.
+// Flow ids: the low bit records the direction, so delivery knows the inbox.
 constexpr std::uint32_t kDownFlow = 0;
 constexpr std::uint32_t kUpFlow = 1;
 }  // namespace
@@ -43,12 +43,23 @@ std::uint64_t Channel::send(LinkDirection dir, Payload payload, std::uint32_t wi
   return send(dir, std::move(p), now);
 }
 
-void Channel::step(util::TimePoint now) {
+void Channel::register_stream(std::uint16_t stream_id, Handler handler) {
+  if (stream_id >= handlers_.size()) handlers_.resize(std::size_t{stream_id} + 1);
+  handlers_[stream_id] = std::move(handler);
+}
+
+void Channel::poll(util::TimePoint now) {
+  // Release everything due first, then drain down before up. Dispatching
+  // from inside dequeue_ready() instead would interleave the directions and
+  // reorder the ACKs and retransmissions that handlers send into the qdisc,
+  // and with them the packet ids and netem's random draws.
   Qdisc& q = **root_;
-  const auto next = q.next_event_at();
-  if (!next || *next > now) return;
-  DeliverySink sink{*this, now};
-  q.dequeue_ready(now, sink);
+  if (const auto next = q.next_event_at(); next && *next <= now) {
+    DeliverySink sink{*this, now};
+    q.dequeue_ready(now, sink);
+  }
+  drain(LinkDirection::kDownlink, now);
+  drain(LinkDirection::kUplink, now);
 }
 
 void Channel::deliver(Packet&& packet, util::TimePoint now) {
@@ -60,27 +71,31 @@ void Channel::deliver(Packet&& packet, util::TimePoint now) {
   inbox(dir).push_back() = std::move(packet);
 }
 
-std::optional<Packet> Channel::receive(LinkDirection dir) {
-  auto& box = inbox(dir);
-  if (box.empty()) return std::nullopt;
-  Packet p = std::move(box.front());
-  box.pop_front();
-  return p;
+void Channel::drain(LinkDirection dir, util::TimePoint now) {
+  // Handlers only send, and sends go to the qdisc, never to an inbox, so the
+  // packet stays in its slot until it is popped.
+  util::SeqQueue<Packet>& box = inbox(dir);
+  while (!box.empty()) {
+    Packet& packet = box.front();
+    if (const auto view = open_packet_view(packet.payload); !view) {
+      ++checksum_failures_;
+    } else if (const std::uint16_t id = view->header.stream_id;
+               id >= handlers_.size() || !handlers_[id]) {
+      ++unroutable_;
+    } else {
+      handlers_[id](view->header, view->body, dir, now);
+    }
+    // The view above reads from the payload; recycle only after handling.
+    recycle(std::move(packet.payload));
+    box.pop_front();
+  }
 }
-
-bool Channel::has_pending(LinkDirection dir) const { return !inbox(dir).empty(); }
-
-std::size_t Channel::inbox_size(LinkDirection dir) const { return inbox(dir).size(); }
 
 const DirectionStats& Channel::stats(LinkDirection dir) const {
   return dir == LinkDirection::kDownlink ? down_stats_ : up_stats_;
 }
 
 util::SeqQueue<Packet>& Channel::inbox(LinkDirection dir) {
-  return dir == LinkDirection::kDownlink ? to_operator_ : to_vehicle_;
-}
-
-const util::SeqQueue<Packet>& Channel::inbox(LinkDirection dir) const {
   return dir == LinkDirection::kDownlink ? to_operator_ : to_vehicle_;
 }
 

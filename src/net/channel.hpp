@@ -4,21 +4,29 @@
 // same host and exchange traffic over the loopback interface, so a single
 // egress qdisc on `lo` disturbs *both* the downlink video and the uplink
 // driving commands. A Channel therefore pushes packets from both directions
-// through the TrafficControl's one root qdisc; delivered packets are routed
-// to the destination endpoint's inbox.
+// through the TrafficControl's one root qdisc. It also owns the delivery end:
+// transports register a handler per stream id, and poll() hands each
+// released packet, verified by its framing checksum, to the handler of its
+// stream.
 //
 // The packet path is allocation-free in steady state: senders build payloads
-// in buffers leased from the channel's PayloadPool (acquire_payload), move
-// the finished Packet into send(), and receivers hand parsed buffers back
-// via recycle(). step() consults the qdisc's next_event_at() and returns
-// without touching the queue while nothing can be released yet.
+// in buffers leased from the channel's PayloadPool (acquire_payload) and move
+// the finished Packet into send(). poll() parks released packets in a ring
+// inbox per direction, dispatches each one where it sits, and recycles its
+// payload buffer once the handler returns. poll() consults the qdisc's
+// next_event_at() and leaves the queue untouched while nothing can be
+// released yet.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <optional>
+#include <vector>
 
+#include "net/framing.hpp"
 #include "net/payload_pool.hpp"
 #include "net/tc.hpp"
-#include "util/ring_buffer.hpp"
+#include "util/seq_queue.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::net {
@@ -40,6 +48,11 @@ struct DirectionStats {
 
 class Channel {
  public:
+  /// `body` views the packet payload and is only valid during the call;
+  /// handlers copy out whatever must outlive it.
+  using Handler = std::function<void(const ProtocolHeader&, ByteReader body,
+                                     LinkDirection arrived_via, util::TimePoint now)>;
+
   /// `tc` is borrowed and must outlive the channel.
   explicit Channel(TrafficControl& tc);
 
@@ -55,18 +68,21 @@ class Channel {
   std::uint64_t send(LinkDirection dir, Payload payload, std::uint32_t wire_size,
                      util::TimePoint now);
 
-  /// Move packets that have cleared the qdisc into the destination inboxes.
-  /// Call once per simulation step (idempotent within a step). Early-outs
-  /// without touching the qdisc while next_event_at() is in the future.
-  void step(util::TimePoint now);
+  /// Route packets carrying `stream_id` to `handler`, replacing any earlier
+  /// handler for that id.
+  void register_stream(std::uint16_t stream_id, Handler handler);
 
-  /// Pop the next delivered packet travelling in `dir`, if any.
-  std::optional<Packet> receive(LinkDirection dir);
-
-  bool has_pending(LinkDirection dir) const;
-  std::size_t inbox_size(LinkDirection dir) const;
+  /// Deliver what the qdisc releases by `now`: step the qdisc (skipped while
+  /// next_event_at() is in the future), then drain the downlink inbox and
+  /// then the uplink one. Each packet is verified and handed to its stream's
+  /// handler in place; a packet failing verification, or whose stream has no
+  /// handler, is counted and dropped. Packets that handlers send meanwhile
+  /// go into the qdisc, so they leave at a later poll at the earliest.
+  void poll(util::TimePoint now);
 
   const DirectionStats& stats(LinkDirection dir) const;
+  std::uint64_t checksum_failures() const { return checksum_failures_; }
+  std::uint64_t unroutable() const { return unroutable_; }
 
   /// Packets still inside the qdisc (in flight).
   std::size_t in_flight() const { return (*root_)->backlog(); }
@@ -77,7 +93,7 @@ class Channel {
   /// Lease a cleared payload buffer with capacity >= size_hint.
   Payload acquire_payload(std::size_t size_hint) { return pool_.acquire(size_hint); }
 
-  /// Hand a parsed payload buffer back for reuse by future sends.
+  /// Hand a payload buffer to the pool for reuse by future sends.
   void recycle(Payload&& payload) { pool_.release(std::move(payload)); }
 
   const PayloadPool& pool() const { return pool_; }
@@ -86,8 +102,8 @@ class Channel {
   class DeliverySink;
 
   void deliver(Packet&& packet, util::TimePoint now);
+  void drain(LinkDirection dir, util::TimePoint now);
   util::SeqQueue<Packet>& inbox(LinkDirection dir);
-  const util::SeqQueue<Packet>& inbox(LinkDirection dir) const;
   DirectionStats& mutable_stats(LinkDirection dir);
 
   /// The root slot of the borrowed TrafficControl, which tc add/del re-point.
@@ -100,6 +116,9 @@ class Channel {
   DirectionStats down_stats_;
   DirectionStats up_stats_;
   PayloadPool pool_;
+  std::vector<Handler> handlers_;  ///< indexed by stream id; empty = none
+  std::uint64_t checksum_failures_{0};
+  std::uint64_t unroutable_{0};
 };
 
 }  // namespace rdsim::net

@@ -8,10 +8,10 @@
 
 namespace rdsim::net {
 
-DatagramSocket::DatagramSocket(PacketRouter& router, Channel& channel,
-                               std::uint16_t stream_id, LinkDirection send_direction)
+DatagramSocket::DatagramSocket(Channel& channel, std::uint16_t stream_id,
+                               LinkDirection send_direction)
     : channel_{&channel}, stream_id_{stream_id}, send_dir_{send_direction} {
-  router.register_stream(
+  channel_->register_stream(
       stream_id_, [this](const ProtocolHeader& h, ByteReader body, LinkDirection via,
                          util::TimePoint now) { on_packet(h, body, via, now); });
 }

@@ -6,17 +6,16 @@
 // ordering guarantee beyond what the link provides. Delivery is latest-wins.
 #pragma once
 
-#include "net/router.hpp"
+#include "net/channel.hpp"
 #include "net/transport.hpp"
-#include "util/ring_buffer.hpp"
+#include "util/seq_queue.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::net {
 
 class DatagramSocket final : public MessageTransport {
  public:
-  DatagramSocket(PacketRouter& router, Channel& channel, std::uint16_t stream_id,
-                 LinkDirection send_direction);
+  DatagramSocket(Channel& channel, std::uint16_t stream_id, LinkDirection send_direction);
 
   /// Fire-and-forget. Returns the datagram sequence number.
   std::uint32_t send_message(Payload bytes, std::uint32_t declared_wire_size,

@@ -13,8 +13,6 @@ std::string to_string(FaultKind kind) {
     case FaultKind::kNone: return "none";
     case FaultKind::kDelay: return "delay";
     case FaultKind::kPacketLoss: return "loss";
-    case FaultKind::kCorruption: return "corrupt";
-    case FaultKind::kDuplication: return "duplicate";
   }
   return "unknown";
 }
@@ -29,12 +27,6 @@ std::string FaultSpec::to_netem_args() const {
       break;
     case FaultKind::kPacketLoss:
       os << "loss " << value * 100.0 << "%";
-      break;
-    case FaultKind::kCorruption:
-      os << "corrupt " << value * 100.0 << "%";
-      break;
-    case FaultKind::kDuplication:
-      os << "duplicate " << value * 100.0 << "%";
       break;
   }
   return os.str();

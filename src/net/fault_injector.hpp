@@ -18,15 +18,13 @@
 
 namespace rdsim::net {
 
-/// The fault classes of the paper's fault model, plus the ones that were
-/// screened out in §V.C (corruption, duplication) so the screening experiment
-/// itself can be reproduced.
+/// The fault classes of the paper's fault model. The faults §V.C screened
+/// out (corruption, duplication) stay reachable as netem rules through tc
+/// strings.
 enum class FaultKind : std::uint8_t {
   kNone,
   kDelay,
   kPacketLoss,
-  kCorruption,
-  kDuplication,
 };
 
 std::string to_string(FaultKind kind);

@@ -7,7 +7,7 @@
 //
 // Packets are move-only: a payload buffer is handed from the sender through
 // the qdisc chain to the receiving inbox without ever being copied, and the
-// Channel recycles it through a PayloadPool once the router has parsed it.
+// Channel recycles it through a PayloadPool once the handler has parsed it.
 // The one legitimate copy — netem duplication — is spelled explicitly with
 // clone().
 #pragma once

@@ -1,7 +1,7 @@
 // Deterministic freelist of size-bucketed payload buffers.
 //
 // The packet hot path used to allocate one payload vector per packet sent
-// and free it once the router parsed the delivery. A PayloadPool recycles
+// and free it once the receiver parsed the delivery. A PayloadPool recycles
 // those buffers instead: acquire() hands out a cleared buffer whose capacity
 // covers the requested size, release() returns it to a per-size-class LIFO
 // freelist. Each Channel owns one pool, so recycling is single-threaded and

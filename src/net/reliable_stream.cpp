@@ -19,7 +19,13 @@ LinkDirection reverse(LinkDirection dir) {
   return dir == LinkDirection::kDownlink ? LinkDirection::kUplink
                                          : LinkDirection::kDownlink;
 }
+/// Modelled wire bytes: an ACK, and the TCP/IP headers added to each DATA
+/// segment's share of the message.
 constexpr std::uint32_t kAckWireSize = 60;
+constexpr std::uint32_t kSegmentHeaderWireSize = 40;
+/// RFC 6298's initial RTO, kept at Linux's 200 ms floor, and the backoff cap.
+constexpr util::Duration kInitialRto = util::Duration::millis(200);
+constexpr util::Duration kMaxRto = util::Duration::millis(2000);
 /// Fixed bytes of the DATA segment encoding before the chunk:
 /// seq u32 + message_id u32 + seg_index u16 + seg_count u16 +
 /// message_wire_size u32 + message_sent_us u64 + chunk length prefix u32.
@@ -29,17 +35,15 @@ constexpr std::size_t kMaxSackHints = 8;
 constexpr std::size_t ack_encoding_bytes(std::size_t sacks) { return 4 + 4 + sacks * 4 + 8; }
 }  // namespace
 
-ReliableStream::ReliableStream(PacketRouter& router, Channel& channel,
-                               std::uint16_t stream_id, LinkDirection data_direction,
-                               StreamConfig config)
-    : router_{&router},
-      channel_{&channel},
+ReliableStream::ReliableStream(Channel& channel, std::uint16_t stream_id,
+                               LinkDirection data_direction, StreamConfig config)
+    : channel_{&channel},
       stream_id_{stream_id},
       data_dir_{data_direction},
       config_{config},
       ring_mask_{std::bit_ceil(std::max<std::uint32_t>(config.window_segments, 1)) - 1},
-      rto_base_{std::max(config.rto_initial, config.rto_min)} {
-  router_->register_stream(
+      rto_base_{std::max(kInitialRto, config.rto_min)} {
+  channel_->register_stream(
       stream_id_, [this](const ProtocolHeader& h, ByteReader body, LinkDirection via,
                          util::TimePoint now) { on_packet(h, body, via, now); });
 }
@@ -101,7 +105,7 @@ void ReliableStream::transmit_segment(std::uint32_t seq, util::TimePoint now,
   w.raw(m.bytes.data() + lo, hi - lo);
   Packet p;
   p.payload = ProtocolHeader::finish(w);
-  p.wire_size = m.wire_size / m.seg_count + config_.header_overhead;
+  p.wire_size = m.wire_size / m.seg_count + kSegmentHeaderWireSize;
   channel_->send(data_dir_, std::move(p), now);
 
   slot.last_sent = now;
@@ -144,7 +148,7 @@ void ReliableStream::step(util::TimePoint now) {
 }
 
 util::Duration ReliableStream::current_rto() const {
-  return std::min(rto_base_ * (std::int64_t{1} << rto_backoff_), config_.rto_max);
+  return std::min(rto_base_ * (std::int64_t{1} << rto_backoff_), kMaxRto);
 }
 
 void ReliableStream::update_rtt(util::Duration sample) {
@@ -334,7 +338,7 @@ void ReliableStream::on_ack(ByteReader r, util::TimePoint now) {
     RDSIM_OBS_COUNT(obs::metric::kStreamDupAcks, 1);
     // Re-arm every three further duplicate ACKs so multiple losses within a
     // window still recover without waiting for the RTO (SACK-era TCP).
-    if (config_.fast_retransmit && dup_ack_count_ % 3 == 0) {
+    if (dup_ack_count_ % 3 == 0) {
       transmit_segment(cum_ack, now, /*retransmission=*/true);
       ++stats_.retransmits_fast;
       RDSIM_OBS_COUNT(obs::metric::kStreamFastRetransmits, 1);
@@ -345,7 +349,7 @@ void ReliableStream::on_ack(ByteReader r, util::TimePoint now) {
   // SACKed sequence that is not itself SACKed has very likely been lost —
   // retransmit a bounded number of them immediately instead of waiting for
   // serial RTOs (this is what keeps sustained-loss links usable).
-  if (sack_count > 0 && config_.fast_retransmit) {
+  if (sack_count > 0) {
     const std::uint32_t max_sack = *std::max_element(sacks_begin, sacks_end);
     const util::Duration hold_off = current_rto() / 2;
     int budget = 4;

@@ -47,21 +47,18 @@
 #include <span>
 #include <vector>
 
-#include "net/router.hpp"
+#include "net/channel.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
-#include "util/ring_buffer.hpp"
+#include "util/seq_queue.hpp"
 #include "util/units.hpp"
 
 namespace rdsim::net {
 
 struct StreamConfig {
-  std::uint32_t mtu{65000};           ///< max payload bytes per segment
-                                      ///< (loopback-sized, as in the paper)
-  std::uint32_t header_overhead{40};  ///< modelled TCP/IP header bytes
-  util::Duration rto_initial{util::Duration::millis(200)};
-  util::Duration rto_min{util::Duration::millis(200)};   ///< Linux TCP_RTO_MIN
-  util::Duration rto_max{util::Duration::millis(2000)};
+  std::uint32_t mtu{65000};  ///< max payload bytes per segment
+                             ///< (loopback-sized, as in the paper)
+  util::Duration rto_min{util::Duration::millis(200)};  ///< Linux TCP_RTO_MIN
   /// Max unacked segments in flight. 128 segments x 64 KB ~= 8 MB, matching
   /// Linux's default TCP send-buffer autotuning ceiling. With megabyte video
   /// frames this window is what throttles the feed when injected delay
@@ -70,8 +67,7 @@ struct StreamConfig {
   /// dropping frames, reproducing the paper's observation that >100 ms
   /// delays made driving very hard and >200 ms stopped the feed entirely.
   std::uint32_t window_segments{128};
-  bool fast_retransmit{true};
-  util::Duration ack_delay{};          ///< 0 = ack immediately
+  util::Duration ack_delay{};  ///< 0 = ack immediately
 
   /// Segments carry a u16 count, so a message may span at most this many.
   static constexpr std::uint64_t kMaxSegments = 0xffff;
@@ -88,8 +84,8 @@ struct StreamConfig {
 /// and ACKs flow the opposite way through the same faulted channel.
 class ReliableStream final : public MessageTransport {
  public:
-  ReliableStream(PacketRouter& router, Channel& channel, std::uint16_t stream_id,
-                 LinkDirection data_direction, StreamConfig config = {});
+  ReliableStream(Channel& channel, std::uint16_t stream_id, LinkDirection data_direction,
+                 StreamConfig config = {});
 
   /// Queue a message. `declared_wire_size` is the size the link should
   /// account for (e.g. the encoded video frame size); the actual payload
@@ -97,7 +93,7 @@ class ReliableStream final : public MessageTransport {
   std::uint32_t send_message(Payload bytes, std::uint32_t declared_wire_size,
                              util::TimePoint now) override;
 
-  /// Drive timers: transmit window, retransmit on RTO. The router's poll()
+  /// Drive timers: transmit window, retransmit on RTO. The channel's poll()
   /// must run first each step so incoming ACKs/DATA are processed.
   void step(util::TimePoint now) override;
 
@@ -151,12 +147,11 @@ class ReliableStream final : public MessageTransport {
   void transmit_segment(std::uint32_t seq, util::TimePoint now, bool retransmission);
   void send_ack(util::TimePoint now);
   void update_rtt(util::Duration sample);
-  /// The cached base RTO doubled per backoff step, clamped to rto_max.
+  /// The cached base RTO doubled per backoff step, clamped to 2 s.
   util::Duration current_rto() const;
   TxSlot& tx_slot(std::uint32_t seq) { return tx_slots_[seq & ring_mask_]; }
   RxSlot& rx_slot(std::uint32_t seq) { return rx_slots_[seq & ring_mask_]; }
 
-  PacketRouter* router_;
   Channel* channel_;
   std::uint16_t stream_id_;
   LinkDirection data_dir_;
@@ -176,7 +171,7 @@ class ReliableStream final : public MessageTransport {
   units::Millis srtt_{};
   units::Millis rttvar_{};
   bool rtt_valid_{false};
-  /// RTO before backoff, at least rto_min: rto_initial until the first RTT
+  /// RTO before backoff, at least rto_min: 200 ms until the first RTT
   /// sample, then srtt + max(4 rttvar, 1 ms). Recomputed only by update_rtt.
   util::Duration rto_base_;
 

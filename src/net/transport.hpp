@@ -44,7 +44,7 @@ struct StreamStats {
 
 /// One direction of application traffic. The object serves both ends of
 /// the link because the whole experiment runs in-process. Implementations
-/// register `this` with a PacketRouter, so they are never copied or moved.
+/// register `this` with the Channel, so they are never copied or moved.
 class MessageTransport {
  public:
   MessageTransport() = default;
@@ -63,7 +63,7 @@ class MessageTransport {
   /// straight out.
   virtual std::size_t send_backlog() const = 0;
 
-  /// Drive timers. The router's poll() must run first each step so incoming
+  /// Drive timers. The channel's poll() must run first each step so incoming
   /// packets are processed.
   virtual void step(util::TimePoint now) = 0;
 

@@ -71,7 +71,7 @@ const MetricId kStreamRetransmittedSegments = register_counter(
 const MetricId kStreamRtoEvents =
     register_counter("stream.rto_events", "Retransmission-timeout firings");
 const MetricId kStreamFastRetransmits = register_counter(
-    "stream.fast_retransmits", "Retransmits triggered by duplicate ACKs");
+    "stream.retransmits_fast", "Retransmits triggered by duplicate ACKs or SACK gaps");
 const MetricId kStreamDupAcks =
     register_counter("stream.dup_acks", "Duplicate cumulative ACKs received");
 const MetricId kStreamStaleSegments = register_counter(
@@ -135,7 +135,7 @@ const MetricId kPhaseFaults = register_timer(
 const MetricId kPhaseVideo =
     register_timer("teleop.phase.video", "Wall time in the video pipeline");
 const MetricId kPhaseRouter =
-    register_timer("teleop.phase.router", "Wall time in packet routing");
+    register_timer("teleop.phase.router", "Wall time in Channel::poll (packet delivery)");
 const MetricId kPhaseCommands =
     register_timer("teleop.phase.commands", "Wall time in the command pipeline");
 const MetricId kPhaseMitigate = register_timer(

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "net/fault_injector.hpp"
 #include "sim/actor.hpp"
@@ -149,11 +151,52 @@ std::string RunTrace::events_csv() const {
   return c.str();
 }
 
+namespace {
+
+/// One of the three trace tables, checked so that every row has a cell under
+/// every header column: a column found by `column` then indexes any row.
+class TraceTable {
+ public:
+  TraceTable(std::string_view text, const char* name)
+      : csv_{util::CsvTable::parse(text)}, name_{name} {
+    const std::size_t width = csv_.header().size();
+    for (std::size_t i = 0; i < csv_.row_count(); ++i) {
+      if (csv_.row(i).size() < width) {
+        throw std::invalid_argument{std::string{name_} + " CSV row " +
+                                    std::to_string(i + 1) + " has no '" +
+                                    csv_.header()[csv_.row(i).size()] + "' cell"};
+      }
+    }
+  }
+
+  /// Index of a column that write_csv writes; throws if the header lacks it.
+  int column(std::string_view name) const {
+    const int c = csv_.column(name);
+    if (c < 0) {
+      throw std::invalid_argument{std::string{name_} + " CSV has no '" +
+                                  std::string{name} + "' column"};
+    }
+    return c;
+  }
+
+  std::size_t rows() const { return csv_.row_count(); }
+  double number(std::size_t row, int col) const { return csv_.number(row, col); }
+  const std::string& text(std::size_t row, int col) const {
+    return csv_.row(row)[static_cast<std::size_t>(col)];
+  }
+
+ private:
+  util::CsvTable csv_;
+  const char* name_;
+};
+
+}  // namespace
+
 RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& others_csv,
                             const std::string& events_csv) {
   RunTrace t;
   {
-    const auto table = util::CsvTable::parse(ego_csv);
+    const TraceTable table{ego_csv, "ego"};
     const int ct = table.column("t");
     const int cframe = table.column("frame");
     const int cx = table.column("x"), cy = table.column("y"), cz = table.column("z");
@@ -161,7 +204,7 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
     const int cax = table.column("ax"), cay = table.column("ay"), caz = table.column("az");
     const int cth = table.column("throttle"), cst = table.column("steer"),
               cbr = table.column("brake");
-    for (std::size_t i = 0; i < table.row_count(); ++i) {
+    for (std::size_t i = 0; i < table.rows(); ++i) {
       EgoSample s;
       s.t = table.number(i, ct);
       s.frame = static_cast<std::uint32_t>(table.number(i, cframe));
@@ -188,17 +231,19 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
     }
   }
   {
-    const auto table = util::CsvTable::parse(others_csv);
+    const TraceTable table{others_csv, "others"};
     const int ca = table.column("actor");
     const int crole = table.column("role");
     const int ct = table.column("t");
     const int cd = table.column("distance");
     const int cx = table.column("x"), cy = table.column("y"), cz = table.column("z");
     const int cvx = table.column("vx"), cvy = table.column("vy"), cvz = table.column("vz");
-    for (std::size_t i = 0; i < table.row_count(); ++i) {
+    const int cth = table.column("throttle"), cst = table.column("steer"),
+              cbr = table.column("brake");
+    for (std::size_t i = 0; i < table.rows(); ++i) {
       OtherSample s;
       s.actor = static_cast<sim::ActorId>(table.number(i, ca));
-      if (crole >= 0) s.role = table.row(i)[static_cast<std::size_t>(crole)];
+      s.role = table.text(i, crole);
       s.t = table.number(i, ct);
       s.distance = table.number(i, cd);
       s.x = table.number(i, cx);
@@ -207,40 +252,42 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
       s.vx = table.number(i, cvx);
       s.vy = table.number(i, cvy);
       s.vz = table.number(i, cvz);
+      s.throttle = table.number(i, cth);
+      s.steer = table.number(i, cst);
+      s.brake = table.number(i, cbr);
       t.others.push_back(s);
     }
   }
   {
-    const auto table = util::CsvTable::parse(events_csv);
+    const TraceTable table{events_csv, "events"};
     const int cev = table.column("event");
     const int ct = table.column("t");
     const int cframe = table.column("frame");
     const int ca = table.column("a"), cb = table.column("b"), cc = table.column("c");
-    for (std::size_t i = 0; i < table.row_count(); ++i) {
-      const auto& row = table.row(i);
-      const std::string& kind = row[static_cast<std::size_t>(cev)];
+    for (std::size_t i = 0; i < table.rows(); ++i) {
+      const std::string& kind = table.text(i, cev);
       if (kind == "collision") {
         CollisionRecord c;
         c.t = table.number(i, ct);
         c.frame = static_cast<std::uint32_t>(table.number(i, cframe));
         c.other = static_cast<sim::ActorId>(table.number(i, ca));
-        c.other_kind = row[static_cast<std::size_t>(cb)];
+        c.other_kind = table.text(i, cb);
         c.relative_speed = table.number(i, cc);
         t.collisions.push_back(c);
       } else if (kind == "lane_invasion") {
         LaneInvasionRecord l;
         l.t = table.number(i, ct);
         l.frame = static_cast<std::uint32_t>(table.number(i, cframe));
-        l.marking = row[static_cast<std::size_t>(ca)];
+        l.marking = table.text(i, ca);
         l.from_lane = static_cast<int>(table.number(i, cb));
         l.to_lane = static_cast<int>(table.number(i, cc));
         t.lane_invasions.push_back(l);
       } else if (kind == "fault") {
         FaultRecord f;
         f.t = table.number(i, ct);
-        f.fault_type = row[static_cast<std::size_t>(ca)];
+        f.fault_type = table.text(i, ca);
         f.value = table.number(i, cb);
-        f.added = row[static_cast<std::size_t>(cc)] == "added";
+        f.added = table.text(i, cc) == "added";
         f.label = f.fault_type == "delay"
                       ? util::format_number(f.value) + "ms"
                       : util::format_number(f.value * 100.0) + "%";

@@ -98,7 +98,9 @@ class RunTrace {
   std::string others_csv() const;
   std::string events_csv() const;
   /// Parses the three tables back into a trace. Throws std::invalid_argument
-  /// naming the first ego row whose t is earlier than the row before it.
+  /// naming the table and the column when a column that write_csv writes is
+  /// missing, the table, row and column when a row is shorter than its
+  /// header, and the first ego row whose t is earlier than the row before it.
   static RunTrace from_csv(const std::string& ego_csv, const std::string& others_csv,
                            const std::string& events_csv);
 };

@@ -6,7 +6,7 @@
 // whose timestamp is <= t - delay.
 #pragma once
 
-#include "util/ring_buffer.hpp"
+#include "util/seq_queue.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::util {

@@ -206,35 +206,6 @@ TEST(TeleopSession, StepApiExposesProgress) {
   EXPECT_GT(session.vehicle().runtime().ego_position(), units::Meters{5.0});
 }
 
-TEST(TeleopSession, QoeTransportCountersMirrorTheStreamStats) {
-  // One source of truth: QoeStats::transport is the sum of the two streams'
-  // own counters, never a second tally that could drift from them.
-  RunConfig rc = base_config("transport");
-  rc.fault_injected = true;
-  rc.plan.push_back({"following", {net::FaultKind::kPacketLoss, 0.05}});
-  TeleopSession session{std::move(rc), sim::make_following_scenario()};
-  const RunResult r = session.run();
-  EXPECT_EQ(r.qoe.transport.retransmits_rto,
-            r.video_stats.retransmits_rto + r.command_stats.retransmits_rto);
-  EXPECT_EQ(r.qoe.transport.retransmits_fast,
-            r.video_stats.retransmits_fast + r.command_stats.retransmits_fast);
-  EXPECT_EQ(r.qoe.transport.stale_segments,
-            r.video_stats.stale_segments + r.command_stats.stale_segments);
-  // A 5 % loss window must actually produce retransmissions, or the
-  // assertions above are vacuous.
-  EXPECT_GT(r.qoe.transport.retransmits(), 0u);
-}
-
-TEST(TeleopSession, QoeTransportCountersAreZeroOnDatagramTransports) {
-  RunConfig rc = base_config("transport_dgram");
-  rc.rds.datagram_video = true;
-  rc.rds.datagram_commands = true;
-  TeleopSession session{std::move(rc), sim::make_following_scenario()};
-  const RunResult r = session.run();
-  EXPECT_EQ(r.qoe.transport.retransmits(), 0u);
-  EXPECT_EQ(r.qoe.transport.stale_segments, 0u);
-}
-
 TEST(TeleopSession, DatagramTransportsWithMitigationActOnStalenessAlone) {
   // Datagram stats are all zero, so the link-quality estimator gets no RTT
   // or retransmit telemetry and the governor acts on staleness alone.

@@ -1,7 +1,9 @@
-// Channel, router and checksum semantics.
+// Channel delivery, dispatch and checksum semantics.
 #include <gtest/gtest.h>
 
-#include "net/router.hpp"
+#include <vector>
+
+#include "net/channel.hpp"
 
 namespace rdsim::net {
 namespace {
@@ -12,16 +14,30 @@ using util::TimePoint;
 TEST(Channel, DeliversBothDirections) {
   TrafficControl tc;
   Channel ch{tc};
-  ch.send(LinkDirection::kDownlink, {1, 2, 3}, 100, TimePoint{});
-  ch.send(LinkDirection::kUplink, {4, 5}, 50, TimePoint{});
-  ch.step(TimePoint{});
-  auto down = ch.receive(LinkDirection::kDownlink);
-  ASSERT_TRUE(down.has_value());
-  EXPECT_EQ(down->payload, (Payload{1, 2, 3}));
-  auto up = ch.receive(LinkDirection::kUplink);
-  ASSERT_TRUE(up.has_value());
-  EXPECT_EQ(up->payload, (Payload{4, 5}));
-  EXPECT_FALSE(ch.receive(LinkDirection::kDownlink).has_value());
+  struct Arrival {
+    LinkDirection via;
+    Payload body;
+  };
+  std::vector<Arrival> got;
+  ch.register_stream(1, [&](const ProtocolHeader&, ByteReader body, LinkDirection via,
+                            TimePoint) {
+    Arrival a{via, Payload(body.remaining())};
+    for (auto& b : a.body) b = body.u8();
+    got.push_back(a);
+  });
+  // Uplink is sent first, but poll drains the downlink inbox first.
+  ch.send(LinkDirection::kUplink, ProtocolHeader::seal(1, SegmentType::kData, {4, 5}), 50,
+          TimePoint{});
+  ch.send(LinkDirection::kDownlink, ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3}),
+          100, TimePoint{});
+  ch.poll(TimePoint{});
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].via, LinkDirection::kDownlink);
+  EXPECT_EQ(got[0].body, (Payload{1, 2, 3}));
+  EXPECT_EQ(got[1].via, LinkDirection::kUplink);
+  EXPECT_EQ(got[1].body, (Payload{4, 5}));
+  ch.poll(TimePoint{});
+  EXPECT_EQ(got.size(), 2u);  // each packet is dispatched once
 }
 
 TEST(Channel, SharedQdiscAffectsBothDirections) {
@@ -31,12 +47,12 @@ TEST(Channel, SharedQdiscAffectsBothDirections) {
   tc.add(parse_netem("delay 30ms"));
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ch.send(LinkDirection::kUplink, {2}, 10, TimePoint{});
-  ch.step(TimePoint::from_micros(29000));
-  EXPECT_FALSE(ch.has_pending(LinkDirection::kDownlink));
-  EXPECT_FALSE(ch.has_pending(LinkDirection::kUplink));
-  ch.step(TimePoint::from_micros(30000));
-  EXPECT_TRUE(ch.has_pending(LinkDirection::kDownlink));
-  EXPECT_TRUE(ch.has_pending(LinkDirection::kUplink));
+  ch.poll(TimePoint::from_micros(29000));
+  EXPECT_EQ(ch.stats(LinkDirection::kDownlink).packets_delivered, 0u);
+  EXPECT_EQ(ch.stats(LinkDirection::kUplink).packets_delivered, 0u);
+  ch.poll(TimePoint::from_micros(30000));
+  EXPECT_EQ(ch.stats(LinkDirection::kDownlink).packets_delivered, 1u);
+  EXPECT_EQ(ch.stats(LinkDirection::kUplink).packets_delivered, 1u);
 }
 
 TEST(Channel, TracksLatencyStats) {
@@ -44,7 +60,7 @@ TEST(Channel, TracksLatencyStats) {
   Channel ch{tc};
   tc.add(parse_netem("delay 10ms"));
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
-  ch.step(TimePoint::from_micros(10000));
+  ch.poll(TimePoint::from_micros(10000));
   const auto& stats = ch.stats(LinkDirection::kDownlink);
   EXPECT_EQ(stats.packets_sent, 1u);
   EXPECT_EQ(stats.packets_delivered, 1u);
@@ -57,7 +73,7 @@ TEST(Channel, InFlightCountsQueuedPackets) {
   tc.add(parse_netem("delay 1000ms"));
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ch.send(LinkDirection::kDownlink, {2}, 10, TimePoint{});
-  ch.step(TimePoint{});
+  ch.poll(TimePoint{});
   EXPECT_EQ(ch.in_flight(), 2u);
 }
 
@@ -121,45 +137,46 @@ TEST(ProtocolHeader, RejectsEverySingleBitFlip) {
   EXPECT_EQ(flips, 8u * ((7u + 80u) * 74u / 2u + 1038u));  // every bit of every size
 }
 
-TEST(PacketRouter, RoutesByStreamId) {
+TEST(Channel, RoutesByStreamId) {
   TrafficControl tc;
   Channel ch{tc};
-  PacketRouter router{ch};
   int got_a = 0;
   int got_b = 0;
-  router.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection,
-                                TimePoint) { ++got_a; });
-  router.register_stream(2, [&](const ProtocolHeader&, ByteReader, LinkDirection,
-                                TimePoint) { ++got_b; });
+  ch.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection, TimePoint) {
+    ++got_a;
+  });
+  ch.register_stream(2, [&](const ProtocolHeader&, ByteReader, LinkDirection, TimePoint) {
+    ++got_b;
+  });
   ch.send(LinkDirection::kDownlink, ProtocolHeader::seal(1, SegmentType::kData, {1}), 10,
           TimePoint{});
   ch.send(LinkDirection::kUplink, ProtocolHeader::seal(2, SegmentType::kData, {2}), 10,
           TimePoint{});
   ch.send(LinkDirection::kDownlink, ProtocolHeader::seal(9, SegmentType::kData, {3}), 10,
           TimePoint{});
-  router.poll(TimePoint{});
+  ch.poll(TimePoint{});
   EXPECT_EQ(got_a, 1);
   EXPECT_EQ(got_b, 1);
-  EXPECT_EQ(router.unroutable(), 1u);
+  EXPECT_EQ(ch.unroutable(), 1u);
 }
 
-TEST(PacketRouter, DropsCorruptedPacketsLikeTcpChecksum) {
-  // A corrupt qdisc plus the router checksum turns corruption into loss —
+TEST(Channel, DropsCorruptedPacketsLikeTcpChecksum) {
+  // A corrupt qdisc plus the framing checksum turns corruption into loss —
   // the §V.C observation that corruption has no distinct user-visible effect.
   TrafficControl tc;
   Channel ch{tc};
-  PacketRouter router{ch};
   int delivered = 0;
-  router.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection,
-                                TimePoint) { ++delivered; });
+  ch.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection, TimePoint) {
+    ++delivered;
+  });
   tc.add(parse_netem("corrupt 100%"));
   for (int i = 0; i < 50; ++i) {
     ch.send(LinkDirection::kDownlink,
             ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3, 4, 5}), 10, TimePoint{});
   }
-  router.poll(TimePoint{});
+  ch.poll(TimePoint{});
   EXPECT_EQ(delivered, 0);
-  EXPECT_EQ(router.checksum_failures(), 50u);
+  EXPECT_EQ(ch.checksum_failures(), 50u);
 }
 
 }  // namespace

@@ -12,12 +12,10 @@ using util::TimePoint;
 struct DgramFixture : public ::testing::Test {
   DgramFixture()
       : channel{tc},
-        router{channel},
-        sock{router, channel, 3, LinkDirection::kUplink} {}
+        sock{channel, 3, LinkDirection::kUplink} {}
 
   TrafficControl tc;
   Channel channel;
-  PacketRouter router;
   DatagramSocket sock;
 };
 
@@ -26,7 +24,7 @@ TEST_F(DgramFixture, DeliversInSendOrderOnCleanLink) {
     const TimePoint t = TimePoint::from_micros(i * 1000);
     EXPECT_EQ(sock.send_message({static_cast<std::uint8_t>(i)}, 50, t),
               static_cast<std::uint32_t>(i));
-    router.poll(t);
+    channel.poll(t);
     const auto m = sock.pop_delivered();
     ASSERT_TRUE(m.has_value());
     EXPECT_EQ(m->bytes, (Payload{static_cast<std::uint8_t>(i)}));
@@ -42,7 +40,7 @@ TEST_F(DgramFixture, DeliversInSendOrderOnCleanLink) {
 TEST_F(DgramFixture, LossIsSilent) {
   tc.add(parse_netem("loss 100%"));
   sock.send_message({1}, 50, TimePoint{});
-  router.poll(TimePoint::from_seconds(1.0));
+  channel.poll(TimePoint::from_seconds(1.0));
   EXPECT_FALSE(sock.pop_delivered().has_value());
   EXPECT_EQ(sock.sent_count(), 1u);
   EXPECT_EQ(sock.received_count(), 0u);
@@ -52,7 +50,7 @@ TEST_F(DgramFixture, ReceiveLatestSkipsBacklog) {
   for (int i = 0; i < 10; ++i) {
     sock.send_message({static_cast<std::uint8_t>(i)}, 50, TimePoint{});
   }
-  router.poll(TimePoint{});
+  channel.poll(TimePoint{});
   const auto m = sock.pop_delivered();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->bytes[0], 9);
@@ -68,11 +66,11 @@ TEST_F(DgramFixture, KeepsNoStreamTelemetry) {
     const TimePoint t = TimePoint::from_micros(i * 2000);
     sock.send_message({static_cast<std::uint8_t>(i)}, 1200, t);
     EXPECT_EQ(sock.send_backlog(), 0u);
-    router.poll(t);
+    channel.poll(t);
     sock.step(t);
     sock.pop_delivered();
   }
-  router.poll(TimePoint::from_seconds(1.0));
+  channel.poll(TimePoint::from_seconds(1.0));
   sock.pop_delivered();
   ASSERT_GT(sock.received_count(), 0u);
   ASSERT_LT(sock.received_count(), 50u);
@@ -100,8 +98,8 @@ TEST_F(DgramFixture, DropsDatagramWhoseLengthRunsPastThePacket) {
   w.u8(7);      // ...but only one body byte follows
   channel.send(LinkDirection::kUplink,
                ProtocolHeader::seal(3, SegmentType::kDatagram, w.take()), 50, TimePoint{});
-  router.poll(TimePoint{});
-  EXPECT_EQ(router.checksum_failures(), 0u);
+  channel.poll(TimePoint{});
+  EXPECT_EQ(channel.checksum_failures(), 0u);
   EXPECT_FALSE(sock.pop_delivered().has_value());
   EXPECT_EQ(sock.received_count(), 0u);
   EXPECT_EQ(sock.stale_discarded(), 0u);
@@ -118,7 +116,7 @@ TEST_F(DgramFixture, ReceiveLatestIgnoresReorderedOldPackets) {
   std::uint32_t last_seq = 0;
   bool any = false;
   for (int ms = 0; ms < 120; ms += 5) {
-    router.poll(TimePoint::from_micros(ms * 1000));
+    channel.poll(TimePoint::from_micros(ms * 1000));
     if (const auto m = sock.pop_delivered()) {
       if (any) {
         EXPECT_GE(m->message_id, last_seq);
@@ -139,7 +137,7 @@ TEST_F(DgramFixture, WrongDirectionPacketsIgnored) {
   w.bytes({1});
   channel.send(LinkDirection::kDownlink,
                ProtocolHeader::seal(3, SegmentType::kDatagram, w.take()), 50, TimePoint{});
-  router.poll(TimePoint{});
+  channel.poll(TimePoint{});
   EXPECT_FALSE(sock.pop_delivered().has_value());
 }
 

@@ -11,8 +11,6 @@ using util::TimePoint;
 TEST(FaultSpec, RendersNetemArgs) {
   EXPECT_EQ((FaultSpec{FaultKind::kDelay, 50.0}).to_netem_args(), "delay 50ms");
   EXPECT_EQ((FaultSpec{FaultKind::kPacketLoss, 0.05}).to_netem_args(), "loss 5%");
-  EXPECT_EQ((FaultSpec{FaultKind::kCorruption, 0.01}).to_netem_args(), "corrupt 1%");
-  EXPECT_EQ((FaultSpec{FaultKind::kDuplication, 0.02}).to_netem_args(), "duplicate 2%");
 }
 
 TEST(FaultSpec, LabelsMatchPaperTables) {

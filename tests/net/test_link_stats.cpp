@@ -57,7 +57,7 @@ TEST(Channel, StatsSeparatedByDirection) {
   Channel ch{tc};
   for (int i = 0; i < 3; ++i) ch.send(LinkDirection::kDownlink, {1}, 100, TimePoint{});
   ch.send(LinkDirection::kUplink, {2}, 50, TimePoint{});
-  ch.step(TimePoint{});
+  ch.poll(TimePoint{});
   EXPECT_EQ(ch.stats(LinkDirection::kDownlink).packets_sent, 3u);
   EXPECT_EQ(ch.stats(LinkDirection::kUplink).packets_sent, 1u);
   EXPECT_EQ(ch.stats(LinkDirection::kDownlink).bytes_sent, 300u);

@@ -175,12 +175,22 @@ TEST(NetemHeap, DuplicateIsReleasedBeforeTheOriginal) {
 
 // ------------------------------------------------- move vs copy byte identity
 
+/// Digest of every packet the channel dispatches (direction, stream id and
+/// body) when sealed packets go out either in pooled buffers moved into
+/// send() or as fresh copies.
 std::uint64_t delivered_digest(std::uint64_t seed, const std::string& rule,
                                bool use_move_path) {
   TrafficControl tc{seed};
   Channel ch{tc};
   tc.execute("qdisc add dev lo root " + rule);
   check::Fnv1a h;
+  ch.register_stream(1, [&h](const ProtocolHeader& header, ByteReader body,
+                             LinkDirection via, TimePoint) {
+    h.u32(static_cast<std::uint32_t>(via));
+    h.u32(header.stream_id);
+    h.u64(body.remaining());
+    for (std::size_t n = body.remaining(); n > 0; --n) h.u8(body.u8());
+  });
   std::uint32_t fill = 0x12345u;
   for (std::int64_t tick = 0; tick < 500; ++tick) {
     const TimePoint now = TimePoint::from_micros(tick * 1000);
@@ -191,26 +201,23 @@ std::uint64_t delivered_digest(std::uint64_t seed, const std::string& rule,
     }
     const LinkDirection dir =
         tick % 3 == 0 ? LinkDirection::kUplink : LinkDirection::kDownlink;
+    const auto wire = static_cast<std::uint32_t>(bytes.size()) + 40;
     if (use_move_path) {
+      const std::size_t size = ProtocolHeader::kSize + bytes.size();
+      ByteWriter w{ch.acquire_payload(size), size};
+      ProtocolHeader::begin(w, 1, SegmentType::kData);
+      w.raw(bytes.data(), bytes.size());
       Packet p;
-      p.payload = ch.acquire_payload(bytes.size());
-      p.payload.assign(bytes.begin(), bytes.end());
-      p.wire_size = static_cast<std::uint32_t>(bytes.size()) + 40;
+      p.payload = ProtocolHeader::finish(w);
+      p.wire_size = wire;
       ch.send(dir, std::move(p), now);
     } else {
-      ch.send(dir, bytes, static_cast<std::uint32_t>(bytes.size()) + 40, now);
+      ch.send(dir, ProtocolHeader::seal(1, SegmentType::kData, bytes), wire, now);
     }
-    ch.step(now);
-    for (const LinkDirection d : {LinkDirection::kDownlink, LinkDirection::kUplink}) {
-      while (auto got = ch.receive(d)) {
-        h.u64(got->id);
-        h.u32(got->flow);
-        h.u64(got->payload.size());
-        h.update(got->payload.data(), got->payload.size());
-        if (use_move_path) ch.recycle(std::move(got->payload));
-      }
-    }
+    ch.poll(now);
   }
+  EXPECT_EQ(ch.checksum_failures(), 0u);
+  EXPECT_EQ(ch.unroutable(), 0u);
   return h.digest();
 }
 
@@ -231,13 +238,12 @@ TEST(PacketPath, MovedAndCopiedSendsDeliverIdenticalBytes) {
 TEST(PacketPath, IdleTicksDoNotAllocate) {
   TrafficControl tc{5};
   Channel ch{tc};
-  PacketRouter router{ch};
-  ReliableStream stream{router, ch, 1, LinkDirection::kDownlink};
+  ReliableStream stream{ch, 1, LinkDirection::kDownlink};
   // Prime: move one message through so every lazy structure exists, then
   // drain to quiescence.
   stream.send_message(Payload(512, 7), 512, TimePoint{});
   for (std::int64_t t = 0; t <= 500000; t += 5000) {
-    router.poll(TimePoint::from_micros(t));
+    ch.poll(TimePoint::from_micros(t));
     stream.step(TimePoint::from_micros(t));
     while (stream.pop_delivered()) {
     }
@@ -246,7 +252,7 @@ TEST(PacketPath, IdleTicksDoNotAllocate) {
 
   util::AllocCounter allocs;
   for (std::int64_t t = 500000; t <= 5500000; t += 5000) {
-    router.poll(TimePoint::from_micros(t));
+    ch.poll(TimePoint::from_micros(t));
     stream.step(TimePoint::from_micros(t));
   }
   EXPECT_EQ(allocs.delta(), 0u) << "idle packet path must not touch the heap";
@@ -255,8 +261,7 @@ TEST(PacketPath, IdleTicksDoNotAllocate) {
 TEST(PacketPath, WarmStreamTickReusesPooledPayloads) {
   TrafficControl tc{5};
   Channel ch{tc};
-  PacketRouter router{ch};
-  ReliableStream stream{router, ch, 1, LinkDirection::kDownlink};
+  ReliableStream stream{ch, 1, LinkDirection::kDownlink};
   const Payload msg(2000, 9);
   std::int64_t t = 0;
   auto tick = [&](int n) {
@@ -264,7 +269,7 @@ TEST(PacketPath, WarmStreamTickReusesPooledPayloads) {
       t += 5000;
       const TimePoint now = TimePoint::from_micros(t);
       stream.send_message(msg, 2000, now);
-      router.poll(now);
+      ch.poll(now);
       stream.step(now);
       while (stream.pop_delivered()) {
       }
@@ -298,10 +303,9 @@ WarmPass measure_warm_stream(std::uint32_t wire, std::size_t payload_bytes, int 
   TrafficControl tc{5};
   Channel ch{tc};
   tc.execute("qdisc add dev lo root netem delay 5ms");
-  PacketRouter router{ch};
   StreamConfig cfg;
   cfg.mtu = 1000;
-  ReliableStream stream{router, ch, 1, LinkDirection::kDownlink, cfg};
+  ReliableStream stream{ch, 1, LinkDirection::kDownlink, cfg};
   auto make_payloads = [&] {
     std::vector<Payload> out;
     for (int i = 0; i < messages; ++i) {
@@ -316,7 +320,7 @@ WarmPass measure_warm_stream(std::uint32_t wire, std::size_t payload_bytes, int 
       for (int tick = 0; tick < send_every; ++tick) {
         now += poll;
         if (tick == 0) stream.send_message(std::move(p), wire, now);
-        router.poll(now);
+        ch.poll(now);
         stream.step(now);
         while (auto msg = stream.pop_delivered()) {
           EXPECT_EQ(msg->bytes.size(), payload_bytes);
@@ -415,7 +419,7 @@ TEST(ChannelNextEvent, TracksTheRootQdisc) {
   EXPECT_EQ(ch.next_event_at()->count_micros(), 30000);
   ASSERT_TRUE(tc.root().next_event_at().has_value());
   EXPECT_EQ(tc.root().next_event_at()->count_micros(), 30000);
-  ch.step(TimePoint::from_micros(30000));
+  ch.poll(TimePoint::from_micros(30000));
   EXPECT_FALSE(ch.next_event_at().has_value());
 }
 

@@ -82,17 +82,16 @@ RttRun run_rtt(std::uint64_t seed, const std::string& netem, int steps,
   TrafficControl tc{seed};
   Channel channel{tc};
   tc.execute("qdisc add dev lo root netem " + netem);
-  PacketRouter router{channel};
   StreamConfig cfg;
   cfg.rto_min = Duration::millis(1);
-  ReliableStream stream{router, channel, 1, LinkDirection::kDownlink, cfg};
+  ReliableStream stream{channel, 1, LinkDirection::kDownlink, cfg};
   check::Fnv1a h;
   TimePoint now;
   for (int i = 0; i < steps; ++i) {
     if (i == change_at) tc.execute("qdisc change dev lo root netem " + later);
     now += Duration::millis(1);
     stream.send_message(Payload(16, static_cast<std::uint8_t>(i)), 64, now);
-    router.poll(now);
+    channel.poll(now);
     stream.step(now);
     while (stream.pop_delivered()) {
     }

@@ -12,8 +12,8 @@ using util::TimePoint;
 
 struct StreamFixture : public ::testing::Test {
   StreamFixture()
-      : channel{tc}, router{channel},
-        stream{router, channel, 1, LinkDirection::kDownlink, config()} {}
+      : channel{tc},
+        stream{channel, 1, LinkDirection::kDownlink, config()} {}
 
   static StreamConfig config() {
     StreamConfig cfg;
@@ -26,7 +26,7 @@ struct StreamFixture : public ::testing::Test {
     const TimePoint end = now + d;
     while (now < end) {
       now += Duration::millis(1);
-      router.poll(now);
+      channel.poll(now);
       stream.step(now);
     }
   }
@@ -39,7 +39,6 @@ struct StreamFixture : public ::testing::Test {
 
   TrafficControl tc;
   Channel channel;
-  PacketRouter router;
   ReliableStream stream;
   TimePoint now;
 };
@@ -167,7 +166,7 @@ TEST_F(StreamFixture, CorruptionBehavesAsLoss) {
 TEST_F(StreamFixture, WindowLimitsInFlightSegments) {
   StreamConfig cfg = config();
   cfg.window_segments = 4;
-  ReliableStream small{router, channel, 2, LinkDirection::kDownlink, cfg};
+  ReliableStream small{channel, 2, LinkDirection::kDownlink, cfg};
   tc.add(parse_netem("delay 500ms"));  // keep ACKs away
   for (int i = 0; i < 20; ++i) small.send_message({static_cast<std::uint8_t>(i)}, 100, now);
   small.step(now);
@@ -234,11 +233,11 @@ Payload forge_ack(std::uint16_t stream_id, std::uint32_t cum_ack) {
 TEST_F(StreamFixture, ForgedDataBeyondTheRingIsDropped) {
   StreamConfig cfg = config();
   cfg.window_segments = 100;  // rounds up to a 128-slot ring
-  ReliableStream s{router, channel, 2, LinkDirection::kDownlink, cfg};
+  ReliableStream s{channel, 2, LinkDirection::kDownlink, cfg};
   auto run = [&](Duration d) {
     for (const TimePoint end = now + d; now < end;) {
       now += Duration::millis(1);
-      router.poll(now);
+      channel.poll(now);
       s.step(now);
     }
   };
@@ -276,13 +275,13 @@ TEST_F(StreamFixture, ForgedDataBeyondTheRingIsDropped) {
 TEST_F(StreamFixture, ForgedAckForUnsentDataIsDropped) {
   StreamConfig cfg = config();
   cfg.window_segments = 4;
-  ReliableStream s{router, channel, 2, LinkDirection::kDownlink, cfg};
+  ReliableStream s{channel, 2, LinkDirection::kDownlink, cfg};
   for (int i = 0; i < 20; ++i) s.send_message({static_cast<std::uint8_t>(i)}, 100, now);
   s.step(now);  // four segments in flight, sixteen queued
   channel.send(LinkDirection::kUplink, forge_ack(2, 1000), 60, now);
   for (int t = 0; t < 300; ++t) {
     now += Duration::millis(1);
-    router.poll(now);
+    channel.poll(now);
     s.step(now);
     EXPECT_LE(s.last_cum_ack(), 20u);
   }
@@ -302,11 +301,11 @@ TEST_F(StreamFixture, SegmentCountBeyondU16BreaksTheContract) {
   check::Registry::instance().set_policy(check::Policy::kThrow);
   StreamConfig cfg = config();
   cfg.mtu = 1;
-  ReliableStream tiny{router, channel, 2, LinkDirection::kDownlink, cfg};
+  ReliableStream tiny{channel, 2, LinkDirection::kDownlink, cfg};
   EXPECT_NO_THROW(tiny.send_message({1}, 65535, now));
   EXPECT_THROW(tiny.send_message({1}, 65536, now), check::ContractViolation);
   cfg.mtu = 0;
-  ReliableStream zero{router, channel, 3, LinkDirection::kDownlink, cfg};
+  ReliableStream zero{channel, 3, LinkDirection::kDownlink, cfg};
   EXPECT_THROW(zero.send_message({1}, 100, now), check::ContractViolation);
   check::Registry::instance().set_policy(saved);
 }

@@ -88,12 +88,11 @@ RunOutcome run_one(std::uint64_t seed, const Rule& rule, std::uint32_t window,
   TrafficControl tc{seed};
   Channel channel{tc};
   if (rule.netem != nullptr) tc.execute(std::string{"qdisc add dev lo root netem "} + rule.netem);
-  PacketRouter router{channel};
   StreamConfig cfg;
   cfg.mtu = kMtu;
   cfg.window_segments = window;
   cfg.ack_delay = Duration::millis(ack_delay_ms);
-  ReliableStream stream{router, channel, 1, LinkDirection::kDownlink, cfg};
+  ReliableStream stream{channel, 1, LinkDirection::kDownlink, cfg};
 
   const std::vector<Message> messages = make_messages(seed);
   check::Fnv1a h;
@@ -109,7 +108,7 @@ RunOutcome run_one(std::uint64_t seed, const Rule& rule, std::uint32_t window,
       const Message& m = messages[next_send++];
       stream.send_message(m.bytes, m.declared_wire_size, now);
     }
-    router.poll(now);
+    channel.poll(now);
     stream.step(now);
     while (auto msg = stream.pop_delivered()) {
       const auto expected_id = static_cast<std::uint32_t>(outcome.delivered);

@@ -21,8 +21,8 @@ using util::TimePoint;
 /// seed and wrapped in an obs context so every instrument records.
 struct ObservedStream {
   explicit ObservedStream(std::uint64_t tc_seed)
-      : tc{tc_seed}, channel{tc}, router{channel},
-        stream{router, channel, 1, LinkDirection::kDownlink, config()},
+      : tc{tc_seed}, channel{tc},
+        stream{channel, 1, LinkDirection::kDownlink, config()},
         scope{&ctx} {}
 
   static StreamConfig config() {
@@ -35,7 +35,7 @@ struct ObservedStream {
     const TimePoint end = now + d;
     while (now < end) {
       now += Duration::millis(1);
-      router.poll(now);
+      channel.poll(now);
       stream.step(now);
       // Cumulative-ack monotonicity, sampled every virtual millisecond.
       const std::uint32_t ack = stream.last_cum_ack();
@@ -49,7 +49,6 @@ struct ObservedStream {
   obs::Context ctx;
   TrafficControl tc;
   Channel channel;
-  PacketRouter router;
   ReliableStream stream;
   obs::ContextScope scope;
   TimePoint now;

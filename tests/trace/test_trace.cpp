@@ -90,6 +90,9 @@ RunTrace make_rich_trace() {
     o.distance = 25.0;
     o.x = e.x + 25.0;
     o.vx = 10.0;
+    o.throttle = 0.5;
+    o.steer = -0.25;
+    o.brake = 0.75;
     t.others.push_back(o);
   }
   t.collisions.push_back({1.5, 30, 2, "vehicle", 3.5});
@@ -141,6 +144,9 @@ TEST(RunTrace, CsvRoundTrip) {
   ASSERT_EQ(parsed.others.size(), original.others.size());
   EXPECT_EQ(parsed.others[0].role, "lead");
   EXPECT_NEAR(parsed.others[0].distance, 25.0, 1e-6);
+  EXPECT_EQ(parsed.others[0].throttle, 0.5);
+  EXPECT_EQ(parsed.others[0].steer, -0.25);
+  EXPECT_EQ(parsed.others[0].brake, 0.75);
   ASSERT_EQ(parsed.collisions.size(), 1u);
   EXPECT_EQ(parsed.collisions[0].other_kind, "vehicle");
   ASSERT_EQ(parsed.lane_invasions.size(), 1u);
@@ -149,6 +155,42 @@ TEST(RunTrace, CsvRoundTrip) {
   EXPECT_EQ(parsed.faults[0].label, "5%");
   EXPECT_TRUE(parsed.faults[0].added);
   EXPECT_FALSE(parsed.faults[1].added);
+}
+
+/// The message from_csv throws for the given tables, or "" when it parses.
+std::string from_csv_error(const std::string& ego, const std::string& others,
+                           const std::string& events) {
+  try {
+    RunTrace::from_csv(ego, others, events);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RunTrace, FromCsvRejectsShortRows) {
+  const RunTrace t = make_rich_trace();
+  const std::string ego = t.ego_csv();
+  const std::string others = t.others_csv();
+  const std::string events = t.events_csv();
+  ASSERT_EQ(from_csv_error(ego, others, events), "");
+
+  // A row shorter than its header names its table, row and first missing cell.
+  EXPECT_EQ(from_csv_error(ego, others, "event,t,frame,a,b,c\ncollision,1.0\n"),
+            "events CSV row 1 has no 'frame' cell");
+  EXPECT_EQ(from_csv_error(ego, "actor,role,t,distance,x,y,z,vx,vy,vz,throttle,steer,brake\n"
+                                "2,lead,0,25,0,0,0,0,0,0,0,0,0\n2,lead\n",
+                           events),
+            "others CSV row 2 has no 't' cell");
+  EXPECT_EQ(from_csv_error("t,frame,x,y,z,vx,vy,vz,ax,ay,az,throttle,steer,brake\n0\n",
+                           others, events),
+            "ego CSV row 1 has no 'frame' cell");
+
+  // A column that write_csv writes may not be missing, even with no rows.
+  EXPECT_EQ(from_csv_error(ego, others, "t,frame,a,b,c\n"),
+            "events CSV has no 'event' column");
+  EXPECT_EQ(from_csv_error(ego, "actor,role,t,distance,x,y,z,vx,vy,vz\n", events),
+            "others CSV has no 'throttle' column");
 }
 
 TEST(RunTrace, SteeringSeriesExtraction) {

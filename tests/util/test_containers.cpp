@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "util/delay_line.hpp"
-#include "util/ring_buffer.hpp"
+#include "util/seq_queue.hpp"
 
 namespace rdsim::util {
 namespace {
