@@ -1,80 +1,131 @@
-// The metric-name catalog: every first-party instrumentation id, declared
-// here and registered exactly once in catalog.cpp. Hot paths refer to these
-// ids only — never to name strings — which is what
-// `python3 -m tools.rdsim_lint.cli --rules obs` enforces (`metric-registration` / `hot-path-literal` rules). The full
-// metric reference with units and semantics lives in docs/observability.md.
+// The metric catalog: every first-party instrumentation id, fixed at compile
+// time. Each id is an enumerator of obs::metric, and catalog.cpp holds one
+// table row per id with its kind, name, help text, unit and histogram
+// layout; static_asserts there check that every row sits at its id, that
+// names are unique and match [a-z0-9_.]+, and that each histogram spec is
+// valid. Hot paths take a MetricId, which only these enumerators convert
+// to, so a name string never reaches a sample site. Adding a metric means
+// adding one enumerator here and one row in catalog.cpp. The full metric
+// reference with units and semantics lives in docs/observability.md.
 #pragma once
 
-#include "obs/metrics.hpp"
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <string_view>
+#include <vector>
 
-namespace rdsim::obs::metric {
+namespace rdsim::obs {
 
-// ---- qdisc layer (netem / pfifo) ----
-extern const MetricId kFifoEnqueued;
-extern const MetricId kFifoDequeued;
-extern const MetricId kFifoDroppedOverlimit;
-extern const MetricId kFifoDepth;
-extern const MetricId kNetemEnqueued;
-extern const MetricId kNetemDequeued;
-extern const MetricId kNetemDroppedLoss;
-extern const MetricId kNetemDroppedOverlimit;
-extern const MetricId kNetemDuplicated;
-extern const MetricId kNetemCorrupted;
-extern const MetricId kNetemReordered;
-extern const MetricId kNetemDepth;
-extern const MetricId kTbfDequeued;  ///< always zero; see catalog.cpp
+namespace metric {
 
-// ---- payload pool (per-channel buffer freelist) ----
-extern const MetricId kPoolFresh;       ///< acquisitions that heap-allocated
-extern const MetricId kPoolReused;      ///< acquisitions served from the freelist
-extern const MetricId kPoolRecycled;    ///< released buffers kept for reuse
-extern const MetricId kPoolDiscarded;   ///< released buffers dropped (cap/odd size)
+enum Id : std::uint32_t {
+  // ---- qdisc layer (netem / pfifo) ----
+  kFifoEnqueued,
+  kFifoDequeued,
+  kFifoDroppedOverlimit,
+  kFifoDepth,
+  kNetemEnqueued,
+  kNetemDequeued,
+  kNetemDroppedLoss,
+  kNetemDroppedOverlimit,
+  kNetemDuplicated,
+  kNetemCorrupted,
+  kNetemReordered,
+  kNetemDepth,
+  kTbfDequeued,  ///< always zero; see catalog.cpp
 
-// ---- reliable stream (TCP analogue) ----
-extern const MetricId kStreamSegmentsTx;          ///< every DATA transmission
-extern const MetricId kStreamSegmentsRx;          ///< every decoded DATA arrival
-extern const MetricId kStreamRetransmittedSegments;
-extern const MetricId kStreamRtoEvents;
-extern const MetricId kStreamFastRetransmits;
-extern const MetricId kStreamDupAcks;
-extern const MetricId kStreamStaleSegments;
-extern const MetricId kStreamHolStallMicros;      ///< virtual µs blocked head-of-line
-extern const MetricId kStreamHolStallSpan;        ///< traced stall windows
+  // ---- payload pool (per-channel buffer freelist) ----
+  kPoolFresh,      ///< acquisitions that heap-allocated
+  kPoolReused,     ///< acquisitions served from the freelist
+  kPoolRecycled,   ///< released buffers kept for reuse
+  kPoolDiscarded,  ///< released buffers dropped (cap/odd size)
 
-// ---- fault injection ----
-extern const MetricId kFaultsInjected;
-extern const MetricId kFaultWindowSpan;           ///< traced active-fault windows
+  // ---- reliable stream (TCP analogue) ----
+  kStreamSegmentsTx,  ///< every DATA transmission
+  kStreamSegmentsRx,  ///< every decoded DATA arrival
+  kStreamRetransmittedSegments,
+  kStreamRtoEvents,
+  kStreamFastRetransmits,
+  kStreamDupAcks,
+  kStreamStaleSegments,
+  kStreamHolStallMicros,  ///< virtual µs blocked head-of-line
+  kStreamHolStallSpan,    ///< traced stall windows
 
-// ---- operator / driver path ----
-extern const MetricId kOpFramesDisplayed;
-extern const MetricId kOpFramesSuperseded;
-extern const MetricId kOpFrameAgeMillis;          ///< capture-to-display age
-extern const MetricId kOpStalenessMillis;         ///< displayed-frame age per poll
-extern const MetricId kOpFreezeSpan;              ///< traced display freezes
+  // ---- fault injection ----
+  kFaultsInjected,
+  kFaultWindowSpan,  ///< traced active-fault windows
 
-// ---- simulation ----
-extern const MetricId kSimWorldStep;              ///< wall time in World::step
-extern const MetricId kSimCollision;              ///< instant collision markers
+  // ---- operator / driver path ----
+  kOpFramesDisplayed,
+  kOpFramesSuperseded,
+  kOpFrameAgeMillis,   ///< capture-to-display age
+  kOpStalenessMillis,  ///< displayed-frame age per poll
+  kOpFreezeSpan,       ///< traced display freezes
 
-// ---- mitigation (rdsim::mitigate) ----
-extern const MetricId kMitStateTransitions;       ///< governor state changes
-extern const MetricId kMitState;                  ///< current LinkState (gauge)
-extern const MetricId kMitInterventions;          ///< commands the governor shaped
-extern const MetricId kMitWatchdogFired;          ///< command-stale deadline crossings
-extern const MetricId kMitMrmActivations;         ///< minimal-risk maneuvers started
-extern const MetricId kMitStateSpan;              ///< traced non-NOMINAL windows (lane = state)
-extern const MetricId kMitMrmSpan;                ///< traced MRM windows
+  // ---- simulation ----
+  kSimWorldStep,  ///< wall time in World::step
+  kSimCollision,  ///< instant collision markers
 
-// ---- teleop session tick phases (wall time) ----
-extern const MetricId kPhaseStep;
-extern const MetricId kPhasePhysics;
-extern const MetricId kPhaseFaults;
-extern const MetricId kPhaseVideo;
-extern const MetricId kPhaseRouter;
-extern const MetricId kPhaseCommands;
-extern const MetricId kPhaseMitigate;
+  // ---- mitigation (rdsim::mitigate) ----
+  kMitStateTransitions,  ///< governor state changes
+  kMitState,             ///< current LinkState (gauge)
+  kMitInterventions,     ///< commands the governor shaped
+  kMitWatchdogFired,     ///< command-stale deadline crossings
+  kMitMrmActivations,    ///< minimal-risk maneuvers started
+  kMitStateSpan,         ///< traced non-NOMINAL windows (lane = state)
+  kMitMrmSpan,           ///< traced MRM windows
 
-// ---- per-run rollup ----
-extern const MetricId kRunWall;                   ///< wall time of a whole run
+  // ---- teleop session tick phases (wall time) ----
+  kPhaseStep,
+  kPhasePhysics,
+  kPhaseFaults,
+  kPhaseVideo,
+  kPhaseRouter,
+  kPhaseCommands,
+  kPhaseMitigate,
 
-}  // namespace rdsim::obs::metric
+  // ---- per-run rollup ----
+  kRunWall,  ///< wall time of a whole run
+
+  kCount  ///< number of metrics; not an id
+};
+
+}  // namespace metric
+
+using MetricId = metric::Id;
+
+enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram, kTimer };
+
+/// Log-scale bucket layout: `bucket_count` geometric buckets spanning
+/// [min_value, max_value), plus an underflow bucket (index 0, values below
+/// min_value — NaN included) and an overflow bucket (last index, values at or
+/// above max_value).
+struct HistogramSpec {
+  double min_value{1e-3};
+  double max_value{1e4};
+  std::size_t bucket_count{48};
+};
+
+struct MetricDef {
+  MetricId id{};
+  MetricKind kind{MetricKind::kCounter};
+  std::string_view name;
+  std::string_view help;
+  std::string_view unit;
+  HistogramSpec spec{};  ///< bucket layout; read for histograms only
+};
+
+/// Catalog row for `id`; throws std::out_of_range for kCount and beyond.
+const MetricDef& metric_def(MetricId id);
+
+/// Bucket boundaries of histogram `id` (spec.bucket_count + 1 values);
+/// empty for other kinds. Computed once per process.
+std::span<const double> histogram_bounds(MetricId id);
+
+/// Geometric boundaries for `spec`: bounds.front() == min_value and
+/// bounds.back() == max_value exactly, so underflow/overflow classification
+/// never depends on std::pow rounding.
+std::vector<double> geometric_bounds(const HistogramSpec& spec);
+
+}  // namespace rdsim::obs

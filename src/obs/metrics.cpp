@@ -2,135 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <stdexcept>
 
-#include "util/thread_annotations.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::obs {
-
-namespace {
-
-struct RegistryState {
-  util::Mutex mutex;
-  /// deque: references stay valid on append
-  std::deque<MetricDef> defs RDSIM_GUARDED_BY(mutex);
-};
-
-RegistryState& registry() {
-  static RegistryState state;
-  return state;
-}
-
-bool valid_metric_name(std::string_view name) {
-  if (name.empty()) return false;
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                    c == '_' || c == '.';
-    if (!ok) return false;
-  }
-  return true;
-}
-
-/// Index of `name` in state.defs, or defs.size() when absent.
-MetricId find_def(const RegistryState& state, std::string_view name)
-    RDSIM_REQUIRES(state.mutex) {
-  for (std::size_t i = 0; i < state.defs.size(); ++i) {
-    if (state.defs[i].name == name) return static_cast<MetricId>(i);
-  }
-  return static_cast<MetricId>(state.defs.size());
-}
-
-MetricId register_metric(MetricKind kind, std::string_view name,
-                         std::string_view help, std::string_view unit,
-                         std::vector<double> bounds) {
-  if (!valid_metric_name(name)) {
-    throw std::invalid_argument{"obs: metric name must match [a-z0-9_.]+: '" +
-                                std::string{name} + "'"};
-  }
-  RegistryState& state = registry();
-  const util::MutexLock lock{state.mutex};
-  if (find_def(state, name) != state.defs.size()) {
-    throw std::logic_error{"obs: metric '" + std::string{name} +
-                           "' registered twice"};
-  }
-  MetricDef def;
-  def.kind = kind;
-  def.name = std::string{name};
-  def.help = std::string{help};
-  def.unit = std::string{unit};
-  def.bounds = std::move(bounds);
-  state.defs.push_back(std::move(def));
-  return static_cast<MetricId>(state.defs.size() - 1);
-}
-
-}  // namespace
-
-std::string_view to_string(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGauge: return "gauge";
-    case MetricKind::kHistogram: return "histogram";
-    case MetricKind::kTimer: return "timer";
-  }
-  return "unknown";
-}
-
-MetricId register_counter(std::string_view name, std::string_view help,
-                          std::string_view unit) {
-  return register_metric(MetricKind::kCounter, name, help, unit, {});
-}
-
-MetricId register_gauge(std::string_view name, std::string_view help,
-                        std::string_view unit) {
-  return register_metric(MetricKind::kGauge, name, help, unit, {});
-}
-
-MetricId register_timer(std::string_view name, std::string_view help) {
-  return register_metric(MetricKind::kTimer, name, help, "ns", {});
-}
-
-MetricId register_histogram(std::string_view name, std::string_view help,
-                            std::string_view unit, HistogramSpec spec) {
-  if (!(spec.min_value > 0.0) || !(spec.max_value > spec.min_value) ||
-      spec.bucket_count == 0) {
-    throw std::invalid_argument{
-        "obs: histogram spec needs 0 < min < max and >= 1 bucket"};
-  }
-  // Geometric boundaries; the first and last are pinned exactly so
-  // underflow/overflow classification never depends on std::pow rounding.
-  std::vector<double> bounds(spec.bucket_count + 1);
-  const double n = static_cast<double>(spec.bucket_count);
-  for (std::size_t i = 1; i + 1 < bounds.size(); ++i) {
-    bounds[i] = spec.min_value * std::pow(spec.max_value / spec.min_value,
-                                          static_cast<double>(i) / n);
-  }
-  bounds.front() = spec.min_value;
-  bounds.back() = spec.max_value;
-  return register_metric(MetricKind::kHistogram, name, help, unit,
-                         std::move(bounds));
-}
-
-std::size_t metric_count() {
-  RegistryState& state = registry();
-  const util::MutexLock lock{state.mutex};
-  return state.defs.size();
-}
-
-const MetricDef& metric_def(MetricId id) {
-  RegistryState& state = registry();
-  const util::MutexLock lock{state.mutex};
-  // The deque is append-only: the returned reference stays valid after the
-  // lock is released, even while other threads keep registering.
-  return state.defs.at(id);
-}
-
-MetricId find_metric(std::string_view name) {
-  RegistryState& state = registry();
-  const util::MutexLock lock{state.mutex};
-  return find_def(state, name);
-}
 
 namespace {
 
@@ -165,15 +40,15 @@ void Context::gauge_set(MetricId id, double value) {
   ++cell.count;
 }
 
+void HistogramCell::add(std::span<const double> bounds, double value) {
+  if (counts.empty()) counts.assign(bounds.size() + 1, 0);
+  ++counts[histogram_bucket(bounds, value)];
+  ++count;
+  sum += value;
+}
+
 void Context::observe(MetricId id, double value) {
-  HistogramCell& cell = slot(histograms_, id);
-  if (cell.def == nullptr) {
-    cell.def = &metric_def(id);
-    cell.counts.assign(cell.def->bounds.size() + 1, 0);
-  }
-  ++cell.counts[histogram_bucket(*cell.def, value)];
-  ++cell.count;
-  cell.sum += value;
+  slot(histograms_, id).add(histogram_bounds(id), value);
 }
 
 void Context::timer_add(MetricId id, std::uint64_t ns) {
@@ -272,7 +147,6 @@ void Context::merge_from(const Context& other) {
     const HistogramCell& b = other.histograms_[i];
     if (b.counts.empty()) continue;
     HistogramCell& a = histograms_[i];
-    if (a.def == nullptr) a.def = b.def;
     if (a.counts.size() < b.counts.size()) a.counts.resize(b.counts.size());
     for (std::size_t k = 0; k < b.counts.size(); ++k) a.counts[k] += b.counts[k];
     a.count += b.count;
@@ -289,15 +163,14 @@ void Context::merge_from(const Context& other) {
   instants_.insert(instants_.end(), other.instants_.begin(), other.instants_.end());
 }
 
-std::size_t histogram_bucket(const MetricDef& def, double value) {
-  const std::vector<double>& bounds = def.bounds;
+std::size_t histogram_bucket(std::span<const double> bounds, double value) {
   if (!(value >= bounds.front())) return 0;  // below min, or NaN
   if (value >= bounds.back()) return bounds.size();
   const auto it = std::upper_bound(bounds.begin(), bounds.end(), value);
   return static_cast<std::size_t>(it - bounds.begin());
 }
 
-double histogram_quantile(const MetricDef& def, const HistogramCell& cell,
+double histogram_quantile(std::span<const double> bounds, const HistogramCell& cell,
                           double q) {
   if (cell.count == 0 || cell.counts.empty()) return 0.0;
   const double clamped_q = std::min(std::max(q, 0.0), 1.0);
@@ -307,12 +180,11 @@ double histogram_quantile(const MetricDef& def, const HistogramCell& cell,
   for (std::size_t bucket = 0; bucket < cell.counts.size(); ++bucket) {
     cumulative += cell.counts[bucket];
     if (cumulative >= rank) {
-      if (bucket == 0) return def.bounds.front();
-      const std::size_t bound = std::min(bucket, def.bounds.size() - 1);
-      return def.bounds[bound];
+      if (bucket == 0) return bounds.front();
+      return bounds[std::min(bucket, bounds.size() - 1)];
     }
   }
-  return def.bounds.back();
+  return bounds.back();
 }
 
 }  // namespace rdsim::obs

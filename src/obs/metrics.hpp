@@ -1,10 +1,7 @@
-// Metrics registry and per-run collection context.
+// Per-run metric collection.
 //
-// Metric *identity* is global and static: register_counter() & friends
-// append to a process-wide registry (names unique, registration happens in
-// obs/catalog.cpp for all first-party instrumentation — enforced by
-// `python3 -m tools.rdsim_lint.cli --rules obs`) and hand back a small
-// integer MetricId. Metric *values*
+// Metric *identity* is static: obs/catalog.hpp names every metric at
+// compile time, and a MetricId indexes its catalog row. Metric *values*
 // live in Context objects: one per observed unit of work (one teleop run in
 // the campaign harness), installed thread-locally via ContextScope so hot
 // paths reach it with a single TLS load. This split is what makes
@@ -19,61 +16,13 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
+#include <span>
 #include <vector>
 
+#include "obs/catalog.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::obs {
-
-using MetricId = std::uint32_t;
-
-enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram, kTimer };
-
-std::string_view to_string(MetricKind kind);
-
-/// Log-scale bucket layout: `bucket_count` geometric buckets spanning
-/// [min_value, max_value), plus an underflow bucket (index 0, values below
-/// min_value — NaN included) and an overflow bucket (last index, values at or
-/// above max_value).
-struct HistogramSpec {
-  double min_value{1e-3};
-  double max_value{1e4};
-  std::size_t bucket_count{48};
-};
-
-struct MetricDef {
-  MetricKind kind{MetricKind::kCounter};
-  std::string name;
-  std::string help;
-  std::string unit;
-  /// Histogram bucket boundaries (size bucket_count + 1; bounds.front() ==
-  /// min_value and bounds.back() == max_value exactly). Empty for other
-  /// kinds.
-  std::vector<double> bounds;
-};
-
-/// Register a metric. Names must be unique process-wide (std::logic_error on
-/// a duplicate) and match [a-z0-9_.]+; they are the stable export identity.
-/// Registration is cheap but takes a lock — never call from a hot path; all
-/// first-party ids live in obs/catalog.hpp.
-MetricId register_counter(std::string_view name, std::string_view help,
-                          std::string_view unit = "");
-MetricId register_gauge(std::string_view name, std::string_view help,
-                        std::string_view unit = "");
-MetricId register_timer(std::string_view name, std::string_view help);
-MetricId register_histogram(std::string_view name, std::string_view help,
-                            std::string_view unit, HistogramSpec spec);
-
-/// Number of metrics registered so far.
-std::size_t metric_count();
-
-/// Definition for `id`; throws std::out_of_range for unknown ids.
-const MetricDef& metric_def(MetricId id);
-
-/// Id registered under `name`, or metric_count() when unknown.
-MetricId find_metric(std::string_view name);
 
 struct GaugeCell {
   double last{0.0};
@@ -91,19 +40,19 @@ struct TimerCell {
 };
 
 struct HistogramCell {
-  std::vector<std::uint64_t> counts;  ///< size bucket_count + 2 once touched
+  std::vector<std::uint64_t> counts;  ///< size bounds.size() + 1 once touched
   std::uint64_t count{0};
   double sum{0.0};
-  /// Cached registry entry (stable storage), so the hot observe() path pays
-  /// the registry lock once per (context, histogram), not once per sample.
-  const MetricDef* def{nullptr};
+
+  /// Count one sample into the bucket `bounds` assigns it.
+  void add(std::span<const double> bounds, double value);
 };
 
 /// One closed (or still-open) virtual-time span. `lane` disambiguates
 /// concurrent spans of the same metric (e.g. per stream id); an open span
 /// has end_us < begin_us and is clamped to zero length at export.
 struct Span {
-  MetricId metric{0};
+  MetricId metric{};
   std::uint32_t lane{0};
   std::int64_t begin_us{0};
   std::int64_t end_us{-1};
@@ -111,7 +60,7 @@ struct Span {
 
 /// Instant event on the virtual clock.
 struct Instant {
-  MetricId metric{0};
+  MetricId metric{};
   std::uint32_t lane{0};
   std::int64_t ts_us{0};
 };
@@ -188,14 +137,15 @@ class ContextScope {
   Context* previous_;
 };
 
-/// Bucket index in [0, bucket_count + 1] for `value` under `def`'s bounds:
-/// 0 = underflow (value < min or NaN), bucket_count + 1 = overflow.
-std::size_t histogram_bucket(const MetricDef& def, double value);
+/// Bucket index in [0, bounds.size()] for `value`: 0 = underflow (value <
+/// bounds.front() or NaN), bounds.size() = overflow (value >= bounds.back()).
+std::size_t histogram_bucket(std::span<const double> bounds, double value);
 
 /// Quantile by bucket upper bound: the smallest boundary b such that at
 /// least ceil(q * count) samples fell in buckets with upper bound <= b.
 /// Underflow resolves to bounds.front(), overflow clamps to bounds.back().
 /// Returns 0 for an empty cell.
-double histogram_quantile(const MetricDef& def, const HistogramCell& cell, double q);
+double histogram_quantile(std::span<const double> bounds, const HistogramCell& cell,
+                          double q);
 
 }  // namespace rdsim::obs

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -30,12 +28,12 @@ void append_escaped(std::string& out, std::string_view text) {
 }
 
 /// Emit `context`'s metrics as one JSON object, keys in metric-name order.
-/// Metric ids are registration-ordered, so gather (name, payload) pairs
-/// first and sort by name for a stable export independent of link order.
+/// Metric ids follow catalog order, so gather (name, payload) pairs first
+/// and sort by name for an export that does not depend on that order.
 void append_metrics_object(std::string& out, const Context& context) {
-  std::vector<std::pair<std::string, std::string>> entries;
-  const std::size_t n = metric_count();
-  for (MetricId id = 0; id < n; ++id) {
+  std::vector<std::pair<std::string_view, std::string>> entries;
+  for (std::uint32_t i = 0; i < metric::kCount; ++i) {
+    const MetricId id{i};
     const MetricDef& def = metric_def(id);
     std::string payload;
     switch (def.kind) {
@@ -58,11 +56,12 @@ void append_metrics_object(std::string& out, const Context& context) {
       case MetricKind::kHistogram: {
         const HistogramCell* cell = context.histogram(id);
         if (cell == nullptr) continue;
+        const std::span<const double> bounds = histogram_bounds(id);
         payload = "{\"count\":" + std::to_string(cell->count) +
                   ",\"sum\":" + format_double(cell->sum) +
-                  ",\"p50\":" + format_double(histogram_quantile(def, *cell, 0.5)) +
-                  ",\"p90\":" + format_double(histogram_quantile(def, *cell, 0.9)) +
-                  ",\"p99\":" + format_double(histogram_quantile(def, *cell, 0.99)) +
+                  ",\"p50\":" + format_double(histogram_quantile(bounds, *cell, 0.5)) +
+                  ",\"p90\":" + format_double(histogram_quantile(bounds, *cell, 0.9)) +
+                  ",\"p99\":" + format_double(histogram_quantile(bounds, *cell, 0.99)) +
                   ",\"underflow\":" + std::to_string(cell->counts.front()) +
                   ",\"overflow\":" + std::to_string(cell->counts.back()) + "}";
         break;
@@ -133,17 +132,6 @@ std::string CampaignCollector::report_json() const {
   out += first ? "}" : "\n  }";
   out += "\n}\n";
   return out;
-}
-
-void CampaignCollector::write_report(const std::string& path) const {
-  std::ofstream file{path, std::ios::binary | std::ios::trunc};
-  if (!file) {
-    throw std::runtime_error{"obs: cannot open report file: " + path};
-  }
-  file << report_json();
-  if (!file.good()) {
-    throw std::runtime_error{"obs: failed writing report file: " + path};
-  }
 }
 
 void CampaignCollector::write_trace(const std::string& path) const {

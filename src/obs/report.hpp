@@ -45,9 +45,6 @@ class CampaignCollector {
   /// map sorted by metric name. Shape documented in docs/observability.md.
   std::string report_json() const RDSIM_EXCLUDES(mutex_);
 
-  /// Write report_json() to `path`; throws std::runtime_error on I/O failure.
-  void write_report(const std::string& path) const;
-
   /// Write one Chrome trace with a track per run (run-id order) to `path`.
   void write_trace(const std::string& path) const RDSIM_EXCLUDES(mutex_);
 

@@ -94,12 +94,14 @@ std::string chrome_trace_json(const std::vector<TraceTrack>& tracks) {
       NormalizedSpan n;
       n.begin_us = span.begin_us;
       n.end_us = std::max(span.end_us, span.begin_us);  // clamp open spans
-      span_groups[{metric_def(span.metric).name, span.lane}].push_back(n);
+      const std::string name{metric_def(span.metric).name};
+      span_groups[{name, span.lane}].push_back(n);
     }
     std::map<std::pair<std::string, std::uint32_t>, std::vector<std::int64_t>>
         instant_groups;
     for (const Instant& ev : track.context->instants()) {
-      instant_groups[{metric_def(ev.metric).name, ev.lane}].push_back(ev.ts_us);
+      const std::string name{metric_def(ev.metric).name};
+      instant_groups[{name, ev.lane}].push_back(ev.ts_us);
     }
 
     int tid = 0;

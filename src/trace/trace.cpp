@@ -1,10 +1,12 @@
 #include "trace/trace.hpp"
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "net/fault_injector.hpp"
 #include "sim/actor.hpp"
@@ -180,9 +182,20 @@ class TraceTable {
   }
 
   std::size_t rows() const { return csv_.row_count(); }
-  double number(std::size_t row, int col) const { return csv_.number(row, col); }
   const std::string& text(std::size_t row, int col) const {
     return csv_.row(row)[static_cast<std::size_t>(col)];
+  }
+
+  /// The cell as a T; throws unless the whole cell is a number in T's range.
+  template <typename T = double>
+  T number(std::size_t row, int col) const {
+    const std::string& cell = text(row, col);
+    if (const std::optional<T> value = util::parse_number<T>(cell)) return *value;
+    throw std::invalid_argument{
+        std::string{name_} + " CSV row " + std::to_string(row + 1) + " column '" +
+        csv_.header()[static_cast<std::size_t>(col)] + "' holds '" + cell +
+        (std::is_floating_point_v<T> ? "', which is not a number"
+                                     : "', which is not an integer in range")};
   }
 
  private:
@@ -207,7 +220,7 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
     for (std::size_t i = 0; i < table.rows(); ++i) {
       EgoSample s;
       s.t = table.number(i, ct);
-      s.frame = static_cast<std::uint32_t>(table.number(i, cframe));
+      s.frame = table.number<std::uint32_t>(i, cframe);
       s.x = table.number(i, cx);
       s.y = table.number(i, cy);
       s.z = table.number(i, cz);
@@ -242,7 +255,7 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
               cbr = table.column("brake");
     for (std::size_t i = 0; i < table.rows(); ++i) {
       OtherSample s;
-      s.actor = static_cast<sim::ActorId>(table.number(i, ca));
+      s.actor = table.number<sim::ActorId>(i, ca);
       s.role = table.text(i, crole);
       s.t = table.number(i, ct);
       s.distance = table.number(i, cd);
@@ -269,18 +282,18 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
       if (kind == "collision") {
         CollisionRecord c;
         c.t = table.number(i, ct);
-        c.frame = static_cast<std::uint32_t>(table.number(i, cframe));
-        c.other = static_cast<sim::ActorId>(table.number(i, ca));
+        c.frame = table.number<std::uint32_t>(i, cframe);
+        c.other = table.number<sim::ActorId>(i, ca);
         c.other_kind = table.text(i, cb);
         c.relative_speed = table.number(i, cc);
         t.collisions.push_back(c);
       } else if (kind == "lane_invasion") {
         LaneInvasionRecord l;
         l.t = table.number(i, ct);
-        l.frame = static_cast<std::uint32_t>(table.number(i, cframe));
+        l.frame = table.number<std::uint32_t>(i, cframe);
         l.marking = table.text(i, ca);
-        l.from_lane = static_cast<int>(table.number(i, cb));
-        l.to_lane = static_cast<int>(table.number(i, cc));
+        l.from_lane = table.number<int>(i, cb);
+        l.to_lane = table.number<int>(i, cc);
         t.lane_invasions.push_back(l);
       } else if (kind == "fault") {
         FaultRecord f;

@@ -10,7 +10,6 @@ namespace {
 // allocates, and cross-thread visibility is provided by the joins/barriers
 // of whatever concurrency primitive handed the work over.
 std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_deallocs{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -18,24 +17,17 @@ void* counted_alloc(std::size_t size) {
   throw std::bad_alloc{};
 }
 
-void counted_free(void* p) noexcept {
-  if (p == nullptr) return;
-  g_deallocs.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-
 }  // namespace
 
 namespace rdsim::util {
 
 std::uint64_t alloc_count() { return g_allocs.load(std::memory_order_relaxed); }
-std::uint64_t dealloc_count() { return g_deallocs.load(std::memory_order_relaxed); }
 
 }  // namespace rdsim::util
 
-// Replace the global allocation functions. Sized and aligned variants all
-// funnel through the two counted primitives; alignment requests beyond the
-// default are satisfied with aligned_alloc on a rounded-up size.
+// Replace the global allocation functions. Every operator new counts and
+// allocates with malloc, or with aligned_alloc on a rounded-up size for
+// alignment requests beyond the default; every operator delete frees.
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 
@@ -72,21 +64,21 @@ void* operator new[](std::size_t size, std::align_val_t al,
   return operator new(size, al, tag);
 }
 
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete[](void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  counted_free(p);
+  std::free(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  counted_free(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept {
-  counted_free(p);
+  std::free(p);
 }

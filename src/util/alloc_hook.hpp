@@ -1,7 +1,7 @@
 // Global heap-allocation counter for zero-allocation regression gates.
 //
 // Linking the rdsim_alloc_hook library replaces the global operator new /
-// delete with counting wrappers. Benchmarks and tests snapshot alloc_count()
+// delete; every operator new counts. Benchmarks and tests snapshot alloc_count()
 // around a code region to assert the region performs no heap allocation —
 // the enforcement mechanism behind the zero-allocation packet path.
 //
@@ -17,9 +17,6 @@ namespace rdsim::util {
 /// function also forces the counting operators in alloc_hook.cpp to be
 /// pulled out of the static library and override the default ones.
 std::uint64_t alloc_count();
-
-/// Deallocations (operator delete calls with a non-null pointer).
-std::uint64_t dealloc_count();
 
 /// Convenience guard: allocations between construction and delta().
 class AllocCounter {

@@ -1,7 +1,6 @@
 #include "util/csv.hpp"
 
 #include <cmath>
-#include <charconv>
 #include <cstdio>
 
 namespace rdsim::util {
@@ -134,11 +133,7 @@ double CsvTable::number(std::size_t row_idx, int col) const {
   const auto& r = rows_[row_idx];
   const auto c = static_cast<std::size_t>(col);
   if (c >= r.size()) return 0.0;
-  double out = 0.0;
-  const auto& s = r[c];
-  const auto res = std::from_chars(s.data(), s.data() + s.size(), out);
-  if (res.ec != std::errc{}) return 0.0;
-  return out;
+  return parse_number<double>(r[c]).value_or(0.0);
 }
 
 std::string format_number(double v) {

@@ -2,7 +2,9 @@
 // channels to per-run CSV files; our traces use the same schema).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -47,13 +49,25 @@ class CsvTable {
   /// Column index by name; -1 if missing.
   int column(std::string_view name) const;
 
-  /// Cell as double; 0.0 if unparsable.
+  /// Cell as double; 0.0 unless the whole cell is a number.
   double number(std::size_t row, int col) const;
 
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// `text` as a T (double or an integer type) when the whole of it is one
+/// number in T's range, else nullopt. Doubles also read "nan", "inf" and
+/// "-inf", which format_number writes.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T out{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
+}
 
 /// Format a double compactly (up to 6 significant decimals, no trailing
 /// zeros) — keeps trace files small and diffs stable.

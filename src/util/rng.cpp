@@ -38,12 +38,6 @@ double Pcg32::next_double() {
   return next_u32() * 0x1.0p-32;
 }
 
-Pcg32 Pcg32::fork() {
-  const std::uint64_t seed = (static_cast<std::uint64_t>(next_u32()) << 32) | next_u32();
-  const std::uint64_t stream = (static_cast<std::uint64_t>(next_u32()) << 32) | next_u32();
-  return Pcg32{seed, stream};
-}
-
 int Random::uniform_int(int lo, int hi) {
   if (hi <= lo) return lo;
   const auto span = static_cast<std::uint32_t>(hi - lo + 1);

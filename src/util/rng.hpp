@@ -43,10 +43,6 @@ class Pcg32 {
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Fork a statistically independent generator (distinct stream), e.g. one
-  /// per test subject. Deterministic given the parent's current state.
-  Pcg32 fork();
-
  private:
   std::uint64_t state_;
   std::uint64_t inc_;
@@ -56,7 +52,6 @@ class Pcg32 {
 class Random {
  public:
   explicit Random(std::uint64_t seed, std::uint64_t stream = 1) : rng_{seed, stream} {}
-  explicit Random(Pcg32 rng) : rng_{rng} {}
 
   double uniform() { return rng_.next_double(); }
   double uniform(double lo, double hi) { return lo + (hi - lo) * rng_.next_double(); }
@@ -79,7 +74,6 @@ class Random {
     }
   }
 
-  Random fork() { return Random{rng_.fork()}; }
   Pcg32& engine() { return rng_; }
 
  private:

@@ -64,13 +64,4 @@ std::optional<double> pearson(const std::vector<double>& a, const std::vector<do
   return cov / (sa.stddev() * sb.stddev());
 }
 
-std::optional<double> welch_t(const RunningStats& a, const RunningStats& b) {
-  if (a.count() < 2 || b.count() < 2) return std::nullopt;
-  const double se =
-      std::sqrt(a.variance() / static_cast<double>(a.count()) +
-                b.variance() / static_cast<double>(b.count()));
-  if (se == 0.0) return std::nullopt;
-  return (a.mean() - b.mean()) / se;
-}
-
 }  // namespace rdsim::util

@@ -39,8 +39,4 @@ std::optional<double> percentile(std::vector<double> values, double q);
 /// Pearson correlation of two equal-length series; nullopt on degenerate input.
 std::optional<double> pearson(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Welch's t statistic for difference of means; nullopt on degenerate input.
-/// Used to report whether faulty-run metrics differ from golden-run metrics.
-std::optional<double> welch_t(const RunningStats& a, const RunningStats& b);
-
 }  // namespace rdsim::util

@@ -13,6 +13,7 @@
 // output prints the complete replacement table, copy-paste it over kGolden.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -259,7 +260,8 @@ TEST(CampaignGolden, ObsAggregationIsWorkerCountIndependent) {
     for (const auto& [run_id, context] : other->runs()) {
       ASSERT_EQ(run_id, ref_it->first);
       const obs::Context& ref_ctx = ref_it->second;
-      for (obs::MetricId id = 0; id < obs::metric_count(); ++id) {
+      for (std::uint32_t i = 0; i < obs::metric::kCount; ++i) {
+        const obs::MetricId id{i};
         const obs::MetricDef& def = obs::metric_def(id);
         if (def.kind == obs::MetricKind::kTimer) continue;  // wall-clock noise
         EXPECT_EQ(context.counter(id), ref_ctx.counter(id))

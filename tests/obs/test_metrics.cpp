@@ -1,11 +1,11 @@
-// Known-answer and algebraic tests for the obs metrics layer: registry
-// invariants, exact histogram bucketing/quantiles against the registered
-// bucket bounds (no floating-point slop — quantiles return bound values),
-// and merge associativity/commutativity across shards.
+// Known-answer and algebraic tests for the obs metrics layer: catalog
+// identity, exact histogram bucketing/quantiles against geometric bucket
+// bounds (no floating-point slop — quantiles return bound values), and merge
+// associativity/commutativity across shards.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "obs/catalog.hpp"
@@ -14,122 +14,98 @@
 namespace rdsim::obs {
 namespace {
 
-// Test-local metrics. Registration is process-global, so names are
-// namespaced under test.* and registered once via function-local statics.
-MetricId test_counter() {
-  static const MetricId id = register_counter("test.counter", "test");
-  return id;
-}
-MetricId test_gauge() {
-  static const MetricId id = register_gauge("test.gauge", "test");
-  return id;
-}
-MetricId test_histogram() {
-  // 4 geometric buckets over [1, 16): bounds exactly 1, 2, 4, 8, 16.
-  static const MetricId id = register_histogram(
-      "test.histogram", "test", "", HistogramSpec{1.0, 16.0, 4});
-  return id;
+// Catalog ids standing in for one metric of each kind.
+constexpr MetricId kCounterId = metric::kFifoEnqueued;
+constexpr MetricId kGaugeId = metric::kFifoDepth;
+constexpr MetricId kHistogramId = metric::kOpFrameAgeMillis;
+constexpr MetricId kTimerId = metric::kPhaseStep;
+
+// 4 geometric buckets over [1, 16): bounds exactly 1, 2, 4, 8, 16.
+const std::vector<double>& small_bounds() {
+  static const std::vector<double> bounds = geometric_bounds(HistogramSpec{1.0, 16.0, 4});
+  return bounds;
 }
 
-TEST(ObsRegistry, RegistersKindsAndDefinitions) {
-  const MetricDef& counter = metric_def(test_counter());
-  EXPECT_EQ(counter.kind, MetricKind::kCounter);
-  EXPECT_EQ(counter.name, "test.counter");
-  EXPECT_EQ(find_metric("test.counter"), test_counter());
-  EXPECT_EQ(find_metric("test.definitely_not_registered"), metric_count());
-}
-
-TEST(ObsRegistry, RejectsDuplicateAndInvalidNames) {
-  test_counter();  // ensure registered
-  EXPECT_THROW(register_counter("test.counter", "dup"), std::logic_error);
-  EXPECT_THROW(register_counter("Bad Name!", "x"), std::invalid_argument);
-  EXPECT_THROW(register_counter("", "x"), std::invalid_argument);
-  EXPECT_THROW(register_histogram("test.badspec", "x", "", {4.0, 2.0, 8}),
-               std::invalid_argument);
-}
-
-TEST(ObsRegistry, CatalogIsRegistered) {
-  // The first-party catalog registers during static init; spot-check identity
+TEST(ObsCatalog, DefinesEveryFirstPartyMetric) {
+  // The first-party catalog is a compile-time table; spot-check identity
   // and that histogram bounds are pinned exactly at the spec endpoints.
   EXPECT_EQ(metric_def(metric::kNetemEnqueued).name, "qdisc.netem.enqueued");
   const MetricDef& age = metric_def(metric::kOpFrameAgeMillis);
   ASSERT_EQ(age.kind, MetricKind::kHistogram);
-  ASSERT_EQ(age.bounds.size(), 49u);
-  EXPECT_EQ(age.bounds.front(), 1.0);
-  EXPECT_EQ(age.bounds.back(), 1e4);
+  const std::span<const double> bounds = histogram_bounds(metric::kOpFrameAgeMillis);
+  ASSERT_EQ(bounds.size(), 49u);
+  EXPECT_EQ(bounds.front(), 1.0);
+  EXPECT_EQ(bounds.back(), 1e4);
 }
 
 TEST(ObsHistogram, GeometricBoundsAreExactPowersForPowerOfTwoSpan) {
-  const MetricDef& def = metric_def(test_histogram());
+  const std::vector<double>& bounds = small_bounds();
   const std::vector<double> expected{1.0, 2.0, 4.0, 8.0, 16.0};
-  ASSERT_EQ(def.bounds.size(), expected.size());
+  ASSERT_EQ(bounds.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_DOUBLE_EQ(def.bounds[i], expected[i]) << "bound " << i;
+    EXPECT_DOUBLE_EQ(bounds[i], expected[i]) << "bound " << i;
   }
 }
 
 TEST(ObsHistogram, KnownAnswerBucketingAndQuantiles) {
-  const MetricDef& def = metric_def(test_histogram());
+  const std::vector<double>& bounds = small_bounds();
   // Bucket layout: [underflow)<1, [1,2), [2,4), [4,8), [8,16), overflow>=16.
-  EXPECT_EQ(histogram_bucket(def, 0.5), 0u);   // underflow
-  EXPECT_EQ(histogram_bucket(def, 1.0), 1u);
-  EXPECT_EQ(histogram_bucket(def, 1.999), 1u);
-  EXPECT_EQ(histogram_bucket(def, 2.0), 2u);
-  EXPECT_EQ(histogram_bucket(def, 7.999), 3u);
-  EXPECT_EQ(histogram_bucket(def, 8.0), 4u);
-  EXPECT_EQ(histogram_bucket(def, 16.0), 5u);  // overflow (>= max)
-  EXPECT_EQ(histogram_bucket(def, 1e9), 5u);
-  EXPECT_EQ(histogram_bucket(def, std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(histogram_bucket(bounds, 0.5), 0u);   // underflow
+  EXPECT_EQ(histogram_bucket(bounds, 1.0), 1u);
+  EXPECT_EQ(histogram_bucket(bounds, 1.999), 1u);
+  EXPECT_EQ(histogram_bucket(bounds, 2.0), 2u);
+  EXPECT_EQ(histogram_bucket(bounds, 7.999), 3u);
+  EXPECT_EQ(histogram_bucket(bounds, 8.0), 4u);
+  EXPECT_EQ(histogram_bucket(bounds, 16.0), 5u);  // overflow (>= max)
+  EXPECT_EQ(histogram_bucket(bounds, 1e9), 5u);
+  EXPECT_EQ(histogram_bucket(bounds, std::numeric_limits<double>::quiet_NaN()), 0u);
 
-  Context ctx;
+  HistogramCell cell;
   // 10 samples: 4 in [1,2), 3 in [2,4), 2 in [4,8), 1 in [8,16).
-  for (const double v : {1.0, 1.2, 1.5, 1.9}) ctx.observe(test_histogram(), v);
-  for (const double v : {2.0, 3.0, 3.9}) ctx.observe(test_histogram(), v);
-  for (const double v : {4.5, 7.0}) ctx.observe(test_histogram(), v);
-  ctx.observe(test_histogram(), 9.0);
+  for (const double v : {1.0, 1.2, 1.5, 1.9}) cell.add(bounds, v);
+  for (const double v : {2.0, 3.0, 3.9}) cell.add(bounds, v);
+  for (const double v : {4.5, 7.0}) cell.add(bounds, v);
+  cell.add(bounds, 9.0);
 
-  const HistogramCell* cell = ctx.histogram(test_histogram());
-  ASSERT_NE(cell, nullptr);
-  EXPECT_EQ(cell->count, 10u);
+  EXPECT_EQ(cell.count, 10u);
   const std::vector<std::uint64_t> expected_counts{0, 4, 3, 2, 1, 0};
-  EXPECT_EQ(cell->counts, expected_counts);
+  EXPECT_EQ(cell.counts, expected_counts);
 
   // Quantiles resolve to the exact upper bound of the rank's bucket:
   // ranks 1-4 -> bound 2, ranks 5-7 -> bound 4, 8-9 -> 8, 10 -> 16.
-  EXPECT_EQ(histogram_quantile(*cell->def, *cell, 0.10), 2.0);
-  EXPECT_EQ(histogram_quantile(*cell->def, *cell, 0.40), 2.0);
-  EXPECT_EQ(histogram_quantile(*cell->def, *cell, 0.50), 4.0);
-  EXPECT_EQ(histogram_quantile(*cell->def, *cell, 0.70), 4.0);
-  EXPECT_EQ(histogram_quantile(*cell->def, *cell, 0.90), 8.0);
-  EXPECT_EQ(histogram_quantile(*cell->def, *cell, 1.00), 16.0);
+  EXPECT_EQ(histogram_quantile(bounds, cell, 0.10), 2.0);
+  EXPECT_EQ(histogram_quantile(bounds, cell, 0.40), 2.0);
+  EXPECT_EQ(histogram_quantile(bounds, cell, 0.50), 4.0);
+  EXPECT_EQ(histogram_quantile(bounds, cell, 0.70), 4.0);
+  EXPECT_EQ(histogram_quantile(bounds, cell, 0.90), 8.0);
+  EXPECT_EQ(histogram_quantile(bounds, cell, 1.00), 16.0);
 }
 
 TEST(ObsHistogram, UnderflowAndOverflowQuantileEndpoints) {
-  Context ctx;
-  ctx.observe(test_histogram(), 0.01);  // underflow
-  ctx.observe(test_histogram(), 99.0);  // overflow
-  const HistogramCell* cell = ctx.histogram(test_histogram());
-  ASSERT_NE(cell, nullptr);
-  EXPECT_EQ(cell->counts.front(), 1u);
-  EXPECT_EQ(cell->counts.back(), 1u);
+  const std::vector<double>& bounds = small_bounds();
+  HistogramCell cell;
+  cell.add(bounds, 0.01);  // underflow
+  cell.add(bounds, 99.0);  // overflow
+  EXPECT_EQ(cell.counts.front(), 1u);
+  EXPECT_EQ(cell.counts.back(), 1u);
   // Underflow rank resolves to the min bound; overflow clamps to the max.
-  EXPECT_EQ(histogram_quantile(*cell->def, *cell, 0.25), 1.0);
-  EXPECT_EQ(histogram_quantile(*cell->def, *cell, 1.0), 16.0);
+  EXPECT_EQ(histogram_quantile(bounds, cell, 0.25), 1.0);
+  EXPECT_EQ(histogram_quantile(bounds, cell, 1.0), 16.0);
 }
 
 Context make_shard(unsigned salt) {
   Context ctx;
   for (unsigned i = 0; i <= salt; ++i) {
-    ctx.count(test_counter(), i + 1);
-    ctx.gauge_set(test_gauge(), static_cast<double>(salt * 10 + i));
-    ctx.observe(test_histogram(), 1.0 + static_cast<double>((salt + i) % 20));
-    ctx.timer_add(test_counter(), 100 * (salt + 1));
+    ctx.count(kCounterId, i + 1);
+    ctx.gauge_set(kGaugeId, static_cast<double>(salt * 10 + i));
+    ctx.observe(kHistogramId, 1.0 + static_cast<double>((salt + i) % 20));
+    ctx.timer_add(kTimerId, 100 * (salt + 1));
   }
   return ctx;
 }
 
 std::vector<std::uint64_t> histogram_counts(const Context& ctx) {
-  const HistogramCell* cell = ctx.histogram(test_histogram());
+  const HistogramCell* cell = ctx.histogram(kHistogramId);
   return cell != nullptr ? cell->counts : std::vector<std::uint64_t>{};
 }
 
@@ -156,17 +132,17 @@ TEST(ObsMerge, AssociativeAndCommutativeAcrossShards) {
   reversed.merge_from(a);
 
   for (const Context* other : {&right, &reversed}) {
-    EXPECT_EQ(left.counter(test_counter()), other->counter(test_counter()));
+    EXPECT_EQ(left.counter(kCounterId), other->counter(kCounterId));
     EXPECT_EQ(histogram_counts(left), histogram_counts(*other));
-    const GaugeCell* lg = left.gauge(test_gauge());
-    const GaugeCell* og = other->gauge(test_gauge());
+    const GaugeCell* lg = left.gauge(kGaugeId);
+    const GaugeCell* og = other->gauge(kGaugeId);
     ASSERT_NE(lg, nullptr);
     ASSERT_NE(og, nullptr);
     EXPECT_EQ(lg->min, og->min);
     EXPECT_EQ(lg->max, og->max);
     EXPECT_EQ(lg->count, og->count);
-    const TimerCell* lt = left.timer(test_counter());
-    const TimerCell* ot = other->timer(test_counter());
+    const TimerCell* lt = left.timer(kTimerId);
+    const TimerCell* ot = other->timer(kTimerId);
     ASSERT_NE(lt, nullptr);
     ASSERT_NE(ot, nullptr);
     EXPECT_EQ(lt->total_ns, ot->total_ns);
@@ -183,26 +159,26 @@ TEST(ObsMerge, MergeEqualsSingleContextObservingEverything) {
   Context single;
   for (const unsigned salt : {0u, 3u, 7u}) {
     for (unsigned i = 0; i <= salt; ++i) {
-      single.count(test_counter(), i + 1);
-      single.gauge_set(test_gauge(), static_cast<double>(salt * 10 + i));
-      single.observe(test_histogram(), 1.0 + static_cast<double>((salt + i) % 20));
-      single.timer_add(test_counter(), 100 * (salt + 1));
+      single.count(kCounterId, i + 1);
+      single.gauge_set(kGaugeId, static_cast<double>(salt * 10 + i));
+      single.observe(kHistogramId, 1.0 + static_cast<double>((salt + i) % 20));
+      single.timer_add(kTimerId, 100 * (salt + 1));
     }
   }
 
-  EXPECT_EQ(merged.counter(test_counter()), single.counter(test_counter()));
+  EXPECT_EQ(merged.counter(kCounterId), single.counter(kCounterId));
   EXPECT_EQ(histogram_counts(merged), histogram_counts(single));
-  ASSERT_NE(merged.gauge(test_gauge()), nullptr);
-  EXPECT_EQ(merged.gauge(test_gauge())->min, single.gauge(test_gauge())->min);
-  EXPECT_EQ(merged.gauge(test_gauge())->max, single.gauge(test_gauge())->max);
-  EXPECT_EQ(merged.gauge(test_gauge())->sum, single.gauge(test_gauge())->sum);
+  ASSERT_NE(merged.gauge(kGaugeId), nullptr);
+  EXPECT_EQ(merged.gauge(kGaugeId)->min, single.gauge(kGaugeId)->min);
+  EXPECT_EQ(merged.gauge(kGaugeId)->max, single.gauge(kGaugeId)->max);
+  EXPECT_EQ(merged.gauge(kGaugeId)->sum, single.gauge(kGaugeId)->sum);
 }
 
 TEST(ObsContext, GaugeTracksLastMinMaxMeanCount) {
   Context ctx;
-  EXPECT_EQ(ctx.gauge(test_gauge()), nullptr);  // untouched -> null
-  for (const double v : {5.0, 1.0, 9.0, 3.0}) ctx.gauge_set(test_gauge(), v);
-  const GaugeCell* g = ctx.gauge(test_gauge());
+  EXPECT_EQ(ctx.gauge(kGaugeId), nullptr);  // untouched -> null
+  for (const double v : {5.0, 1.0, 9.0, 3.0}) ctx.gauge_set(kGaugeId, v);
+  const GaugeCell* g = ctx.gauge(kGaugeId);
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->last, 3.0);
   EXPECT_EQ(g->min, 1.0);
@@ -214,11 +190,11 @@ TEST(ObsContext, GaugeTracksLastMinMaxMeanCount) {
 TEST(ObsContext, EmptyDetectsAnyActivity) {
   Context ctx;
   EXPECT_TRUE(ctx.empty());
-  ctx.count(test_counter(), 1);
+  ctx.count(kCounterId, 1);
   EXPECT_FALSE(ctx.empty());
 
   Context with_span;
-  const std::size_t h = with_span.span_open(test_counter(), util::TimePoint{});
+  const std::size_t h = with_span.span_open(kCounterId, util::TimePoint{});
   with_span.span_close(h, util::TimePoint::from_micros(10));
   EXPECT_FALSE(with_span.empty());
 }

@@ -15,23 +15,17 @@
 namespace rdsim::obs {
 namespace {
 
-MetricId scope_timer() {
-  static const MetricId id = register_timer("test.scope_timer", "test");
-  return id;
-}
-MetricId pool_counter() {
-  static const MetricId id = register_counter("test.pool_counter", "test");
-  return id;
-}
+constexpr MetricId kScopeTimer = metric::kPhaseStep;
+constexpr MetricId kPoolCounter = metric::kFifoEnqueued;
 
 TEST(ObsProfile, ScopedTimerAccumulatesIntoCurrentContext) {
   Context ctx;
   {
     ContextScope scope{&ctx};
-    { RDSIM_OBS_TIMER(scope_timer()); }
-    { RDSIM_OBS_TIMER(scope_timer()); }
+    { RDSIM_OBS_TIMER(kScopeTimer); }
+    { RDSIM_OBS_TIMER(kScopeTimer); }
   }
-  const TimerCell* cell = ctx.timer(scope_timer());
+  const TimerCell* cell = ctx.timer(kScopeTimer);
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->count, 2u);
 }
@@ -39,8 +33,8 @@ TEST(ObsProfile, ScopedTimerAccumulatesIntoCurrentContext) {
 TEST(ObsProfile, NoContextMeansNoRecording) {
   ASSERT_EQ(Context::current(), nullptr);
   // Must be safe and free-standing with no context installed.
-  RDSIM_OBS_COUNT(pool_counter(), 1);
-  { RDSIM_OBS_TIMER(scope_timer()); }
+  RDSIM_OBS_COUNT(kPoolCounter, 1);
+  { RDSIM_OBS_TIMER(kScopeTimer); }
 }
 
 TEST(ObsProfile, ContextScopesNestAndRestore) {
@@ -51,14 +45,14 @@ TEST(ObsProfile, ContextScopesNestAndRestore) {
     {
       ContextScope inner_scope{&inner};
       EXPECT_EQ(Context::current(), &inner);
-      RDSIM_OBS_COUNT(pool_counter(), 5);
+      RDSIM_OBS_COUNT(kPoolCounter, 5);
     }
     EXPECT_EQ(Context::current(), &outer);
-    RDSIM_OBS_COUNT(pool_counter(), 2);
+    RDSIM_OBS_COUNT(kPoolCounter, 2);
   }
   EXPECT_EQ(Context::current(), nullptr);
-  EXPECT_EQ(inner.counter(pool_counter()), 5u);
-  EXPECT_EQ(outer.counter(pool_counter()), 2u);
+  EXPECT_EQ(inner.counter(kPoolCounter), 5u);
+  EXPECT_EQ(outer.counter(kPoolCounter), 2u);
 }
 
 TEST(ObsProfile, RuntimeDisableBlocksContextInstallation) {
@@ -70,16 +64,16 @@ TEST(ObsProfile, RuntimeDisableBlocksContextInstallation) {
     {
       ContextScope off_scope{nullptr};
       EXPECT_EQ(Context::current(), nullptr);
-      RDSIM_OBS_COUNT(pool_counter(), 100);
-      { RDSIM_OBS_TIMER(scope_timer()); }
+      RDSIM_OBS_COUNT(kPoolCounter, 100);
+      { RDSIM_OBS_TIMER(kScopeTimer); }
     }
     EXPECT_TRUE(ctx.empty());
     EXPECT_EQ(Context::current(), &ctx);
-    RDSIM_OBS_COUNT(pool_counter(), 1);
+    RDSIM_OBS_COUNT(kPoolCounter, 1);
   }
   EXPECT_EQ(Context::current(), nullptr);
-  EXPECT_EQ(ctx.counter(pool_counter()), 1u);
-  EXPECT_EQ(ctx.timer(scope_timer()), nullptr);
+  EXPECT_EQ(ctx.counter(kPoolCounter), 1u);
+  EXPECT_EQ(ctx.timer(kScopeTimer), nullptr);
 }
 
 TEST(ObsProfile, PoolAggregationIsWorkerCountIndependent) {
@@ -94,8 +88,8 @@ TEST(ObsProfile, PoolAggregationIsWorkerCountIndependent) {
     pool.parallel_for(kTasks, [&](std::size_t i) {
       ContextScope scope{&contexts[i]};
       for (std::size_t k = 0; k <= i; ++k) {
-        RDSIM_OBS_COUNT(pool_counter(), k + 1);
-        { RDSIM_OBS_TIMER(scope_timer()); }
+        RDSIM_OBS_COUNT(kPoolCounter, k + 1);
+        { RDSIM_OBS_TIMER(kScopeTimer); }
       }
     });
     for (std::size_t i = 0; i < kTasks; ++i) {
@@ -115,17 +109,17 @@ TEST(ObsProfile, PoolAggregationIsWorkerCountIndependent) {
     auto ref_it = reference->runs().begin();
     for (const auto& [run_id, ctx] : other->runs()) {
       EXPECT_EQ(run_id, ref_it->first);
-      EXPECT_EQ(ctx.counter(pool_counter()), ref_it->second.counter(pool_counter()))
+      EXPECT_EQ(ctx.counter(kPoolCounter), ref_it->second.counter(kPoolCounter))
           << run_id;
       ++ref_it;
     }
     // ...and so is the merged rollup (timer counts too — only the measured
     // nanoseconds are nondeterministic, never the structure).
     const Context merged = other->merged();
-    EXPECT_EQ(merged.counter(pool_counter()), ref_merged.counter(pool_counter()));
-    ASSERT_NE(merged.timer(scope_timer()), nullptr);
-    EXPECT_EQ(merged.timer(scope_timer())->count,
-              ref_merged.timer(scope_timer())->count);
+    EXPECT_EQ(merged.counter(kPoolCounter), ref_merged.counter(kPoolCounter));
+    ASSERT_NE(merged.timer(kScopeTimer), nullptr);
+    EXPECT_EQ(merged.timer(kScopeTimer)->count,
+              ref_merged.timer(kScopeTimer)->count);
   }
 }
 

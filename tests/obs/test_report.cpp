@@ -11,25 +11,15 @@
 namespace rdsim::obs {
 namespace {
 
-MetricId report_counter() {
-  static const MetricId id = register_counter("test.report_counter", "test");
-  return id;
-}
-MetricId report_gauge() {
-  static const MetricId id = register_gauge("test.report_gauge", "test");
-  return id;
-}
-MetricId report_histogram() {
-  static const MetricId id = register_histogram("test.report_histogram", "test",
-                                                "", HistogramSpec{1.0, 16.0, 4});
-  return id;
-}
+constexpr MetricId kReportCounter = metric::kFifoEnqueued;
+constexpr MetricId kReportGauge = metric::kFifoDepth;
+constexpr MetricId kReportHistogram = metric::kOpFrameAgeMillis;
 
 Context run_context(std::uint64_t n) {
   Context ctx;
-  ctx.count(report_counter(), n);
-  ctx.gauge_set(report_gauge(), static_cast<double>(n));
-  ctx.observe(report_histogram(), static_cast<double>(n));
+  ctx.count(kReportCounter, n);
+  ctx.gauge_set(kReportGauge, static_cast<double>(n));
+  ctx.observe(kReportHistogram, static_cast<double>(n));
   return ctx;
 }
 
@@ -44,7 +34,7 @@ TEST(ObsReport, RunsIterateInRunIdOrderRegardlessOfSubmitOrder) {
     EXPECT_LT(previous, id);
     previous = id;
   }
-  EXPECT_EQ(collector.merged().counter(report_counter()), 15u);
+  EXPECT_EQ(collector.merged().counter(kReportCounter), 15u);
 }
 
 TEST(ObsReport, DuplicateRunIdFoldsViaMerge) {
@@ -52,7 +42,7 @@ TEST(ObsReport, DuplicateRunIdFoldsViaMerge) {
   collector.submit_run("run-01", run_context(3));
   collector.submit_run("run-01", run_context(4));
   ASSERT_EQ(collector.run_count(), 1u);
-  EXPECT_EQ(collector.runs().at("run-01").counter(report_counter()), 7u);
+  EXPECT_EQ(collector.runs().at("run-01").counter(kReportCounter), 7u);
 }
 
 TEST(ObsReport, EmptyContextIsStillARun) {
@@ -72,32 +62,32 @@ TEST(ObsReport, ReportJsonParsesAndCarriesKnownValues) {
   EXPECT_EQ(static_cast<int>(root.at("runs").num()), 2);
 
   const json_check::Value& campaign = root.at("campaign");
-  EXPECT_EQ(static_cast<int>(campaign.at("test.report_counter").num()), 6);
-  const json_check::Value& gauge = campaign.at("test.report_gauge");
+  EXPECT_EQ(static_cast<int>(campaign.at("qdisc.fifo.enqueued").num()), 6);
+  const json_check::Value& gauge = campaign.at("qdisc.fifo.depth");
   EXPECT_EQ(gauge.at("min").num(), 2.0);
   EXPECT_EQ(gauge.at("max").num(), 4.0);
   EXPECT_EQ(static_cast<int>(gauge.at("count").num()), 2);
-  const json_check::Value& histogram = campaign.at("test.report_histogram");
+  const json_check::Value& histogram = campaign.at("operator.frame_age_ms");
   EXPECT_EQ(static_cast<int>(histogram.at("count").num()), 2);
   EXPECT_EQ(histogram.at("sum").num(), 6.0);
 
   const json_check::Value& per_run = root.at("per_run");
   EXPECT_EQ(static_cast<int>(
-                per_run.at("run-01").at("test.report_counter").num()),
+                per_run.at("run-01").at("qdisc.fifo.enqueued").num()),
             2);
   EXPECT_EQ(static_cast<int>(
-                per_run.at("run-02").at("test.report_counter").num()),
+                per_run.at("run-02").at("qdisc.fifo.enqueued").num()),
             4);
 }
 
 TEST(ObsReport, ZeroCountersAreOmittedFromTheReport) {
   CampaignCollector collector;
   Context ctx;
-  ctx.gauge_set(report_gauge(), 1.0);  // counter never touched
+  ctx.gauge_set(kReportGauge, 1.0);  // counter never touched
   collector.submit_run("run-01", std::move(ctx));
   const json_check::Value root = json_check::parse(collector.report_json());
-  EXPECT_FALSE(root.at("campaign").has("test.report_counter"));
-  EXPECT_TRUE(root.at("campaign").has("test.report_gauge"));
+  EXPECT_FALSE(root.at("campaign").has("qdisc.fifo.enqueued"));
+  EXPECT_TRUE(root.at("campaign").has("qdisc.fifo.depth"));
 }
 
 }  // namespace

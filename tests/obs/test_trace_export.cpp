@@ -18,18 +18,9 @@
 namespace rdsim::obs {
 namespace {
 
-MetricId trace_span() {
-  static const MetricId id = register_timer("test.trace_span", "test");
-  return id;
-}
-MetricId trace_span_b() {
-  static const MetricId id = register_timer("test.trace_span_b", "test");
-  return id;
-}
-MetricId trace_instant() {
-  static const MetricId id = register_counter("test.trace_instant", "test");
-  return id;
-}
+constexpr MetricId kTraceSpan = metric::kOpFreezeSpan;
+constexpr MetricId kTraceSpanB = metric::kFaultWindowSpan;
+constexpr MetricId kTraceInstant = metric::kSimCollision;
 
 util::TimePoint at(std::int64_t us) { return util::TimePoint::from_micros(us); }
 
@@ -75,11 +66,11 @@ TEST(ObsTrace, EmptyTrackSetIsValidJson) {
 
 TEST(ObsTrace, RoundTripsSpansAndInstants) {
   Context ctx;
-  const std::size_t s1 = ctx.span_open(trace_span(), at(100));
+  const std::size_t s1 = ctx.span_open(kTraceSpan, at(100));
   ctx.span_close(s1, at(400));
-  const std::size_t s2 = ctx.span_open(trace_span(), at(500));
+  const std::size_t s2 = ctx.span_open(kTraceSpan, at(500));
   ctx.span_close(s2, at(650));
-  ctx.instant(trace_instant(), at(123));
+  ctx.instant(kTraceInstant, at(123));
 
   const json_check::Value root =
       parse_and_check(chrome_trace_json({{"run-a", &ctx}}));
@@ -90,12 +81,12 @@ TEST(ObsTrace, RoundTripsSpansAndInstants) {
     const std::string& ph = ev.at("ph").str();
     if (ph == "B") {
       ++begins;
-      EXPECT_EQ(ev.at("name").str(), "test.trace_span");
+      EXPECT_EQ(ev.at("name").str(), "operator.freezes");
     } else if (ph == "E") {
       ++ends;
     } else if (ph == "i") {
       ++instants;
-      EXPECT_EQ(ev.at("name").str(), "test.trace_instant");
+      EXPECT_EQ(ev.at("name").str(), "sim.collisions");
       EXPECT_EQ(static_cast<std::int64_t>(ev.at("ts").num()), 123);
     } else if (ph == "M") {
       ++metadata;
@@ -122,9 +113,9 @@ TEST(ObsTrace, OverlappingSpansSplitAcrossSubThreads) {
   Context ctx;
   // Three mutually-overlapping spans of one (metric, lane): the B/E format
   // cannot express that on one thread, so the exporter must use >= 3 tids.
-  const std::size_t a = ctx.span_open(trace_span(), at(0));
-  const std::size_t b = ctx.span_open(trace_span(), at(10));
-  const std::size_t c = ctx.span_open(trace_span(), at(20));
+  const std::size_t a = ctx.span_open(kTraceSpan, at(0));
+  const std::size_t b = ctx.span_open(kTraceSpan, at(10));
+  const std::size_t c = ctx.span_open(kTraceSpan, at(20));
   ctx.span_close(a, at(100));
   ctx.span_close(b, at(110));
   ctx.span_close(c, at(120));
@@ -141,7 +132,7 @@ TEST(ObsTrace, OverlappingSpansSplitAcrossSubThreads) {
 
 TEST(ObsTrace, OpenSpanExportsClampedNotNegative) {
   Context ctx;
-  ctx.span_open(trace_span(), at(42));  // never closed
+  ctx.span_open(kTraceSpan, at(42));  // never closed
   const json_check::Value root =
       parse_and_check(chrome_trace_json({{"run", &ctx}}));
   // parse_and_check already verifies the B/E pair balances and stays
@@ -157,7 +148,7 @@ TEST(ObsTrace, OpenSpanExportsClampedNotNegative) {
 TEST(ObsTrace, LanesGetDistinctThreads) {
   Context ctx;
   for (const std::uint32_t lane : {1u, 2u, 3u}) {
-    const std::size_t h = ctx.span_open(trace_span(), at(0), lane);
+    const std::size_t h = ctx.span_open(kTraceSpan, at(0), lane);
     ctx.span_close(h, at(50));
   }
   const json_check::Value root =
@@ -178,7 +169,7 @@ TEST(ObsTrace, ExportIsDeterministic) {
     for (int i = 0; i < 64; ++i) {
       const auto begin = static_cast<std::int64_t>(rng.uniform_int(0, 10000));
       const std::size_t h = ctx.span_open(
-          rng.bernoulli(0.5) ? trace_span() : trace_span_b(), at(begin),
+          rng.bernoulli(0.5) ? kTraceSpan : kTraceSpanB, at(begin),
           static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
       ctx.span_close(h, at(begin + rng.uniform_int(0, 500)));
     }
@@ -191,7 +182,7 @@ TEST(ObsTrace, ExportIsDeterministic) {
 
 TEST(ObsTrace, EscapesControlAndQuoteCharactersInTrackNames) {
   Context ctx;
-  ctx.instant(trace_instant(), at(0));
+  ctx.instant(kTraceInstant, at(0));
   const std::string text =
       chrome_trace_json({{"we\"ird\\name\nwith\tctrl\x01", &ctx}});
   const json_check::Value root = parse_and_check(text);
@@ -220,7 +211,7 @@ TEST(ObsTrace, FuzzRandomizedSpansAlwaysProduceValidTraces) {
       std::vector<std::size_t> open;
       for (int op = 0; op < ops; ++op) {
         const auto ts = static_cast<std::int64_t>(rng.uniform_int(0, 100000));
-        const MetricId metric = rng.bernoulli(0.5) ? trace_span() : trace_span_b();
+        const MetricId metric = rng.bernoulli(0.5) ? kTraceSpan : kTraceSpanB;
         const auto lane = static_cast<std::uint32_t>(rng.uniform_int(0, 4));
         const double dice = rng.uniform();
         if (dice < 0.5) {

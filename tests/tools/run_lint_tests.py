@@ -29,7 +29,7 @@ sys.path.insert(0, str(REPO_ROOT))
 from tools.rdsim_lint import cpp  # noqa: E402
 from tools.rdsim_lint.engine import SourceTree, run_rules  # noqa: E402
 from tools.rdsim_lint.rules import determinism, fields, layering  # noqa: E402
-from tools.rdsim_lint.rules import obs, threads, units  # noqa: E402
+from tools.rdsim_lint.rules import threads, units  # noqa: E402
 
 FIXTURES = REPO_ROOT / "tests" / "tools" / "fixtures"
 
@@ -42,7 +42,6 @@ CASES = {
     "fields_good": fields.FieldsRule,
     "layering_bad": layering.LayeringRule,
     "layering_good": layering.LayeringRule,
-    "obs_bad": obs.ObsRule,
     "threads_bad": threads.ThreadsRule,
     "units_bad": lambda: units.UnitsRule(baseline={}),
     "units_stale": lambda: units.UnitsRule(

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -191,6 +193,53 @@ TEST(RunTrace, FromCsvRejectsShortRows) {
             "events CSV has no 'event' column");
   EXPECT_EQ(from_csv_error(ego, "actor,role,t,distance,x,y,z,vx,vy,vz\n", events),
             "others CSV has no 'throttle' column");
+}
+
+TEST(RunTrace, FromCsvRejectsNonNumericCells) {
+  const RunTrace t = make_rich_trace();
+  const std::string others = t.others_csv();
+  const std::string events = t.events_csv();
+  const std::string ego_header = "t,frame,x,y,z,vx,vy,vz,ax,ay,az,throttle,steer,brake\n";
+  const auto zeros = [](int n) {
+    std::string cells;
+    for (int i = 0; i < n; ++i) cells += ",0";
+    return cells + "\n";
+  };
+
+  // format_number writes nan and inf, so double columns read them back.
+  const RunTrace parsed =
+      RunTrace::from_csv(ego_header + "0,0,nan,inf,-inf" + zeros(9), others, events);
+  ASSERT_EQ(parsed.ego.size(), 1u);
+  EXPECT_TRUE(std::isnan(parsed.ego[0].x));
+  EXPECT_EQ(parsed.ego[0].y, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parsed.ego[0].z, -std::numeric_limits<double>::infinity());
+
+  // A cell that is not entirely a number names its table, row and column.
+  EXPECT_EQ(from_csv_error(ego_header + "0,0" + zeros(12) + "abc,1" + zeros(12), others,
+                           events),
+            "ego CSV row 2 column 't' holds 'abc', which is not a number");
+  EXPECT_EQ(from_csv_error(ego_header + "0,0,1.5abc" + zeros(11), others, events),
+            "ego CSV row 1 column 'x' holds '1.5abc', which is not a number");
+  EXPECT_EQ(from_csv_error(ego_header + "0,0," + zeros(11), others, events),
+            "ego CSV row 1 column 'x' holds '', which is not a number");
+
+  // Integer columns take whole numbers in the range of their field only.
+  const std::string ego = t.ego_csv();
+  EXPECT_EQ(from_csv_error(ego_header + "0,-1" + zeros(12), others, events),
+            "ego CSV row 1 column 'frame' holds '-1', which is not an integer in range");
+  EXPECT_EQ(from_csv_error(ego,
+                           "actor,role,t,distance,x,y,z,vx,vy,vz,throttle,steer,brake\n"
+                           "1e30,lead,0,25,0,0,0,0,0,0,0,0,0\n",
+                           events),
+            "others CSV row 1 column 'actor' holds '1e30', which is not an integer in "
+            "range");
+  EXPECT_EQ(from_csv_error(ego, others,
+                           "event,t,frame,a,b,c\nlane_invasion,1,2,broken,1.5,2\n"),
+            "events CSV row 1 column 'b' holds '1.5', which is not an integer in range");
+  EXPECT_EQ(from_csv_error(ego, others,
+                           "event,t,frame,a,b,c\ncollision,1,4294967296,3,vehicle,2\n"),
+            "events CSV row 1 column 'frame' holds '4294967296', which is not an integer "
+            "in range");
 }
 
 TEST(RunTrace, SteeringSeriesExtraction) {

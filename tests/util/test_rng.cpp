@@ -60,16 +60,6 @@ TEST(Pcg32, DoubleInUnitInterval) {
   }
 }
 
-TEST(Pcg32, ForkIsIndependent) {
-  Pcg32 parent{5};
-  Pcg32 child = parent.fork();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.next_u32() == child.next_u32()) ++same;
-  }
-  EXPECT_LT(same, 3);
-}
-
 TEST(Random, UniformMean) {
   Random rng{2024};
   double sum = 0.0;

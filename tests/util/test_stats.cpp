@@ -84,32 +84,5 @@ TEST(Pearson, DegenerateInputs) {
   EXPECT_FALSE(pearson({1, 1, 1}, {1, 2, 3}).has_value());  // zero variance
 }
 
-TEST(WelchT, DetectsSeparatedMeans) {
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 30; ++i) {
-    a.add(10.0 + (i % 3));
-    b.add(20.0 + (i % 3));
-  }
-  const auto t = welch_t(a, b);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_LT(*t, -10.0);  // strongly negative: a's mean below b's
-}
-
-TEST(WelchT, DegenerateInputs) {
-  RunningStats a;
-  a.add(1.0);
-  RunningStats b;
-  b.add(2.0);
-  b.add(2.0);
-  EXPECT_FALSE(welch_t(a, b).has_value());  // a has < 2 samples
-  RunningStats c, d;
-  c.add(1.0);
-  c.add(1.0);
-  d.add(1.0);
-  d.add(1.0);
-  EXPECT_FALSE(welch_t(c, d).has_value());  // zero variance
-}
-
 }  // namespace
 }  // namespace rdsim::util
