@@ -25,11 +25,11 @@ struct ExperimentConfig {
   /// 50 ms delay and 5 % loss, with golden-run crashes present. Any other
   /// seed gives a statistically equivalent campaign.
   std::uint64_t seed{14};
-  // Not in the campaign field lists: these sub-configs predate
-  // campaign_fields.hpp, and folding them in would move every golden hash.
-  // Their effect on a campaign is still hashed, through the runs' results.
-  RdsConfig rds{};                   // lint:allow(unhashed: predates the field lists; folding it would move every golden hash)
-  SafetyMonitorConfig safety{};      // lint:allow(unhashed: predates the field lists; folding it would move every golden hash)
+  // rds and safety are not folded by check::campaign_hash (see its
+  // ExperimentConfig fold); their effect on a campaign is hashed through the
+  // runs' results.
+  RdsConfig rds{};
+  SafetyMonitorConfig safety{};
   /// Fraction of POIs that receive a fault in the faulty run.
   double poi_fault_probability{0.95};
   /// Relative weights of the five faults, in paper_fault_model() order

@@ -7,6 +7,7 @@
 #include "metrics/srr.hpp"
 #include "metrics/ttc.hpp"
 #include "mitigate/mitigation.hpp"
+#include "net/fault_injector.hpp"
 #include "trace/trace.hpp"
 #include "util/stats.hpp"
 
@@ -38,7 +39,11 @@ std::string pad(const std::string& s, std::size_t width) {
 
 }  // namespace
 
-std::vector<std::string> fault_labels() { return {"5ms", "25ms", "50ms", "2%", "5%"}; }
+std::vector<std::string> fault_labels() {
+  std::vector<std::string> labels;
+  for (const net::FaultSpec& fault : net::paper_fault_model()) labels.push_back(fault.label());
+  return labels;
+}
 
 bool paper_missing_srr(const std::string& subject, bool faulty_run) {
   if (!faulty_run) return subject == "T3";

@@ -14,7 +14,8 @@
 
 namespace rdsim::core::report {
 
-/// The Table II/III/IV column labels, in order.
+/// The Table II/III/IV column labels: net::paper_fault_model()'s labels, in
+/// its order.
 std::vector<std::string> fault_labels();
 
 // ----- Table I: driving-station technical specification -----

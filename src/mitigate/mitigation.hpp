@@ -111,9 +111,9 @@ struct MitigationConfig {
   WatchdogConfig watchdog{};
 };
 
-/// Per-run outcome of the mitigation stack, reported on RunResult. Hashed
-/// and serialized by campaign_fields.hpp *only when enabled* so disabled
-/// runs keep their pre-mitigation golden hashes.
+/// Per-run outcome of the mitigation stack, reported on RunResult. Folded
+/// into check::hash_run *only when enabled*, so disabled runs keep their
+/// pre-mitigation golden hashes.
 struct MitigationSummary {
   bool enabled{false};
   units::Seconds dwell_nominal{};

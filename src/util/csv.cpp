@@ -128,14 +128,6 @@ int CsvTable::column(std::string_view name) const {
   return -1;
 }
 
-double CsvTable::number(std::size_t row_idx, int col) const {
-  if (col < 0 || row_idx >= rows_.size()) return 0.0;
-  const auto& r = rows_[row_idx];
-  const auto c = static_cast<std::size_t>(col);
-  if (c >= r.size()) return 0.0;
-  return parse_number<double>(r[c]).value_or(0.0);
-}
-
 std::string format_number(double v) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";

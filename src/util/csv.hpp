@@ -49,9 +49,6 @@ class CsvTable {
   /// Column index by name; -1 if missing.
   int column(std::string_view name) const;
 
-  /// Cell as double; 0.0 unless the whole cell is a number.
-  double number(std::size_t row, int col) const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

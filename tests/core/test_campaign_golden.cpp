@@ -415,7 +415,8 @@ TEST(CampaignGoldenMitigated, ParallelMatchesSerialForEveryWorkerCount) {
 TEST(CampaignGoldenMitigated, DisabledMitigationDoesNotChangeTheHash) {
   // The structural non-interference claim at the campaign level: a config
   // with mitigation disabled produces exactly the unmitigated corpus hash
-  // (the opt_block folds nothing), so the two tables can never cross-talk.
+  // (a disabled mitigation block folds nothing), so the two tables can never
+  // cross-talk.
   for (const GoldenEntry& entry : kGolden) {
     ExperimentConfig cfg = golden_config(entry.seed);
     cfg.mitigation.enabled = false;  // explicit: the default
@@ -427,7 +428,7 @@ TEST(CampaignGoldenMitigated, DisabledMitigationDoesNotChangeTheHash) {
 }
 
 TEST(CampaignGoldenMitigated, OptBlockFoldsItsFlagOnlyWhenEnabled) {
-  // The opt_block rule on single runs: an enabled all-zero summary hashes
+  // The opt-in block rule on single runs: an enabled all-zero summary hashes
   // differently from a disabled one, and a disabled block folds none of its
   // fields.
   const RunResult plain{};

@@ -28,7 +28,7 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from tools.rdsim_lint import cpp  # noqa: E402
 from tools.rdsim_lint.engine import SourceTree, run_rules  # noqa: E402
-from tools.rdsim_lint.rules import determinism, fields, layering  # noqa: E402
+from tools.rdsim_lint.rules import determinism, layering  # noqa: E402
 from tools.rdsim_lint.rules import threads, units  # noqa: E402
 
 FIXTURES = REPO_ROOT / "tests" / "tools" / "fixtures"
@@ -38,8 +38,6 @@ CASES = {
     "determinism_bad": lambda: determinism.DeterminismRule(
         {"src/sim/frame.hpp": ["Frame"]}),
     "determinism_good": lambda: determinism.DeterminismRule({}),
-    "fields_bad": fields.FieldsRule,
-    "fields_good": fields.FieldsRule,
     "layering_bad": layering.LayeringRule,
     "layering_good": layering.LayeringRule,
     "threads_bad": threads.ThreadsRule,
@@ -127,8 +125,6 @@ def unit_tests() -> None:
     check(len(nested) == 1 and nested[0].qualified
           == "rdsim::sim::Outer::Nested", "nested struct qualified name")
     check(index.find("Color") == [], "enum class is not a struct")
-    check(cpp.element_type("std::vector<Item>") == "Item"
-          and cpp.element_type("double") is None, "vector element type")
 
 
 def fixture_tests(regen: bool) -> None:

@@ -39,8 +39,8 @@ TEST(CsvTable, ParsesSimpleDocument) {
   EXPECT_EQ(t.row_count(), 2u);
   EXPECT_EQ(t.column("b"), 1);
   EXPECT_EQ(t.column("missing"), -1);
-  EXPECT_DOUBLE_EQ(t.number(0, t.column("c")), 3.0);
-  EXPECT_DOUBLE_EQ(t.number(1, t.column("a")), 4.0);
+  EXPECT_DOUBLE_EQ(parse_number<double>(t.row(0)[2]).value(), 3.0);
+  EXPECT_DOUBLE_EQ(parse_number<double>(t.row(1)[0]).value(), 4.0);
 }
 
 TEST(CsvTable, ParsesQuotedCells) {
@@ -53,14 +53,7 @@ TEST(CsvTable, ParsesQuotedCells) {
 TEST(CsvTable, HandlesCrLfAndMissingTrailingNewline) {
   const auto t = CsvTable::parse("a,b\r\n1,2\r\n3,4");
   EXPECT_EQ(t.row_count(), 2u);
-  EXPECT_DOUBLE_EQ(t.number(1, 1), 4.0);
-}
-
-TEST(CsvTable, NumberOnBadInputIsZero) {
-  const auto t = CsvTable::parse("a\nnot-a-number\n");
-  EXPECT_DOUBLE_EQ(t.number(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(t.number(5, 0), 0.0);   // row out of range
-  EXPECT_DOUBLE_EQ(t.number(0, -1), 0.0);  // missing column
+  EXPECT_DOUBLE_EQ(parse_number<double>(t.row(1)[1]).value(), 4.0);
 }
 
 TEST(CsvRoundTrip, WriterOutputParsesBack) {
@@ -73,7 +66,7 @@ TEST(CsvRoundTrip, WriterOutputParsesBack) {
   w.end_row();
   const auto t = CsvTable::parse(os.str());
   ASSERT_EQ(t.row_count(), 2u);
-  EXPECT_DOUBLE_EQ(t.number(0, 0), 1.25);
+  EXPECT_DOUBLE_EQ(parse_number<double>(t.row(0)[0]).value(), 1.25);
   EXPECT_EQ(t.row(0)[1], "alpha,beta");
   EXPECT_EQ(t.row(1)[1], "plain");
 }

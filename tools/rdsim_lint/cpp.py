@@ -15,7 +15,7 @@ Three layers, all deterministic and dependency-free:
 
   StructIndex       a lightweight struct/class member extractor over the
                     `masked` view: records every struct's members (name,
-                    declared type, line, default-initializer presence) while
+                    line, default-initializer presence) while
                     skipping member functions, nested-type bodies, using/
                     typedef/static/friend declarations and access specifiers.
                     Namespace and outer-struct context is tracked so indexed
@@ -189,7 +189,6 @@ def parse_includes(code_lines: list[str]) -> list[tuple[int, str]]:
 @dataclass
 class Member:
     name: str
-    type: str
     line: int          #: 1-based line of the declarator
     has_init: bool     #: default member initializer (`{...}` or `= ...`)
 
@@ -317,8 +316,7 @@ class _StatementParser:
             return  # function / constructor declaration
         for name, has_init, rel_off in self._declarators(stripped):
             line = _line_of(start + rel_off, self.newlines)
-            decl_type = self._declared_type(stripped)
-            struct.members.append(Member(name, decl_type, line, has_init))
+            struct.members.append(Member(name, line, has_init))
 
     @staticmethod
     def _outside_braces(text: str) -> str:
@@ -388,25 +386,6 @@ class _StatementParser:
             has_init = cut < len(chunk)
             out.append((name, has_init, base + last.start()))
         return out
-
-    @staticmethod
-    def _declared_type(text: str) -> str:
-        """Everything before the last identifier of the first declarator."""
-        cut = len(text)
-        angle = 0
-        for i, ch in enumerate(text):
-            if ch == "<":
-                angle += 1
-            elif ch == ">":
-                angle = max(0, angle - 1)
-            elif ch in "{=" and angle == 0:
-                cut = i
-                break
-        head = text[:cut]
-        idents = list(_IDENT_RE.finditer(head))
-        if len(idents) < 2:
-            return head.strip()
-        return head[:idents[-1].start()].strip().rstrip("&").strip()
 
 
 class StructIndex:
@@ -496,19 +475,3 @@ class StructIndex:
                              context + [name])
         self.by_name.setdefault(name, []).append(struct)
 
-
-VECTOR_RE = re.compile(r"^(?:std::)?vector\s*<\s*(.+?)\s*>$")
-
-
-def element_type(type_str: str) -> str | None:
-    """`std::vector<X>` -> `X`, else None."""
-    m = VECTOR_RE.match(type_str.strip())
-    return m.group(1) if m is not None else None
-
-
-def simple_type_name(type_str: str) -> str:
-    """Strip qualifiers/namespaces: `const net::StreamStats&` -> StreamStats."""
-    t = type_str.strip()
-    t = re.sub(r"\b(?:const|mutable|volatile)\b", " ", t)
-    t = t.replace("&", " ").replace("*", " ").strip()
-    return t.split("::")[-1].strip()

@@ -7,12 +7,11 @@ here is the order rules run and report.
 
 from __future__ import annotations
 
-from . import determinism, fields, layering, threads, units
+from . import determinism, layering, threads, units
 
 ALL_RULES = {
     "determinism": determinism.make_rule,
     "units": units.make_rule,
-    "fields": fields.make_rule,
     "layering": layering.make_rule,
     "threads": threads.make_rule,
 }
