@@ -42,8 +42,7 @@ void BM_TcRuleParse(benchmark::State& state) {
 BENCHMARK(BM_TcRuleParse);
 
 void BM_ReliableStreamRoundTrip(benchmark::State& state) {
-  net::TrafficControl tc;
-  net::Channel channel{tc};
+  net::Channel channel;
   net::StreamConfig cfg;
   cfg.mtu = 65000;
   net::ReliableStream stream{channel, 1, net::LinkDirection::kDownlink, cfg};

@@ -26,6 +26,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "check/hash.hpp"
 #include "net/reliable_stream.hpp"
@@ -59,8 +60,7 @@ struct ScenarioResult {
 /// Reliable video-style stream over `netem delay 20ms 5ms loss 2% reorder 10%`:
 /// one 30 kB frame every 33 ms, polled at 5 ms ticks, delivered bytes digested.
 ScenarioResult run_scenario(std::uint64_t seed, std::uint64_t ticks, bool prewarm_pool) {
-  net::TrafficControl tc{seed};
-  net::Channel ch{tc};
+  net::Channel ch{seed};
 
   if (prewarm_pool) {
     // Populate freelists with odd-capacity junk so a pooling bug that leaks
@@ -71,7 +71,7 @@ ScenarioResult run_scenario(std::uint64_t seed, std::uint64_t ticks, bool prewar
     }
   }
 
-  tc.execute("qdisc add dev lo root netem delay 20ms 5ms loss 2% reorder 10%");
+  ch.tc().execute("qdisc add dev lo root netem delay 20ms 5ms loss 2% reorder 10%");
   net::ReliableStream stream{ch, 1, net::LinkDirection::kDownlink};
 
   check::Fnv1a digest;
@@ -131,30 +131,24 @@ double qdisc_packets_per_second(std::uint64_t packets) {
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t released = 0;
   std::int64_t t_us = 0;
-  class Count final : public net::PacketSink {
-   public:
-    std::uint64_t n{0};
-    net::Payload kept;  ///< last payload, recycled as the next enqueue
-    void accept(net::Packet&& p) override {
-      ++n;
-      kept = std::move(p.payload);
-    }
-  } sink;
-  sink.kept.resize(1200);
+  std::vector<net::Packet> out;
+  net::Payload kept(1200);  ///< last released payload, reused by the next enqueue
   for (std::uint64_t i = 0; i < packets; ++i) {
     net::Packet p;
     p.id = i;
-    p.payload = std::move(sink.kept);
+    p.payload = std::move(kept);
     p.wire_size = 1500;
     const util::TimePoint now = util::TimePoint::from_micros(t_us);
     q.enqueue(std::move(p), now);
     t_us += 100;
-    if (sink.kept.empty()) sink.kept.resize(1200);
+    if (kept.empty()) kept.resize(1200);
     if (const auto next = q.next_event_at(); next && *next <= now) {
-      q.dequeue_ready(now, sink);
+      q.dequeue_ready(now, out);
+      released += out.size();
+      kept = std::move(out.back().payload);
+      out.clear();
     }
   }
-  released = sink.n;
   const auto t1 = std::chrono::steady_clock::now();
   const double s = wall_seconds(t0, t1);
   return s > 0.0 ? static_cast<double>(packets + released) / s : 0.0;
@@ -224,8 +218,7 @@ int main(int argc, char** argv) {
   std::uint64_t idle_allocs = 0;
   double idle_ns = 0.0;
   {
-    net::TrafficControl tc{seed};
-    net::Channel ch{tc};
+    net::Channel ch{seed};
     ch.poll(util::TimePoint{});  // settle lazy init outside the window
     util::AllocCounter allocs;
     const auto t0 = std::chrono::steady_clock::now();

@@ -19,8 +19,7 @@ using util::TimePoint;
 namespace {
 
 void run_with_rule(const std::string& rule) {
-  net::TrafficControl tc;
-  net::Channel channel{tc};
+  net::Channel channel;
   net::StreamConfig cfg;
   cfg.mtu = 65000;
   net::ReliableStream stream{channel, 1, net::LinkDirection::kDownlink, cfg};
@@ -28,7 +27,7 @@ void run_with_rule(const std::string& rule) {
   if (!rule.empty()) {
     const std::string command = "tc qdisc add dev lo root netem " + rule;
     std::printf("$ %s\n", command.c_str());
-    tc.execute(command);
+    channel.tc().execute(command);
   } else {
     std::printf("$ (no rule: default pfifo)\n");
   }

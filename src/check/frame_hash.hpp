@@ -22,8 +22,7 @@ std::uint64_t hash_frame(const sim::WorldFrame& frame);
 std::uint64_t hash_qdisc(const net::Qdisc& qdisc);
 
 /// Fingerprint of a channel's delivery state (per-direction stats, packets in
-/// flight). Its inboxes are empty between polls, so their depths are not
-/// folded.
+/// flight). Its release buffer is empty between polls, so it is not folded.
 std::uint64_t hash_channel(const net::Channel& channel);
 
 }  // namespace rdsim::check

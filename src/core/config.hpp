@@ -45,11 +45,6 @@ struct StationConfig {
 /// times per second at 5 %, and continuous at 10 %.
 struct VideoConfig {
   std::uint32_t frame_wire_bytes{6000000};
-  std::uint32_t command_wire_bytes{200};
-  /// Drop frames at the sender when this many segments are still queued
-  /// un-transmitted (CARLA's sensor stream slows down rather than queueing
-  /// unboundedly when the transport falls behind).
-  std::size_t sender_backlog_limit{96};
 };
 
 /// The full RDS assembly.
@@ -62,7 +57,6 @@ struct RdsConfig {
 
   double physics_hz{100.0};
   double comms_hz{400.0};               ///< network/operator sub-tick rate
-  double log_hz{20.0};                  ///< trace sampling rate
 
   /// Use unreliable datagrams instead of the TCP-like stream (ablation).
   bool datagram_video{false};

@@ -20,6 +20,15 @@ namespace rdsim::core {
 
 namespace {
 
+/// Trace sampling rate.
+constexpr double kLogHz = 20.0;
+/// Declared wire size of one driving command.
+constexpr std::uint32_t kCommandWireBytes = 200;
+/// Drop a video frame at the sender while more than this many segments are
+/// still queued untransmitted: CARLA's sensor stream slows down rather than
+/// queueing without bound when the transport falls behind.
+constexpr std::size_t kSenderBacklogLimit = 96;
+
 DriverParams with_station_latencies(DriverParams d, const StationConfig& station) {
   // Input-device latency adds dead time between the driver's hand and the
   // client sampling it; fold it into the perception-action dead time (the
@@ -48,12 +57,10 @@ std::unique_ptr<net::MessageTransport> make_transport(
 TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
     : config_{validated(std::move(config))},
       fault_windows_{resolve_fault_plan(config_.plan, scenario)},
-      tc_{config_.seed},
-      channel_{tc_},
-      injector_{tc_},
+      channel_{config_.seed},
+      injector_{channel_.tc()},
       vehicle_{config_.rds, std::move(scenario), config_.safety, config_.seed},
-      recorder_{config_.run_id, config_.subject_id, config_.fault_injected,
-                config_.rds.log_hz} {
+      recorder_{config_.run_id, config_.subject_id, config_.fault_injected, kLogHz} {
   const auto& rds = config_.rds;
   video_ = make_transport(rds.datagram_video, channel_, kVideoStreamId,
                           net::LinkDirection::kDownlink, rds.transport);
@@ -119,7 +126,7 @@ void TeleopSession::update_fault_plan() {
 
 void TeleopSession::pump_video(util::TimePoint now) {
   if (auto frame = vehicle_.maybe_encode_frame(now)) {
-    if (video_->send_backlog() > config_.rds.video.sender_backlog_limit) {
+    if (video_->send_backlog() > kSenderBacklogLimit) {
       ++frames_skipped_sender_;  // transport is behind: drop, don't queue
     } else {
       video_->send_message(std::move(frame->payload), frame->wire_size, now);
@@ -150,7 +157,7 @@ void TeleopSession::pump_commands(util::TimePoint now) {
     // The governor sits between the driver's wheel and the uplink: in any
     // state but NOMINAL it shapes the command under the state's limits.
     if (governor_) cmd->control = governor_->shape(cmd->control, perceived_speed_, now);
-    commands_->send_message(cmd->encode(), config_.rds.video.command_wire_bytes, now);
+    commands_->send_message(cmd->encode(), kCommandWireBytes, now);
   }
   commands_->step(now);
   while (auto msg = commands_->pop_delivered()) {
@@ -174,7 +181,7 @@ bool TeleopSession::step() {
       if (config_.replay != nullptr) {
         check::Fnv1a net;
         net.u64(check::hash_channel(channel_));
-        net.u64(check::hash_qdisc(tc_.root()));
+        net.u64(check::hash_qdisc(channel_.tc().root()));
         config_.replay->record_tick(vehicle_.world().frame_counter(),
                                     check::hash_frame(vehicle_.world().snapshot()),
                                     net.digest());

@@ -118,7 +118,6 @@ class TeleopSession {
   std::vector<FaultWindow> fault_windows_;
   util::VirtualClock clock_;
 
-  net::TrafficControl tc_;
   net::Channel channel_;
   // One transport per direction, of the kind RdsConfig picks; after
   // construction the session drives both through the same seam.

@@ -1,21 +1,21 @@
-// Bidirectional communication channel over the emulated loopback link.
+// The emulated loopback link, both directions, from send to dispatch.
 //
 // Mirrors the paper's setup (§V.D): CARLA server and client both run on the
 // same host and exchange traffic over the loopback interface, so a single
 // egress qdisc on `lo` disturbs *both* the downlink video and the uplink
-// driving commands. A Channel therefore pushes packets from both directions
-// through the TrafficControl's one root qdisc. It also owns the delivery end:
-// transports register a handler per stream id, and poll() hands each
-// released packet, verified by its framing checksum, to the handler of its
-// stream.
+// driving commands. A Channel is that whole link. It owns its TrafficControl,
+// whose one root qdisc takes the packets of both directions; tc verbs go
+// through tc(). It also owns the delivery end: transports register a handler
+// per stream id, and poll() hands each released packet, verified by its
+// framing checksum, to the handler of its stream.
 //
 // The packet path is allocation-free in steady state: senders build payloads
 // in buffers leased from the channel's PayloadPool (acquire_payload) and move
-// the finished Packet into send(). poll() parks released packets in a ring
-// inbox per direction, dispatches each one where it sits, and recycles its
-// payload buffer once the handler returns. poll() consults the qdisc's
-// next_event_at() and leaves the queue untouched while nothing can be
-// released yet.
+// the finished Packet into send(). poll() has the qdisc append what it
+// releases to one buffer that keeps its capacity, dispatches each packet
+// where it sits, and recycles its payload buffer once the handler returns.
+// poll() consults the qdisc's next_event_at() and leaves the queue untouched
+// while nothing can be released yet.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 #include "net/framing.hpp"
 #include "net/payload_pool.hpp"
 #include "net/tc.hpp"
-#include "util/seq_queue.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::net {
@@ -53,8 +52,11 @@ class Channel {
   using Handler = std::function<void(const ProtocolHeader&, ByteReader body,
                                      LinkDirection arrived_via, util::TimePoint now)>;
 
-  /// `tc` is borrowed and must outlive the channel.
-  explicit Channel(TrafficControl& tc);
+  /// `seed` seeds the random streams of the netem rules tc() installs.
+  explicit Channel(std::uint64_t seed = 1) : tc_{seed} {}
+
+  /// The link's traffic control: add, change and del its root qdisc here.
+  TrafficControl& tc() { return tc_; }
 
   /// Queue `packet` for transmission at `now`. The channel assigns the
   /// packet id and flow from `dir`; everything else (payload, wire_size)
@@ -73,11 +75,13 @@ class Channel {
   void register_stream(std::uint16_t stream_id, Handler handler);
 
   /// Deliver what the qdisc releases by `now`: step the qdisc (skipped while
-  /// next_event_at() is in the future), then drain the downlink inbox and
-  /// then the uplink one. Each packet is verified and handed to its stream's
-  /// handler in place; a packet failing verification, or whose stream has no
-  /// handler, is counted and dropped. Packets that handlers send meanwhile
-  /// go into the qdisc, so they leave at a later poll at the earliest.
+  /// next_event_at() is in the future), count every released packet as
+  /// delivered, then dispatch the downlink packets and then the uplink ones,
+  /// each in release order. Each packet is verified and handed to its
+  /// stream's handler in place; a packet failing verification, or whose
+  /// stream has no handler, is counted and dropped. Packets that handlers
+  /// send meanwhile go into the qdisc, so they leave at a later poll at the
+  /// earliest.
   void poll(util::TimePoint now);
 
   const DirectionStats& stats(LinkDirection dir) const;
@@ -85,10 +89,10 @@ class Channel {
   std::uint64_t unroutable() const { return unroutable_; }
 
   /// Packets still inside the qdisc (in flight).
-  std::size_t in_flight() const { return (*root_)->backlog(); }
+  std::size_t in_flight() const { return tc_.root().backlog(); }
 
   /// Earliest instant the qdisc could release a packet; nullopt while idle.
-  std::optional<util::TimePoint> next_event_at() const { return (*root_)->next_event_at(); }
+  std::optional<util::TimePoint> next_event_at() const { return tc_.root().next_event_at(); }
 
   /// Lease a cleared payload buffer with capacity >= size_hint.
   Payload acquire_payload(std::size_t size_hint) { return pool_.acquire(size_hint); }
@@ -99,20 +103,14 @@ class Channel {
   const PayloadPool& pool() const { return pool_; }
 
  private:
-  class DeliverySink;
-
-  void deliver(Packet&& packet, util::TimePoint now);
-  void drain(LinkDirection dir, util::TimePoint now);
-  util::SeqQueue<Packet>& inbox(LinkDirection dir);
+  void dispatch(LinkDirection dir, util::TimePoint now);
   DirectionStats& mutable_stats(LinkDirection dir);
 
-  /// The root slot of the borrowed TrafficControl, which tc add/del re-point.
-  const QdiscPtr* root_;
+  TrafficControl tc_;
   std::uint64_t next_id_{1};
-  // Inboxes are rings, so a steady packet flow reuses their slots and does
-  // not touch the heap.
-  util::SeqQueue<Packet> to_operator_;  ///< downlink deliveries
-  util::SeqQueue<Packet> to_vehicle_;   ///< uplink deliveries
+  /// What the last poll released, in release order; empty between polls.
+  /// Cleared, never shrunk, so a steady packet flow does not touch the heap.
+  std::vector<Packet> released_;
   DirectionStats down_stats_;
   DirectionStats up_stats_;
   PayloadPool pool_;

@@ -260,7 +260,7 @@ void NetemQdisc::schedule(Packet packet, util::TimePoint release) {
                   "netem heap root must be the earliest (release, seq)");
 }
 
-void NetemQdisc::dequeue_ready(util::TimePoint now, PacketSink& sink) {
+void NetemQdisc::dequeue_ready(util::TimePoint now, std::vector<Packet>& out) {
   std::size_t n = 0;
   util::TimePoint last_release{};
   while (!keys_.empty() && keys_.front().release <= now) {
@@ -271,14 +271,13 @@ void NetemQdisc::dequeue_ready(util::TimePoint now, PacketSink& sink) {
                     "netem must release packets in non-decreasing time order");
     last_release = key.release;
     Slot& slot = slots_[key.slot];
-    Packet packet = std::move(slot.packet);
     slot.next_free = free_head_;
     free_head_ = key.slot;
     ++stats_.dequeued;
-    const std::uint32_t bytes = packet.effective_wire_size();
+    const std::uint32_t bytes = slot.packet.effective_wire_size();
     stats_.bytes_sent += bytes;
     backlog_bytes_ -= bytes;
-    sink.accept(std::move(packet));
+    out.push_back(std::move(slot.packet));
     ++n;
   }
   if (n > 0) {

@@ -88,7 +88,7 @@ class NetemQdisc final : public Qdisc {
   const NetemConfig& config() const { return config_; }
 
   void enqueue(Packet packet, util::TimePoint now) override;
-  void dequeue_ready(util::TimePoint now, PacketSink& sink) override;
+  void dequeue_ready(util::TimePoint now, std::vector<Packet>& out) override;
   std::optional<util::TimePoint> next_event_at() const override;
   std::size_t backlog() const override { return keys_.size(); }
   std::uint64_t backlog_bytes() const override { return backlog_bytes_; }

@@ -5,11 +5,11 @@
 // limiting, corruption probability scaling), which lets large video frames be
 // modelled faithfully without megabytes of padding bytes.
 //
-// Packets are move-only: a payload buffer is handed from the sender through
-// the qdisc chain to the receiving inbox without ever being copied, and the
-// Channel recycles it through a PayloadPool once the handler has parsed it.
-// The one legitimate copy — netem duplication — is spelled explicitly with
-// clone().
+// Packets are move-only: the Channel moves a packet from the sender into its
+// root qdisc and from there into its release buffer, where the stream's
+// handler reads it in place; the payload buffer is never copied, and the
+// Channel recycles it through a PayloadPool once the handler returns. The one
+// legitimate copy, netem duplication, is spelled explicitly with clone().
 #pragma once
 
 #include <cstdint>
@@ -62,27 +62,6 @@ struct Packet {
     const auto payload_bytes = static_cast<std::uint32_t>(payload.size());
     return wire_size > payload_bytes ? wire_size : payload_bytes;
   }
-};
-
-/// Consumer of released packets. Qdiscs push ready packets straight into a
-/// sink instead of materializing a per-tick std::vector, so a busy link moves
-/// packets with zero intermediate allocations and an idle link costs one
-/// next_event_at() comparison.
-class PacketSink {
- public:
-  virtual ~PacketSink() = default;
-  virtual void accept(Packet&& packet) = 0;
-};
-
-/// PacketSink that appends to a vector — the test/tooling adaptor behind
-/// Qdisc::drain().
-class VectorSink final : public PacketSink {
- public:
-  explicit VectorSink(std::vector<Packet>& out) : out_{&out} {}
-  void accept(Packet&& packet) override { out_->push_back(std::move(packet)); }
-
- private:
-  std::vector<Packet>* out_;
 };
 
 /// Counters exported by every qdisc and link, mirroring `tc -s qdisc show`.

@@ -21,8 +21,7 @@ std::string QdiscStats::summary() const {
 
 std::vector<Packet> Qdisc::drain(util::TimePoint now) {
   std::vector<Packet> out;
-  VectorSink sink{out};
-  dequeue_ready(now, sink);
+  dequeue_ready(now, out);
   return out;
 }
 
@@ -48,13 +47,13 @@ void FifoQdisc::enqueue(Packet packet, util::TimePoint now) {
   RDSIM_ENSURE(queue_.size() <= limit_, "pfifo backlog must respect its limit");
 }
 
-void FifoQdisc::dequeue_ready(util::TimePoint /*now*/, PacketSink& sink) {
+void FifoQdisc::dequeue_ready(util::TimePoint /*now*/, std::vector<Packet>& out) {
   if (queue_.empty()) return;
   [[maybe_unused]] const std::size_t n = queue_.size();
   for (Packet& p : queue_) {
     ++stats_.dequeued;
     stats_.bytes_sent += p.effective_wire_size();
-    sink.accept(std::move(p));
+    out.push_back(std::move(p));
   }
   queue_.clear();
   backlog_bytes_ = 0;

@@ -1,11 +1,11 @@
 // Queueing-discipline interface, modelled on Linux traffic control.
 //
 // A qdisc receives packets on enqueue and releases them at (virtual) times of
-// its choosing. dequeue_ready() pushes every packet whose release time has
-// passed, in release order, into a PacketSink — the link emulator drives this
-// from the shared virtual clock and early-outs on next_event_at(), so idle
-// links cost one comparison per tick and busy links move packets without a
-// per-tick vector allocation.
+// its choosing. dequeue_ready() appends every packet whose release time has
+// passed, in release order, to a caller-owned vector. The Channel drives this
+// from the shared virtual clock into one release buffer that keeps its
+// capacity, and early-outs on next_event_at(), so idle links cost one
+// comparison per tick and busy links move packets without allocating.
 //
 // Every qdisc exposes the same introspection surface:
 //   stats()          cumulative tc -s counters
@@ -32,9 +32,9 @@ class Qdisc {
   /// (loss model or over-limit), duplicate it, corrupt it, or schedule it.
   virtual void enqueue(Packet packet, util::TimePoint now) = 0;
 
-  /// Push every packet whose scheduled release time is <= now into `sink`,
+  /// Append every packet whose scheduled release time is <= now to `out`,
   /// in release order.
-  virtual void dequeue_ready(util::TimePoint now, PacketSink& sink) = 0;
+  virtual void dequeue_ready(util::TimePoint now, std::vector<Packet>& out) = 0;
 
   /// Earliest pending release time, or nullopt when idle. The contract that
   /// makes event-driven stepping sound: while now < next_event_at(), a call
@@ -51,8 +51,7 @@ class Qdisc {
   virtual const QdiscStats& stats() const = 0;
   virtual std::string kind() const = 0;
 
-  /// Convenience for tests and tooling: drain ready packets into a fresh
-  /// vector. The production path is the sink overload.
+  /// Convenience for tests and tooling: the ready packets in a fresh vector.
   std::vector<Packet> drain(util::TimePoint now);
 
   /// `tc -s qdisc show`-style one-liner: kind, counters, live backlog.
@@ -69,7 +68,7 @@ class FifoQdisc final : public Qdisc {
   explicit FifoQdisc(std::size_t limit_packets = 1000) : limit_{limit_packets} {}
 
   void enqueue(Packet packet, util::TimePoint now) override;
-  void dequeue_ready(util::TimePoint now, PacketSink& sink) override;
+  void dequeue_ready(util::TimePoint now, std::vector<Packet>& out) override;
   std::optional<util::TimePoint> next_event_at() const override;
   std::size_t backlog() const override { return queue_.size(); }
   std::uint64_t backlog_bytes() const override { return backlog_bytes_; }

@@ -1,6 +1,6 @@
 // Little-endian byte serialization for protocol messages.
 //
-// Deliberately tiny: fixed-width integers, doubles, strings and blobs.
+// Deliberately tiny: fixed-width integers, doubles and length-prefixed blobs.
 // Readers are bounds-checked and report truncation instead of crashing,
 // because the corrupt qdisc can hand us damaged bytes.
 #pragma once
@@ -10,7 +10,6 @@
 #include <cstring>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace rdsim::net {
@@ -37,13 +36,8 @@ class ByteWriter {
   void u16(std::uint16_t v) { put(&v, sizeof v); }
   void u32(std::uint32_t v) { put(&v, sizeof v); }
   void u64(std::uint64_t v) { put(&v, sizeof v); }
-  void i32(std::int32_t v) { put(&v, sizeof v); }
   void i64(std::int64_t v) { put(&v, sizeof v); }
   void f64(double v) { put(&v, sizeof v); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    put(s.data(), s.size());
-  }
   void bytes(const std::vector<std::uint8_t>& b) {
     u32(static_cast<std::uint32_t>(b.size()));
     put(b.data(), b.size());
@@ -93,29 +87,12 @@ class ByteReader {
   std::uint16_t u16() { return get<std::uint16_t>(); }
   std::uint32_t u32() { return get<std::uint32_t>(); }
   std::uint64_t u64() { return get<std::uint64_t>(); }
-  std::int32_t i32() { return get<std::int32_t>(); }
   std::int64_t i64() { return get<std::int64_t>(); }
   double f64() { return get<double>(); }
 
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok_ || remaining() < n) {
-      ok_ = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(buf_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  std::vector<std::uint8_t> bytes() {
-    const std::span<const std::uint8_t> b = bytes_view();
-    return {b.begin(), b.end()};
-  }
-
-  /// The same length-prefixed blob as bytes(), viewed in place instead of
-  /// copied: valid only while the underlying buffer lives. Empty (and ok()
-  /// false) when the prefix or the blob runs past the end.
+  /// The length-prefixed blob ByteWriter::bytes() wrote, viewed in place:
+  /// valid only while the underlying buffer lives. Empty (and ok() false)
+  /// when the prefix or the blob runs past the end.
   std::span<const std::uint8_t> bytes_view() {
     const std::uint32_t n = u32();
     if (!ok_ || remaining() < n) {

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "util/csv.hpp"
 #include "util/time.hpp"
 
 namespace rdsim::net {
@@ -35,6 +36,14 @@ double leading_number(const std::string& token, std::size_t& consumed) {
   }
   consumed = static_cast<std::size_t>(res.ptr - begin);
   return value;
+}
+
+/// `token`, all of it, as a T in T's range; `keyword` names the argument
+/// in the error.
+template <typename T>
+T parse_count(const std::string& keyword, const std::string& token) {
+  if (const auto value = util::parse_number<T>(token)) return *value;
+  throw TcParseError{"netem " + keyword + " expects an unsigned integer, got '" + token + "'"};
 }
 
 std::string lower(std::string s) {
@@ -150,16 +159,11 @@ NetemConfig parse_netem_args(const std::vector<std::string>& args) {
       cfg.reorder_probability = parse_percent(next());
       if (peek_numeric()) cfg.reorder_correlation = parse_percent(next());
     } else if (key == "gap") {
-      const std::string g = next();
-      std::size_t consumed = 0;
-      cfg.reorder_gap = static_cast<std::uint32_t>(leading_number(g, consumed));
-      if (cfg.reorder_gap == 0) cfg.reorder_gap = 1;
+      cfg.reorder_gap = std::max(parse_count<std::uint32_t>(key, next()), std::uint32_t{1});
     } else if (key == "rate") {
       cfg.rate = parse_rate(next());
     } else if (key == "limit") {
-      const std::string l = next();
-      std::size_t consumed = 0;
-      cfg.limit = static_cast<std::size_t>(leading_number(l, consumed));
+      cfg.limit = parse_count<std::size_t>(key, next());
     } else {
       throw TcParseError{"unknown netem keyword '" + key + "'"};
     }

@@ -3,9 +3,11 @@
 // Fault campaigns in the paper are driven by NETEM command lines such as
 // `tc qdisc add dev lo root netem delay 50ms` issued at points of interest.
 // We reproduce that surface: rules are parsed from the same textual syntax,
-// and a TrafficControl object manages the root qdisc of the one emulated
+// and a TrafficControl object holds the root qdisc of the one emulated
 // device, the loopback interface `lo` that CARLA server and client share
-// (§V.D) — add / change / del, exactly the verbs the experiment harness logs.
+// (§V.D), and applies add / change / del, exactly the verbs the experiment
+// harness logs. The link's Channel owns its TrafficControl (Channel::tc()),
+// and a standalone one serves tc-only tests and tools.
 #pragma once
 
 #include <memory>
@@ -66,12 +68,10 @@ class TrafficControl {
   /// A command naming any device other than `lo` throws TcParseError.
   void execute(const std::string& command);
 
-  /// The root qdisc; the default pfifo until a netem rule is added.
+  /// The root qdisc; the default pfifo until a netem rule is added. add and
+  /// del replace it, so callers look it up again after either.
   Qdisc& root() { return *root_; }
-
-  /// The slot holding the root qdisc. It stays valid for the lifetime of
-  /// this object: add and del replace only the qdisc it points to.
-  const QdiscPtr& root_slot() const { return root_; }
+  const Qdisc& root() const { return *root_; }
 
   /// True if a netem rule (not the default pfifo) is installed.
   bool has_netem() const { return is_netem_; }

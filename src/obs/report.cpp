@@ -20,13 +20,6 @@ std::string format_double(double value) {
   return buffer;
 }
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
-
 /// Emit `context`'s metrics as one JSON object, keys in metric-name order.
 /// Metric ids follow catalog order, so gather (name, payload) pairs first
 /// and sort by name for an export that does not depend on that order.
@@ -86,7 +79,7 @@ void append_metrics_object(std::string& out, const Context& context) {
     if (!first) out += ",";
     first = false;
     out += "\n    \"";
-    append_escaped(out, name);
+    append_json_escaped(out, name);
     out += "\": " + payload;
   }
   out += first ? "}" : "\n  }";
@@ -125,7 +118,7 @@ std::string CampaignCollector::report_json() const {
     if (!first) out += ",";
     first = false;
     out += "\n  \"";
-    append_escaped(out, run_id);
+    append_json_escaped(out, run_id);
     out += "\": ";
     append_metrics_object(out, context);
   }

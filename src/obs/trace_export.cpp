@@ -9,9 +9,7 @@
 
 namespace rdsim::obs {
 
-namespace {
-
-void append_escaped(std::string& out, std::string_view text) {
+void append_json_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -31,6 +29,8 @@ void append_escaped(std::string& out, std::string_view text) {
   }
 }
 
+namespace {
+
 void append_metadata(std::string& out, std::string_view what, int pid, int tid,
                      std::string_view name, bool& first) {
   if (!first) out += ",\n";
@@ -40,7 +40,7 @@ void append_metadata(std::string& out, std::string_view what, int pid, int tid,
   out += R"(","pid":)" + std::to_string(pid);
   out += R"(,"tid":)" + std::to_string(tid);
   out += R"(,"args":{"name":")";
-  append_escaped(out, name);
+  append_json_escaped(out, name);
   out += R"("}})";
 }
 
@@ -115,13 +115,13 @@ std::string chrome_trace_json(const std::vector<TraceTrack>& tracks) {
         for (const NormalizedSpan& span : sub_threads[sub]) {
           events += ",\n";
           events += R"({"ph":"B","name":")";
-          append_escaped(events, key.first);
+          append_json_escaped(events, key.first);
           events += R"(","pid":)" + std::to_string(pid);
           events += R"(,"tid":)" + std::to_string(tid);
           events += R"(,"ts":)" + std::to_string(span.begin_us) + "}";
           events += ",\n";
           events += R"({"ph":"E","name":")";
-          append_escaped(events, key.first);
+          append_json_escaped(events, key.first);
           events += R"(","pid":)" + std::to_string(pid);
           events += R"(,"tid":)" + std::to_string(tid);
           events += R"(,"ts":)" + std::to_string(span.end_us) + "}";
@@ -136,7 +136,7 @@ std::string chrome_trace_json(const std::vector<TraceTrack>& tracks) {
       for (const std::int64_t ts : stamps) {
         events += ",\n";
         events += R"({"ph":"i","s":"t","name":")";
-        append_escaped(events, key.first);
+        append_json_escaped(events, key.first);
         events += R"(","pid":)" + std::to_string(pid);
         events += R"(,"tid":)" + std::to_string(tid);
         events += R"(,"ts":)" + std::to_string(ts) + "}";

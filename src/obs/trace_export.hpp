@@ -13,6 +13,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -31,6 +32,11 @@ struct TraceTrack {
 /// sub-thread), events by virtual timestamp within each thread. Open spans
 /// (never closed) export with zero duration at their begin time.
 std::string chrome_trace_json(const std::vector<TraceTrack>& tracks);
+
+/// Append `text` to `out` as the inside of a JSON string: quotes,
+/// backslashes and control characters escaped. Shared by every obs JSON
+/// writer.
+void append_json_escaped(std::string& out, std::string_view text);
 
 /// Write chrome_trace_json(tracks) to `path`; throws std::runtime_error when
 /// the file cannot be written.

@@ -12,8 +12,7 @@ using util::Duration;
 using util::TimePoint;
 
 TEST(Channel, DeliversBothDirections) {
-  TrafficControl tc;
-  Channel ch{tc};
+  Channel ch;
   struct Arrival {
     LinkDirection via;
     Payload body;
@@ -25,7 +24,7 @@ TEST(Channel, DeliversBothDirections) {
     for (auto& b : a.body) b = body.u8();
     got.push_back(a);
   });
-  // Uplink is sent first, but poll drains the downlink inbox first.
+  // Uplink is sent first, but poll dispatches the downlink packets first.
   ch.send(LinkDirection::kUplink, ProtocolHeader::seal(1, SegmentType::kData, {4, 5}), 50,
           TimePoint{});
   ch.send(LinkDirection::kDownlink, ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3}),
@@ -42,9 +41,8 @@ TEST(Channel, DeliversBothDirections) {
 
 TEST(Channel, SharedQdiscAffectsBothDirections) {
   // The paper's loopback setup: one netem rule disturbs video *and* commands.
-  TrafficControl tc;
-  Channel ch{tc};
-  tc.add(parse_netem("delay 30ms"));
+  Channel ch;
+  ch.tc().add(parse_netem("delay 30ms"));
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ch.send(LinkDirection::kUplink, {2}, 10, TimePoint{});
   ch.poll(TimePoint::from_micros(29000));
@@ -56,9 +54,8 @@ TEST(Channel, SharedQdiscAffectsBothDirections) {
 }
 
 TEST(Channel, TracksLatencyStats) {
-  TrafficControl tc;
-  Channel ch{tc};
-  tc.add(parse_netem("delay 10ms"));
+  Channel ch;
+  ch.tc().add(parse_netem("delay 10ms"));
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ch.poll(TimePoint::from_micros(10000));
   const auto& stats = ch.stats(LinkDirection::kDownlink);
@@ -68,9 +65,8 @@ TEST(Channel, TracksLatencyStats) {
 }
 
 TEST(Channel, InFlightCountsQueuedPackets) {
-  TrafficControl tc;
-  Channel ch{tc};
-  tc.add(parse_netem("delay 1000ms"));
+  Channel ch;
+  ch.tc().add(parse_netem("delay 1000ms"));
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ch.send(LinkDirection::kDownlink, {2}, 10, TimePoint{});
   ch.poll(TimePoint{});
@@ -138,8 +134,7 @@ TEST(ProtocolHeader, RejectsEverySingleBitFlip) {
 }
 
 TEST(Channel, RoutesByStreamId) {
-  TrafficControl tc;
-  Channel ch{tc};
+  Channel ch;
   int got_a = 0;
   int got_b = 0;
   ch.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection, TimePoint) {
@@ -163,13 +158,12 @@ TEST(Channel, RoutesByStreamId) {
 TEST(Channel, DropsCorruptedPacketsLikeTcpChecksum) {
   // A corrupt qdisc plus the framing checksum turns corruption into loss —
   // the §V.C observation that corruption has no distinct user-visible effect.
-  TrafficControl tc;
-  Channel ch{tc};
+  Channel ch;
   int delivered = 0;
   ch.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection, TimePoint) {
     ++delivered;
   });
-  tc.add(parse_netem("corrupt 100%"));
+  ch.tc().add(parse_netem("corrupt 100%"));
   for (int i = 0; i < 50; ++i) {
     ch.send(LinkDirection::kDownlink,
             ProtocolHeader::seal(1, SegmentType::kData, {1, 2, 3, 4, 5}), 10, TimePoint{});

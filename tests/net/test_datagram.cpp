@@ -11,10 +11,8 @@ using util::TimePoint;
 
 struct DgramFixture : public ::testing::Test {
   DgramFixture()
-      : channel{tc},
-        sock{channel, 3, LinkDirection::kUplink} {}
+      : sock{channel, 3, LinkDirection::kUplink} {}
 
-  TrafficControl tc;
   Channel channel;
   DatagramSocket sock;
 };
@@ -38,7 +36,7 @@ TEST_F(DgramFixture, DeliversInSendOrderOnCleanLink) {
 }
 
 TEST_F(DgramFixture, LossIsSilent) {
-  tc.add(parse_netem("loss 100%"));
+  channel.tc().add(parse_netem("loss 100%"));
   sock.send_message({1}, 50, TimePoint{});
   channel.poll(TimePoint::from_seconds(1.0));
   EXPECT_FALSE(sock.pop_delivered().has_value());
@@ -61,7 +59,7 @@ TEST_F(DgramFixture, ReceiveLatestSkipsBacklog) {
 TEST_F(DgramFixture, KeepsNoStreamTelemetry) {
   // The transport seam's stats() is all zero for datagrams, which the link
   // quality estimator reads as "no RTT / retransmit telemetry".
-  tc.add(parse_netem("delay 10ms loss 20%"));
+  channel.tc().add(parse_netem("delay 10ms loss 20%"));
   for (int i = 0; i < 50; ++i) {
     const TimePoint t = TimePoint::from_micros(i * 2000);
     sock.send_message({static_cast<std::uint8_t>(i)}, 1200, t);
@@ -108,7 +106,7 @@ TEST_F(DgramFixture, DropsDatagramWhoseLengthRunsPastThePacket) {
 TEST_F(DgramFixture, ReceiveLatestIgnoresReorderedOldPackets) {
   // Reordering makes an old datagram arrive after a newer one; latest-wins
   // must not step backwards.
-  tc.add(parse_netem("delay 50ms reorder 50% gap 2"));
+  channel.tc().add(parse_netem("delay 50ms reorder 50% gap 2"));
   for (int i = 0; i < 30; ++i) {
     sock.send_message({static_cast<std::uint8_t>(i)}, 50,
                       TimePoint::from_micros(i * 1000));

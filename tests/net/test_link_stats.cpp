@@ -53,8 +53,7 @@ TEST(NetemDescribe, RoundTripsThroughParser) {
 }
 
 TEST(Channel, StatsSeparatedByDirection) {
-  TrafficControl tc;
-  Channel ch{tc};
+  Channel ch;
   for (int i = 0; i < 3; ++i) ch.send(LinkDirection::kDownlink, {1}, 100, TimePoint{});
   ch.send(LinkDirection::kUplink, {2}, 50, TimePoint{});
   ch.poll(TimePoint{});

@@ -66,8 +66,7 @@ std::uint64_t run_one(std::uint64_t seed, const Rule& rule, std::uint64_t& relea
       q.enqueue(std::move(p), now);
     }
     out.clear();
-    VectorSink sink{out};
-    q.dequeue_ready(now, sink);
+    q.dequeue_ready(now, out);
     for (const Packet& p : out) {
       h.u64(p.id);
       h.i64(tick);

@@ -180,9 +180,8 @@ TEST(NetemHeap, DuplicateIsReleasedBeforeTheOriginal) {
 /// send() or as fresh copies.
 std::uint64_t delivered_digest(std::uint64_t seed, const std::string& rule,
                                bool use_move_path) {
-  TrafficControl tc{seed};
-  Channel ch{tc};
-  tc.execute("qdisc add dev lo root " + rule);
+  Channel ch{seed};
+  ch.tc().execute("qdisc add dev lo root " + rule);
   check::Fnv1a h;
   ch.register_stream(1, [&h](const ProtocolHeader& header, ByteReader body,
                              LinkDirection via, TimePoint) {
@@ -236,8 +235,7 @@ TEST(PacketPath, MovedAndCopiedSendsDeliverIdenticalBytes) {
 // ------------------------------------------------------ idle-tick allocation
 
 TEST(PacketPath, IdleTicksDoNotAllocate) {
-  TrafficControl tc{5};
-  Channel ch{tc};
+  Channel ch{5};
   ReliableStream stream{ch, 1, LinkDirection::kDownlink};
   // Prime: move one message through so every lazy structure exists, then
   // drain to quiescence.
@@ -259,8 +257,7 @@ TEST(PacketPath, IdleTicksDoNotAllocate) {
 }
 
 TEST(PacketPath, WarmStreamTickReusesPooledPayloads) {
-  TrafficControl tc{5};
-  Channel ch{tc};
+  Channel ch{5};
   ReliableStream stream{ch, 1, LinkDirection::kDownlink};
   const Payload msg(2000, 9);
   std::int64_t t = 0;
@@ -300,9 +297,8 @@ struct WarmPass {
 
 WarmPass measure_warm_stream(std::uint32_t wire, std::size_t payload_bytes, int messages,
                              Duration poll, int send_every) {
-  TrafficControl tc{5};
-  Channel ch{tc};
-  tc.execute("qdisc add dev lo root netem delay 5ms");
+  Channel ch{5};
+  ch.tc().execute("qdisc add dev lo root netem delay 5ms");
   StreamConfig cfg;
   cfg.mtu = 1000;
   ReliableStream stream{ch, 1, LinkDirection::kDownlink, cfg};
@@ -410,15 +406,14 @@ TEST(QdiscIntrospection, FifoNextEventIsTheHeadEnqueueTime) {
 }
 
 TEST(ChannelNextEvent, TracksTheRootQdisc) {
-  TrafficControl tc;
-  Channel ch{tc};
-  tc.add(parse_netem("delay 30ms"));
+  Channel ch;
+  ch.tc().add(parse_netem("delay 30ms"));
   EXPECT_FALSE(ch.next_event_at().has_value());
   ch.send(LinkDirection::kDownlink, {1}, 10, TimePoint{});
   ASSERT_TRUE(ch.next_event_at().has_value());
   EXPECT_EQ(ch.next_event_at()->count_micros(), 30000);
-  ASSERT_TRUE(tc.root().next_event_at().has_value());
-  EXPECT_EQ(tc.root().next_event_at()->count_micros(), 30000);
+  ASSERT_TRUE(ch.tc().root().next_event_at().has_value());
+  EXPECT_EQ(ch.tc().root().next_event_at()->count_micros(), 30000);
   ch.poll(TimePoint::from_micros(30000));
   EXPECT_FALSE(ch.next_event_at().has_value());
 }

@@ -79,16 +79,15 @@ struct RttRun {
 /// being pinned at the floor, so the digest sees srtt + max(4 rttvar, 1 ms).
 RttRun run_rtt(std::uint64_t seed, const std::string& netem, int steps,
                int change_at = -1, const std::string& later = {}) {
-  TrafficControl tc{seed};
-  Channel channel{tc};
-  tc.execute("qdisc add dev lo root netem " + netem);
+  Channel channel{seed};
+  channel.tc().execute("qdisc add dev lo root netem " + netem);
   StreamConfig cfg;
   cfg.rto_min = Duration::millis(1);
   ReliableStream stream{channel, 1, LinkDirection::kDownlink, cfg};
   check::Fnv1a h;
   TimePoint now;
   for (int i = 0; i < steps; ++i) {
-    if (i == change_at) tc.execute("qdisc change dev lo root netem " + later);
+    if (i == change_at) channel.tc().execute("qdisc change dev lo root netem " + later);
     now += Duration::millis(1);
     stream.send_message(Payload(16, static_cast<std::uint8_t>(i)), 64, now);
     channel.poll(now);

@@ -12,8 +12,7 @@ using util::TimePoint;
 
 struct StreamFixture : public ::testing::Test {
   StreamFixture()
-      : channel{tc},
-        stream{channel, 1, LinkDirection::kDownlink, config()} {}
+      : stream{channel, 1, LinkDirection::kDownlink, config()} {}
 
   static StreamConfig config() {
     StreamConfig cfg;
@@ -37,7 +36,6 @@ struct StreamFixture : public ::testing::Test {
     return p;
   }
 
-  TrafficControl tc;
   Channel channel;
   ReliableStream stream;
   TimePoint now;
@@ -77,7 +75,7 @@ TEST_F(StreamFixture, InOrderDeliveryOfManyMessages) {
 }
 
 TEST_F(StreamFixture, RecoversFromLossViaRetransmission) {
-  tc.add(parse_netem("loss 30%"));
+  channel.tc().add(parse_netem("loss 30%"));
   for (int i = 0; i < 50; ++i) {
     stream.send_message({static_cast<std::uint8_t>(i)}, 100, now);
   }
@@ -94,10 +92,10 @@ TEST_F(StreamFixture, RecoversFromLossViaRetransmission) {
 TEST_F(StreamFixture, LossCausesHeadOfLineStall) {
   // With 200 ms min RTO, a lost segment stalls delivery of everything behind
   // it for on the order of the RTO.
-  tc.add(parse_netem("loss 100%"));
+  channel.tc().add(parse_netem("loss 100%"));
   stream.send_message({1}, 100, now);
   run_for(Duration::millis(50));
-  tc.del();
+  channel.tc().del();
   stream.send_message({2}, 100, now);
   run_for(Duration::millis(50));
   // Message 2's segment arrived, but message 1 blocks delivery.
@@ -115,10 +113,10 @@ TEST_F(StreamFixture, LossCausesHeadOfLineStall) {
 TEST_F(StreamFixture, FastRetransmitBeatsRtoWhenTrafficFlows) {
   // Drop exactly one segment, then keep sending: dup-ACKs should trigger a
   // fast retransmit well before the 200 ms RTO.
-  tc.add(parse_netem("loss 100%"));
+  channel.tc().add(parse_netem("loss 100%"));
   stream.send_message({9}, 100, now);
   run_for(Duration::millis(2));
-  tc.del();
+  channel.tc().del();
   for (int i = 0; i < 6; ++i) {
     stream.send_message({static_cast<std::uint8_t>(i)}, 100, now);
     run_for(Duration::millis(5));
@@ -132,7 +130,7 @@ TEST_F(StreamFixture, FastRetransmitBeatsRtoWhenTrafficFlows) {
 }
 
 TEST_F(StreamFixture, DelayInflatesMessageLatency) {
-  tc.add(parse_netem("delay 50ms"));
+  channel.tc().add(parse_netem("delay 50ms"));
   stream.send_message({1}, 100, now);
   run_for(Duration::millis(200));
   const auto d = stream.pop_delivered();
@@ -142,7 +140,7 @@ TEST_F(StreamFixture, DelayInflatesMessageLatency) {
 }
 
 TEST_F(StreamFixture, DuplicatesAreDiscardedByReceiver) {
-  tc.add(parse_netem("duplicate 100%"));
+  channel.tc().add(parse_netem("duplicate 100%"));
   for (int i = 0; i < 10; ++i) stream.send_message({static_cast<std::uint8_t>(i)}, 100, now);
   run_for(Duration::millis(20));
   int received = 0;
@@ -152,11 +150,11 @@ TEST_F(StreamFixture, DuplicatesAreDiscardedByReceiver) {
 }
 
 TEST_F(StreamFixture, CorruptionBehavesAsLoss) {
-  tc.add(parse_netem("corrupt 100%"));
+  channel.tc().add(parse_netem("corrupt 100%"));
   stream.send_message({42}, 100, now);
   run_for(Duration::millis(100));
   EXPECT_FALSE(stream.pop_delivered().has_value());  // every copy mangled
-  tc.del();
+  channel.tc().del();
   run_for(Duration::millis(500));  // retransmission over the clean link
   const auto d = stream.pop_delivered();
   ASSERT_TRUE(d.has_value());
@@ -167,7 +165,7 @@ TEST_F(StreamFixture, WindowLimitsInFlightSegments) {
   StreamConfig cfg = config();
   cfg.window_segments = 4;
   ReliableStream small{channel, 2, LinkDirection::kDownlink, cfg};
-  tc.add(parse_netem("delay 500ms"));  // keep ACKs away
+  channel.tc().add(parse_netem("delay 500ms"));  // keep ACKs away
   for (int i = 0; i < 20; ++i) small.send_message({static_cast<std::uint8_t>(i)}, 100, now);
   small.step(now);
   EXPECT_EQ(small.unacked_segments(), 4u);
@@ -175,7 +173,7 @@ TEST_F(StreamFixture, WindowLimitsInFlightSegments) {
 }
 
 TEST_F(StreamFixture, RtoBacksOffExponentially) {
-  tc.add(parse_netem("loss 100%"));
+  channel.tc().add(parse_netem("loss 100%"));
   stream.send_message({1}, 100, now);
   run_for(Duration::seconds(3.0));
   // With min RTO 200 ms, max 2 s and doubling, ~5-7 attempts fit in 3 s;
@@ -185,7 +183,7 @@ TEST_F(StreamFixture, RtoBacksOffExponentially) {
 }
 
 TEST_F(StreamFixture, SrttTracksPathDelay) {
-  tc.add(parse_netem("delay 20ms"));
+  channel.tc().add(parse_netem("delay 20ms"));
   for (int i = 0; i < 20; ++i) {
     stream.send_message({1}, 100, now);
     run_for(Duration::millis(60));
@@ -197,7 +195,7 @@ TEST_F(StreamFixture, SrttTracksPathDelay) {
 TEST_F(StreamFixture, BidirectionalFaultHitsAcks) {
   // Even if only data gets through untouched, delayed ACKs stretch the
   // sender's RTT estimate — both directions share the device.
-  tc.add(parse_netem("delay 100ms"));
+  channel.tc().add(parse_netem("delay 100ms"));
   stream.send_message({1}, 100, now);
   run_for(Duration::millis(500));
   EXPECT_GE(stream.stats().srtt.value(), 190.0);

@@ -85,9 +85,10 @@ RunOutcome run_one(std::uint64_t seed, const Rule& rule, std::uint32_t window,
   const std::string where = std::string{rule.name} + " seed " + std::to_string(seed) +
                             " window " + std::to_string(window) + " ack_delay " +
                             std::to_string(ack_delay_ms) + "ms";
-  TrafficControl tc{seed};
-  Channel channel{tc};
-  if (rule.netem != nullptr) tc.execute(std::string{"qdisc add dev lo root netem "} + rule.netem);
+  Channel channel{seed};
+  if (rule.netem != nullptr) {
+    channel.tc().execute(std::string{"qdisc add dev lo root netem "} + rule.netem);
+  }
   StreamConfig cfg;
   cfg.mtu = kMtu;
   cfg.window_segments = window;

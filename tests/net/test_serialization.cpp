@@ -15,10 +15,8 @@ TEST(ByteWriterReader, RoundTripsAllTypes) {
   w.u16(0xBEEF);
   w.u32(0xDEADBEEF);
   w.u64(0x0123456789ABCDEFULL);
-  w.i32(-42);
   w.i64(-1234567890123LL);
   w.f64(3.14159);
-  w.str("hello world");
   w.bytes({1, 2, 3});
 
   ByteReader r{w.data()};
@@ -26,11 +24,11 @@ TEST(ByteWriterReader, RoundTripsAllTypes) {
   EXPECT_EQ(r.u16(), 0xBEEF);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(r.i32(), -42);
   EXPECT_EQ(r.i64(), -1234567890123LL);
   EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
-  EXPECT_EQ(r.str(), "hello world");
-  EXPECT_EQ(r.bytes(), (std::vector<std::uint8_t>{1, 2, 3}));
+  const auto blob = r.bytes_view();
+  EXPECT_EQ((std::vector<std::uint8_t>{blob.begin(), blob.end()}),
+            (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_TRUE(r.ok());
   EXPECT_EQ(r.remaining(), 0u);
 }
@@ -74,19 +72,18 @@ TEST(ByteReader, CorruptLengthPrefixIsSafe) {
   ByteWriter w;
   w.u32(1000000);  // claims a million bytes follow
   ByteReader r{w.data()};
-  const auto s = r.str();
+  EXPECT_TRUE(r.bytes_view().empty());
   EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(s.empty());
 }
 
-TEST(ByteReader, EmptyStringAndBytes) {
+TEST(ByteReader, EmptyBytes) {
   ByteWriter w;
-  w.str("");
   w.bytes({});
+  w.u8(3);
   ByteReader r{w.data()};
-  EXPECT_EQ(r.str(), "");
-  EXPECT_TRUE(r.bytes().empty());
+  EXPECT_TRUE(r.bytes_view().empty());
   EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.u8(), 3);
 }
 
 // ----- randomized round-trip (fuzz-style, seeded => reproducible) -----
@@ -95,10 +92,9 @@ TEST(ByteReader, EmptyStringAndBytes) {
 // and the re-writer, so serialize -> deserialize -> re-serialize must be
 // bit-identical.
 struct FuzzField {
-  int tag{0};  // 0=u8 1=u16 2=u32 3=u64 4=i32 5=i64 6=f64 7=str 8=bytes
+  int tag{0};  // 0=u8 1=u16 2=u32 3=u64 4=i64 5=f64 6=bytes
   std::uint64_t integer{0};
   double real{0.0};
-  std::string text;
   std::vector<std::uint8_t> blob;
 };
 
@@ -107,7 +103,7 @@ std::vector<FuzzField> make_fuzz_fields(util::Random& rng) {
   std::vector<FuzzField> fields;
   for (int i = 0; i < n; ++i) {
     FuzzField f;
-    f.tag = rng.uniform_int(0, 8);
+    f.tag = rng.uniform_int(0, 6);
     f.integer = (static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30)) << 32) ^
                 static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
     // Cover negatives, zeros, subnormal-ish and large magnitudes.
@@ -119,7 +115,6 @@ std::vector<FuzzField> make_fuzz_fields(util::Random& rng) {
     }
     const int len = rng.uniform_int(0, 40);
     for (int c = 0; c < len; ++c) {
-      f.text.push_back(static_cast<char>(rng.uniform_int(0, 255)));
       f.blob.push_back(static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
     }
     fields.push_back(std::move(f));
@@ -134,10 +129,8 @@ void write_fields(ByteWriter& w, const std::vector<FuzzField>& fields) {
       case 1: w.u16(static_cast<std::uint16_t>(f.integer)); break;
       case 2: w.u32(static_cast<std::uint32_t>(f.integer)); break;
       case 3: w.u64(f.integer); break;
-      case 4: w.i32(static_cast<std::int32_t>(f.integer)); break;
-      case 5: w.i64(static_cast<std::int64_t>(f.integer)); break;
-      case 6: w.f64(f.real); break;
-      case 7: w.str(f.text); break;
+      case 4: w.i64(static_cast<std::int64_t>(f.integer)); break;
+      case 5: w.f64(f.real); break;
       default: w.bytes(f.blob); break;
     }
   }
@@ -160,11 +153,13 @@ TEST(SerializationFuzz, RandomFieldSequencesReserializeBitIdentically) {
         case 1: w2.u16(r.u16()); break;
         case 2: w2.u32(r.u32()); break;
         case 3: w2.u64(r.u64()); break;
-        case 4: w2.i32(r.i32()); break;
-        case 5: w2.i64(r.i64()); break;
-        case 6: w2.f64(r.f64()); break;
-        case 7: w2.str(r.str()); break;
-        default: w2.bytes(r.bytes()); break;
+        case 4: w2.i64(r.i64()); break;
+        case 5: w2.f64(r.f64()); break;
+        default: {
+          const auto b = r.bytes_view();
+          w2.bytes({b.begin(), b.end()});
+          break;
+        }
       }
     }
     ASSERT_TRUE(r.ok()) << "iteration " << iter;
@@ -211,16 +206,14 @@ TEST(SerializationFuzz, TruncatedBuffersAreRejectedWithoutUb) {
         case 1: r.u16(); break;
         case 2: r.u32(); break;
         case 3: r.u64(); break;
-        case 4: r.i32(); break;
-        case 5: r.i64(); break;
-        case 6: r.f64(); break;
-        case 7: r.str(); break;
-        default: r.bytes(); break;
+        case 4: r.i64(); break;
+        case 5: r.f64(); break;
+        default: r.bytes_view(); break;
       }
     }
     ASSERT_FALSE(r.ok()) << "iteration " << iter << " cut " << cut;
     EXPECT_EQ(r.u64(), 0u);
-    EXPECT_TRUE(r.str().empty());
+    EXPECT_TRUE(r.bytes_view().empty());
   }
 }
 

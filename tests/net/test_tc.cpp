@@ -123,6 +123,27 @@ TEST(ParseNetem, UnknownKeywordThrows) {
   EXPECT_THROW(parse_netem("delay"), TcParseError);  // missing value
 }
 
+TEST(ParseNetem, GapAndLimitTakeWholeUnsignedIntegers) {
+  EXPECT_EQ(parse_netem("delay 10ms reorder 25% gap 7").reorder_gap, 7u);
+  EXPECT_EQ(parse_netem("delay 10ms reorder 25% gap 0").reorder_gap, 1u);  // 0 acts as 1
+  EXPECT_EQ(parse_netem("limit 12").limit, 12u);
+  // The whole token must be an integer in the field's range: no suffix,
+  // fraction, exponent or sign.
+  for (const char* spec : {"gap 5abc", "gap 2.7", "gap 1e12", "gap -1", "gap 4294967296",
+                           "limit 12xyz", "limit 1e30", "limit 2.5", "limit -3",
+                           "limit 99999999999999999999999"}) {
+    EXPECT_THROW(parse_netem(spec), TcParseError) << spec;
+  }
+  try {
+    parse_netem("delay 5ms limit 12xyz");
+    ADD_FAILURE() << "limit 12xyz was accepted";
+  } catch (const TcParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("limit"), std::string::npos) << what;
+    EXPECT_NE(what.find("'12xyz'"), std::string::npos) << what;
+  }
+}
+
 TEST(TrafficControl, DefaultDeviceIsPfifo) {
   TrafficControl tc;
   EXPECT_EQ(tc.root().kind(), "pfifo");

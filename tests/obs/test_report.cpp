@@ -80,6 +80,19 @@ TEST(ObsReport, ReportJsonParsesAndCarriesKnownValues) {
             4);
 }
 
+TEST(ObsReport, RunIdsWithControlCharactersStayValidJson) {
+  // Run ids reach the report verbatim, so a quote, backslash, tab, newline
+  // or other control character in one must come out escaped.
+  const std::string run_id = "run \"01\"\t\\\n\x01";
+  CampaignCollector collector;
+  collector.submit_run(run_id, run_context(2));
+  const std::string report = collector.report_json();
+  EXPECT_NE(report.find(R"("run \"01\"\t\\\n\u0001")"), std::string::npos) << report;
+  const json_check::Value root = json_check::parse(report);
+  EXPECT_EQ(static_cast<int>(root.at("per_run").at(run_id).at("qdisc.fifo.enqueued").num()),
+            2);
+}
+
 TEST(ObsReport, ZeroCountersAreOmittedFromTheReport) {
   CampaignCollector collector;
   Context ctx;

@@ -21,7 +21,7 @@ using util::TimePoint;
 /// seed and wrapped in an obs context so every instrument records.
 struct ObservedStream {
   explicit ObservedStream(std::uint64_t tc_seed)
-      : tc{tc_seed}, channel{tc},
+      : channel{tc_seed},
         stream{channel, 1, LinkDirection::kDownlink, config()},
         scope{&ctx} {}
 
@@ -47,7 +47,6 @@ struct ObservedStream {
   std::uint64_t counter(obs::MetricId id) const { return ctx.counter(id); }
 
   obs::Context ctx;
-  TrafficControl tc;
   Channel channel;
   ReliableStream stream;
   obs::ContextScope scope;
@@ -77,7 +76,7 @@ TEST(ObsStreamCounters, RetransmitsCoverLossesUnderNetemLoss) {
   for (const char* loss : {"loss 2%", "loss 5%", "loss 20%"}) {
     for (const std::uint64_t seed : {7ull, 11ull, 42ull}) {
       ObservedStream s{seed};
-      s.tc.add(parse_netem(loss));
+      s.channel.tc().add(parse_netem(loss));
       constexpr int kMessages = 40;
       for (int i = 0; i < kMessages; ++i) {
         s.stream.send_message({static_cast<std::uint8_t>(i)}, 100, s.now);
@@ -113,7 +112,7 @@ TEST(ObsStreamCounters, HolStallMicrosEqualsSumOfTracedStallSpans) {
   // endpoints, so the microsecond total must equal the span-duration sum
   // exactly — and the span count must match the windows counter.
   ObservedStream s{42};
-  s.tc.add(parse_netem("loss 30%"));
+  s.channel.tc().add(parse_netem("loss 30%"));
   for (int i = 0; i < 40; ++i) {
     s.stream.send_message({static_cast<std::uint8_t>(i)}, 100, s.now);
   }
@@ -138,10 +137,10 @@ TEST(ObsStreamCounters, HolStallMicrosEqualsSumOfTracedStallSpans) {
 TEST(ObsStreamCounters, RtoEventsMatchStreamStats) {
   ObservedStream s{7};
   // Total blackout long enough that only RTO can recover the segment.
-  s.tc.add(parse_netem("loss 100%"));
+  s.channel.tc().add(parse_netem("loss 100%"));
   s.stream.send_message({1}, 100, s.now);
   s.run_for(Duration::millis(300));
-  s.tc.del();
+  s.channel.tc().del();
   s.run_for(Duration::seconds(2.0));
   ASSERT_TRUE(s.stream.pop_delivered().has_value());
   EXPECT_GT(s.counter(obs::metric::kStreamRtoEvents), 0u);
