@@ -1,12 +1,12 @@
-// Campaign scaling bench: serial runner vs the thread-pool runner at
-// 1/2/4/8 workers. Verifies that every parallel configuration reproduces the
-// serial campaign_hash bit-for-bit (exits non-zero otherwise) and emits the
-// measurements as BENCH_campaign.json.
+// Campaign scaling bench: the campaign runner at 1/2/4/8 workers. Verifies
+// that every worker count reproduces the 1-worker (serial) campaign_hash
+// bit-for-bit (exits non-zero otherwise) and emits the measurements as
+// BENCH_campaign.json.
 //
-// Also measures observability overhead: one more serial campaign with an
+// Also measures observability overhead: one more 1-worker campaign with an
 // obs::CampaignCollector attached and every instrument live. The hash must
 // still match (exit-code gated), and the wall-time delta against the plain
-// serial run is reported as overhead_pct in BENCH_obs.json, together with
+// 1-worker run is reported as overhead_pct in BENCH_obs.json, together with
 // the collector's full metric report; the per-run trace goes to
 // campaign_sample.trace.json.
 //
@@ -59,14 +59,6 @@ int main(int argc, char** argv) {
 
   const core::ExperimentHarness harness{cfg};
 
-  const auto s0 = std::chrono::steady_clock::now();
-  const core::CampaignResult serial = harness.run_campaign();
-  const auto s1 = std::chrono::steady_clock::now();
-  const double serial_s = wall_seconds(s0, s1);
-  const std::uint64_t serial_hash = check::campaign_hash(serial);
-  std::printf("  serial      : %7.2f s   hash %016llx\n", serial_s,
-              static_cast<unsigned long long>(serial_hash));
-
   struct Row {
     std::size_t workers;
     double wall_s;
@@ -78,22 +70,26 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     const auto t0 = std::chrono::steady_clock::now();
-    const core::CampaignResult parallel = harness.run_campaign_parallel(workers);
+    const core::CampaignResult campaign = harness.run_campaign(workers);
     const auto t1 = std::chrono::steady_clock::now();
     Row row;
     row.workers = workers;
     row.wall_s = wall_seconds(t0, t1);
-    row.speedup = row.wall_s > 0.0 ? serial_s / row.wall_s : 0.0;
-    row.hash = check::campaign_hash(parallel);
-    row.bit_identical = row.hash == serial_hash;
+    row.hash = check::campaign_hash(campaign);
+    // The first row is the serial baseline the others are measured against.
+    const Row& serial = rows.empty() ? row : rows.front();
+    row.speedup = row.wall_s > 0.0 ? serial.wall_s / row.wall_s : 0.0;
+    row.bit_identical = row.hash == serial.hash;
     all_identical = all_identical && row.bit_identical;
     std::printf("  %2zu worker(s): %7.2f s   hash %016llx   speedup %.2fx   %s\n",
                 row.workers, row.wall_s, static_cast<unsigned long long>(row.hash),
                 row.speedup, row.bit_identical ? "bit-identical" : "HASH MISMATCH");
     rows.push_back(row);
   }
+  const double serial_s = rows.front().wall_s;
+  const std::uint64_t serial_hash = rows.front().hash;
 
-  // Observability overhead: serial again, collector attached.
+  // Observability overhead: one worker again, collector attached.
   core::ExperimentHarness obs_harness{cfg};
   obs::CampaignCollector collector;
   obs_harness.set_collector(&collector);
@@ -113,15 +109,14 @@ int main(int argc, char** argv) {
   json << "{\n"
        << "  \"bench\": \"campaign_scaling\",\n"
        << "  \"seed\": " << cfg.seed << ",\n"
-       << "  \"subjects\": " << serial.subjects.size() << ",\n"
+       << "  \"subjects\": " << observed.subjects.size() << ",\n"
        << "  \"run_time_limit\": " << cfg.run_time_limit.value() << ",\n"
        << "  \"hardware_concurrency\": " << hw << ",\n";
   char hash_buf[32];
   std::snprintf(hash_buf, sizeof hash_buf, "%016llx",
                 static_cast<unsigned long long>(serial_hash));
-  json << "  \"serial\": { \"wall_s\": " << serial_s << ", \"campaign_hash\": \""
-       << hash_buf << "\" },\n"
-       << "  \"parallel\": [\n";
+  json << "  \"campaign_hash\": \"" << hash_buf << "\",\n"
+       << "  \"workers\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::snprintf(hash_buf, sizeof hash_buf, "%016llx",

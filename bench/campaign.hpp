@@ -1,6 +1,6 @@
 // Shared helper for the table benches: each binary runs the campaign it
-// reports in its own process, on the parallel runner, and prints one header
-// line with the wall time and the campaign hash.
+// reports in its own process, on every hardware thread, and prints one
+// header line with the wall time and the campaign hash.
 #pragma once
 
 #include <chrono>
@@ -14,7 +14,7 @@ namespace bench_helper {
 inline rdsim::core::CampaignResult run_campaign(const char* label,
                                                 const rdsim::core::ExperimentConfig& config) {
   const auto t0 = std::chrono::steady_clock::now();
-  auto r = rdsim::core::ExperimentHarness{config}.run_campaign_parallel(/*n_workers=*/0);
+  auto r = rdsim::core::ExperimentHarness{config}.run_campaign(/*n_workers=*/0);
   const auto t1 = std::chrono::steady_clock::now();
   std::printf("[%s: 12 subjects x (golden + faulty) in %.1f s wall, hash %016llx]\n\n", label,
               std::chrono::duration<double>(t1 - t0).count(),

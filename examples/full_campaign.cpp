@@ -4,9 +4,9 @@
 //
 //   usage: full_campaign [--dump-traces] [--workers N] [seed]
 //
-// --workers N runs the subjects on the thread-pool campaign runner (N=0
-// means hardware concurrency); the result — including the campaign hash
-// printed at the end — is bit-identical to the serial run.
+// --workers N runs the subjects on N threads (default 1; N=0 means hardware
+// concurrency); the result — including the campaign hash printed at the
+// end — is bit-identical at every worker count.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -19,14 +19,12 @@ using namespace rdsim;
 
 int main(int argc, char** argv) {
   bool dump = false;
-  bool parallel = false;
-  std::size_t workers = 0;
+  std::size_t workers = 1;
   core::ExperimentConfig cfg;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dump-traces") == 0) {
       dump = true;
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      parallel = true;
       workers = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else {
       cfg.seed = std::strtoull(argv[i], nullptr, 10);
@@ -35,10 +33,8 @@ int main(int argc, char** argv) {
 
   std::printf("running campaign (seed %llu): 12 subjects, golden + faulty runs%s...\n\n",
               static_cast<unsigned long long>(cfg.seed),
-              parallel ? " (parallel)" : "");
-  core::ExperimentHarness harness{cfg};
-  const auto campaign =
-      parallel ? harness.run_campaign_parallel(workers) : harness.run_campaign();
+              workers != 1 ? " (parallel)" : "");
+  const auto campaign = core::ExperimentHarness{cfg}.run_campaign(workers);
 
   std::fputs(core::report::render_table1(cfg.rds.station).c_str(), stdout);
   std::printf("\n");

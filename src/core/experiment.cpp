@@ -9,7 +9,7 @@
 #include "obs/catalog.hpp"
 #include "obs/obs.hpp"
 #include "sim/scenario.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace rdsim::core {
 
@@ -64,7 +64,7 @@ RunResult ExperimentHarness::run_one(const SubjectProfile& profile, bool faulty,
   const std::string run_id = rc.run_id;
   TeleopSession session{std::move(rc), std::move(scenario)};
   // One obs context per run, installed thread-locally for the duration:
-  // whichever pool worker executes this subject accumulates into it, and
+  // whichever thread runs this subject accumulates into it, and
   // the collector merges finished runs in run-id order.
   obs::Context obs_ctx;
   RunResult result;
@@ -84,8 +84,8 @@ SubjectResult ExperimentHarness::run_subject(const SubjectProfile& profile,
   result.profile = profile;
   // All streams below are SplitMix-derived from (profile seed, purpose), so a
   // subject's result depends on nothing outside its own profile — required
-  // for run_campaign_parallel to be bit-identical to the serial runner. The
-  // plan stream is drawn by the faulty run, then by the questionnaire.
+  // for run_campaign to be bit-identical at every worker count. The plan
+  // stream is drawn by the faulty run, then by the questionnaire.
   util::Random rng{profile.seed, /*stream=*/0x706c616eULL};
   // Golden run (§V.E.2): baseline reference of the subject's behaviour.
   result.golden = run_one(profile, /*faulty=*/false, golden_replay, rng);
@@ -115,24 +115,14 @@ QuestionnaireResponse ExperimentHarness::make_questionnaire(
   return q;
 }
 
-CampaignResult ExperimentHarness::run_campaign() const {
-  CampaignResult out;
-  out.config = config_;
-  for (const SubjectProfile& profile : make_roster(config_.seed)) {
-    out.subjects.push_back(run_subject(profile));
-  }
-  return out;
-}
-
-CampaignResult ExperimentHarness::run_campaign_parallel(std::size_t n_workers) const {
+CampaignResult ExperimentHarness::run_campaign(std::size_t n_workers) const {
   CampaignResult out;
   out.config = config_;
   const std::vector<SubjectProfile> roster = make_roster(config_.seed);
   out.subjects.resize(roster.size());
-  util::ThreadPool pool{n_workers};
-  // One task per subject; each writes only its own slot, so aggregation is
-  // in subject order no matter how the pool schedules the work.
-  pool.parallel_for(roster.size(), [&](std::size_t i) {
+  // Each index writes only its own slot, so results come back in subject
+  // order whichever thread runs which subject.
+  util::parallel_for(roster.size(), n_workers, [&](std::size_t i) {
     out.subjects[i] = run_subject(roster[i]);
   });
   return out;

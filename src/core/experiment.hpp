@@ -76,24 +76,21 @@ class ExperimentHarness {
                             check::ReplayRecorder* golden_replay = nullptr,
                             check::ReplayRecorder* faulty_replay = nullptr) const;
 
-  /// The full 12-subject campaign, serially.
-  CampaignResult run_campaign() const;
-
-  /// The same campaign executed on a fixed-size thread pool, one task per
-  /// subject, results aggregated in subject order. Every RNG stream is
+  /// The full 12-subject campaign on `n_workers` threads, counting the
+  /// caller (0 means hardware concurrency; one worker starts no thread), one
+  /// subject per index, results in subject order. Every RNG stream is
   /// derived from (campaign seed, subject, purpose) by SplitMix sub-seeding
   /// rather than drawn from a shared sequence, so the result — and its
-  /// check::campaign_hash — is bit-identical to run_campaign() for every
-  /// worker count. `n_workers` 0 means hardware concurrency.
-  CampaignResult run_campaign_parallel(std::size_t n_workers) const;
+  /// check::campaign_hash — is bit-identical for every worker count.
+  CampaignResult run_campaign(std::size_t n_workers = 1) const;
 
   const ExperimentConfig& config() const { return config_; }
 
   /// Attach an observability collector. Each run (golden and faulty) then
   /// executes under its own obs::Context — installed thread-locally, so this
-  /// works identically for serial and pooled campaigns — and is submitted
-  /// under its run id ("T01-NFI"). Pass nullptr to detach. The collector
-  /// must outlive every campaign call.
+  /// works identically at every worker count — and is submitted under its
+  /// run id ("T01-NFI"). Pass nullptr to detach. The collector must outlive
+  /// every campaign call.
   void set_collector(obs::CampaignCollector* collector) { collector_ = collector; }
   obs::CampaignCollector* collector() const { return collector_; }
 

@@ -125,28 +125,15 @@ std::vector<TtcRow> ttc_rows(const CampaignResult& campaign,
 
     const auto faulty_series = analyzer.series(s->faulty.trace);
     for (const std::string& label : fault_labels()) {
-      metrics::TtcStats merged{};
-      util::RunningStats acc;
-      std::size_t violations = 0;
+      std::vector<metrics::TtcSample> in_label;
       for (const auto& [start, stop] : label_windows(s->faulty.trace, label)) {
         for (const auto& sample : faulty_series) {
           if (sample.t < start || sample.t >= stop) continue;
-          acc.add(sample.ttc.value());
-          if (sample.ttc > units::Seconds{} && sample.ttc < config.violation_threshold) {
-            ++violations;
-          }
+          in_label.push_back(sample);
         }
       }
-      if (!acc.empty()) {
-        merged.samples = acc.count();
-        merged.min = units::Seconds{acc.min()};
-        merged.avg = units::Seconds{acc.mean()};
-        merged.max = units::Seconds{acc.max()};
-        merged.violations = violations;
-        row.cells[label] = merged;
-      } else {
-        row.cells[label] = std::nullopt;
-      }
+      const auto cell = analyzer.summarize(in_label);
+      row.cells[label] = cell.valid() ? std::optional{cell} : std::nullopt;
     }
     rows.push_back(std::move(row));
   }

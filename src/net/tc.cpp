@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -64,16 +65,18 @@ util::Duration parse_duration(const std::string& token) {
   std::size_t consumed = 0;
   const double value = leading_number(token, consumed);
   const std::string unit = lower(token.substr(consumed));
+  std::optional<util::Duration> d;
   if (unit.empty() || unit == "ms" || unit == "msec" || unit == "msecs") {
-    return units::Millis{value}.to_duration();
+    d = util::Duration::checked_seconds(units::Millis{value}.to_seconds().value());
+  } else if (unit == "us" || unit == "usec" || unit == "usecs") {
+    d = util::Duration::checked_micros(value);
+  } else if (unit == "s" || unit == "sec" || unit == "secs") {
+    d = util::Duration::checked_seconds(value);
+  } else {
+    throw TcParseError{"unknown time unit in '" + token + "'"};
   }
-  if (unit == "us" || unit == "usec" || unit == "usecs") {
-    return util::Duration::micros(static_cast<std::int64_t>(value));
-  }
-  if (unit == "s" || unit == "sec" || unit == "secs") {
-    return util::Duration::seconds(value);
-  }
-  throw TcParseError{"unknown time unit in '" + token + "'"};
+  if (!d) throw TcParseError{"duration out of range in '" + token + "'"};
+  return *d;
 }
 
 units::Probability parse_percent(const std::string& token) {

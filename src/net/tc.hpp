@@ -27,7 +27,8 @@ class TcParseError : public std::runtime_error {
 };
 
 /// Parse a duration token: "50ms", "5ms", "1.5s", "200us". Bare numbers are
-/// milliseconds, following tc conventions.
+/// milliseconds, following tc conventions. Throws TcParseError when the
+/// value is not finite or its microsecond count does not fit an int64_t.
 util::Duration parse_duration(const std::string& token);
 
 /// Parse a percentage token: "5%", "2.5%", or a bare fraction "0.05".

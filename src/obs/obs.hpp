@@ -8,7 +8,7 @@
 //      histograms) with a static catalog of metric names (obs/catalog.hpp) —
 //      names are registered exactly once, never concatenated in hot paths;
 //   2. RAII scoped wall-clock timers (obs/profile.hpp) accumulating into the
-//      thread-local context, merged across util::ThreadPool workers in
+//      thread-local context, merged across util::parallel_for workers in
 //      worker-count-independent order;
 //   3. a span/event tracer keyed to the *virtual* simulation clock, exported
 //      as Chrome trace-event JSON (obs/trace_export.hpp) loadable in

@@ -61,8 +61,8 @@ void RunTrace::write_csv(std::ostream& ego_out, std::ostream& others_out,
   using util::CsvWriter;
   {
     CsvWriter w{ego_out};
-    w.write_header({"t", "frame", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az",
-                    "throttle", "steer", "brake"});
+    w.write_row({"t", "frame", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az",
+                 "throttle", "steer", "brake"});
     for (const EgoSample& s : ego) {
       w.field(s.t)
           .field(static_cast<std::int64_t>(s.frame))
@@ -83,8 +83,8 @@ void RunTrace::write_csv(std::ostream& ego_out, std::ostream& others_out,
   }
   {
     CsvWriter w{others_out};
-    w.write_header({"actor", "role", "t", "distance", "x", "y", "z", "vx", "vy", "vz",
-                    "throttle", "steer", "brake"});
+    w.write_row({"actor", "role", "t", "distance", "x", "y", "z", "vx", "vy", "vz",
+                 "throttle", "steer", "brake"});
     for (const OtherSample& s : others) {
       w.field(static_cast<std::int64_t>(s.actor))
           .field(s.role)
@@ -104,7 +104,7 @@ void RunTrace::write_csv(std::ostream& ego_out, std::ostream& others_out,
   }
   {
     CsvWriter w{events_out};
-    w.write_header({"event", "t", "frame", "a", "b", "c"});
+    w.write_row({"event", "t", "frame", "a", "b", "c"});
     for (const CollisionRecord& c : collisions) {
       w.field("collision")
           .field(c.t)

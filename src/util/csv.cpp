@@ -35,11 +35,6 @@ void CsvWriter::write_cell(std::string_view v) {
   row_started_ = true;
 }
 
-void CsvWriter::write_header(const std::vector<std::string>& columns) {
-  for (const auto& c : columns) write_cell(c);
-  end_row();
-}
-
 void CsvWriter::write_row(const std::vector<std::string>& cells) {
   for (const auto& c : cells) write_cell(c);
   end_row();
@@ -63,7 +58,6 @@ CsvWriter& CsvWriter::field(std::int64_t v) {
 void CsvWriter::end_row() {
   *out_ << '\n';
   row_started_ = false;
-  ++rows_;
 }
 
 CsvTable CsvTable::parse(std::string_view text) {

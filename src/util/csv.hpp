@@ -17,7 +17,7 @@ class CsvWriter {
  public:
   explicit CsvWriter(std::ostream& out) : out_{&out} {}
 
-  void write_header(const std::vector<std::string>& columns);
+  /// One whole row; a header is the first row.
   void write_row(const std::vector<std::string>& cells);
 
   /// Fluent per-cell interface: field(...) ... end_row().
@@ -26,14 +26,11 @@ class CsvWriter {
   CsvWriter& field(std::int64_t v);
   void end_row();
 
-  std::size_t rows_written() const { return rows_; }
-
  private:
   void write_cell(std::string_view v);
 
   std::ostream* out_;
   bool row_started_{false};
-  std::size_t rows_{0};
 };
 
 /// Fully-parsed CSV document. Small-file oriented (traces are a few MB).

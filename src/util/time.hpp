@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <compare>
+#include <optional>
 
 namespace rdsim::util {
 
@@ -20,6 +21,17 @@ class Duration {
   static constexpr Duration millis(std::int64_t ms) { return Duration{ms * 1000}; }
   static constexpr Duration seconds(double s) {
     return Duration{static_cast<std::int64_t>(s * 1e6)};
+  }
+  /// micros() and seconds() of a double that may be out of range: nullopt
+  /// when the microsecond count is not finite or does not fit int64_t, where
+  /// the plain cast is undefined. In range, the same truncation.
+  static constexpr std::optional<Duration> checked_micros(double us) {
+    // int64_t holds [-2^63, 2^63); NaN fails both comparisons.
+    if (!(us >= -0x1p63 && us < 0x1p63)) return std::nullopt;
+    return Duration{static_cast<std::int64_t>(us)};
+  }
+  static constexpr std::optional<Duration> checked_seconds(double s) {
+    return checked_micros(s * 1e6);
   }
 
   constexpr std::int64_t count_micros() const { return us_; }

@@ -187,7 +187,7 @@ TEST(CampaignGolden, ParallelMatchesSerialForEveryWorkerCount) {
         check::campaign_hash(golden_campaign(entry.seed));
     const ExperimentHarness harness{golden_config(entry.seed)};
     for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-      const CampaignResult parallel = harness.run_campaign_parallel(workers);
+      const CampaignResult parallel = harness.run_campaign(workers);
       ASSERT_EQ(check::campaign_hash(parallel), serial_hash)
           << "seed " << entry.seed << " workers " << workers;
     }
@@ -224,7 +224,7 @@ TEST(CampaignGolden, ObservabilityDoesNotPerturbTheCampaign) {
   }
 
   // Worker sweep (seed 42 keeps the sweep inside the unit-test budget): the
-  // pooled runner installs per-run contexts on whatever worker executes the
+  // runner installs per-run contexts on whatever thread executes the
   // subject; hashes must still match the corpus bit-for-bit.
   const GoldenEntry& entry = kGolden[2];
   ASSERT_EQ(entry.seed, 42u);
@@ -232,7 +232,7 @@ TEST(CampaignGolden, ObservabilityDoesNotPerturbTheCampaign) {
     ExperimentHarness harness{golden_config(entry.seed)};
     obs::CampaignCollector collector;
     harness.set_collector(&collector);
-    const CampaignResult observed = harness.run_campaign_parallel(workers);
+    const CampaignResult observed = harness.run_campaign(workers);
     ASSERT_EQ(check::campaign_hash(observed), entry.campaign)
         << "obs-enabled parallel campaign drifted at " << workers << " workers";
     ASSERT_EQ(collector.run_count(), 24u) << workers << " workers";
@@ -249,7 +249,7 @@ TEST(CampaignGolden, ObsAggregationIsWorkerCountIndependent) {
     ExperimentHarness harness{golden_config(seed)};
     auto collector = std::make_unique<obs::CampaignCollector>();
     harness.set_collector(collector.get());
-    harness.run_campaign_parallel(workers);
+    harness.run_campaign(workers);
     return collector;
   };
   const auto reference = collect(1);
@@ -399,14 +399,15 @@ TEST(CampaignGoldenMitigated, MitigationActuallyEngagesInTheCorpus) {
 
 TEST(CampaignGoldenMitigated, ParallelMatchesSerialForEveryWorkerCount) {
   // Mitigation state lives entirely inside the per-run session (no RNG, no
-  // globals), so the pooled runner must stay bit-identical with it enabled.
+  // globals), so the multi-worker runner must stay bit-identical with it
+  // enabled.
   const GoldenEntry& entry = kGoldenMitigated[2];
   ASSERT_EQ(entry.seed, 42u);
   const std::uint64_t serial_hash =
       check::campaign_hash(mitigated_campaign(entry.seed));
   const ExperimentHarness harness{mitigated_config(entry.seed)};
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const CampaignResult parallel = harness.run_campaign_parallel(workers);
+    const CampaignResult parallel = harness.run_campaign(workers);
     ASSERT_EQ(check::campaign_hash(parallel), serial_hash)
         << "mitigated campaign diverged at " << workers << " workers";
   }

@@ -1,6 +1,8 @@
 // The tc rule language and the loopback link's root qdisc.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/tc.hpp"
 
 namespace rdsim::net {
@@ -16,6 +18,20 @@ TEST(ParseDuration, Units) {
   EXPECT_EQ(parse_duration("2.5ms"), Duration::micros(2500));
   EXPECT_THROW(parse_duration("10parsecs"), TcParseError);
   EXPECT_THROW(parse_duration("fast"), TcParseError);
+}
+
+TEST(ParseDuration, RejectsOutOfRangeValues) {
+  for (const char* token : {"1e30us", "1e30ms", "1e30s", "-1e30s", "infms", "nanms"}) {
+    try {
+      parse_duration(token);
+      ADD_FAILURE() << token << " parsed";
+    } catch (const TcParseError& e) {
+      EXPECT_NE(std::string{e.what()}.find(token), std::string::npos) << e.what();
+    }
+  }
+  // The largest values that still fit keep parsing.
+  EXPECT_EQ(parse_duration("9e18us"), Duration::micros(9'000'000'000'000'000'000));
+  EXPECT_EQ(parse_duration("9e12s"), Duration::seconds(9e12));
 }
 
 TEST(ParsePercent, Forms) {

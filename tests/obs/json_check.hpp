@@ -1,8 +1,9 @@
 // Minimal recursive-descent JSON parser for validating exported artifacts
 // (Chrome traces, obs reports) in tests. Supports the full value grammar the
 // exporters emit: objects, arrays, strings with escapes, numbers, booleans,
-// null. Throws std::runtime_error with a byte offset on malformed input —
-// a test that feeds it exporter output is a round-trip check.
+// null. Throws std::runtime_error with a byte offset on malformed input,
+// including a raw control character (U+0000–U+001F) inside a string — a
+// test that feeds it exporter output is a round-trip check.
 #pragma once
 
 #include <cctype>
@@ -146,6 +147,7 @@ class Parser {
     std::string out;
     while (true) {
       const char c = peek();
+      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
       ++pos_;
       if (c == '"') return out;
       if (c == '\\') {

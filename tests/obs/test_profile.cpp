@@ -1,7 +1,7 @@
 // Scoped-timer and context-installation semantics: RAII accumulation, scope
 // nesting/restoration (a null scope being the one off switch), and
-// worker-count independence of per-task context aggregation on the real
-// ThreadPool.
+// worker-count independence of per-task context aggregation under the real
+// util::parallel_for.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,7 +10,7 @@
 
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 namespace rdsim::obs {
 namespace {
@@ -84,8 +84,7 @@ TEST(ObsProfile, PoolAggregationIsWorkerCountIndependent) {
   auto run = [](std::size_t workers) {
     auto collector = std::make_unique<CampaignCollector>();
     std::vector<Context> contexts(kTasks);
-    util::ThreadPool pool{workers};
-    pool.parallel_for(kTasks, [&](std::size_t i) {
+    util::parallel_for(kTasks, workers, [&](std::size_t i) {
       ContextScope scope{&contexts[i]};
       for (std::size_t k = 0; k <= i; ++k) {
         RDSIM_OBS_COUNT(kPoolCounter, k + 1);

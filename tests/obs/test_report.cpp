@@ -93,6 +93,15 @@ TEST(ObsReport, RunIdsWithControlCharactersStayValidJson) {
             2);
 }
 
+TEST(JsonCheck, RejectsRawControlCharactersInStrings) {
+  // JSON strings may hold U+0000-U+001F only escaped; the reader behind the
+  // report tests must refuse them raw, or an unescaping writer would pass.
+  EXPECT_EQ(json_check::parse(R"({"id": "a\tb\u0001"})").at("id").str(), "a\tb\x01");
+  EXPECT_THROW(json_check::parse("{\"id\": \"a\tb\"}"), std::runtime_error);
+  EXPECT_THROW(json_check::parse("{\"id\": \"a\x01\"}"), std::runtime_error);
+  EXPECT_THROW(json_check::parse("{\"a\nb\": 1}"), std::runtime_error);
+}
+
 TEST(ObsReport, ZeroCountersAreOmittedFromTheReport) {
   CampaignCollector collector;
   Context ctx;
