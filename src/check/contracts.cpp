@@ -1,7 +1,6 @@
 #include "check/contracts.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/thread_annotations.hpp"
@@ -31,9 +30,6 @@ void Site::fail() {
       break;
     case Policy::kThrow:
       throw ContractViolation{format()};
-    case Policy::kAbort:
-      std::fprintf(stderr, "[rdsim::check] %s\n", format().c_str());
-      std::abort();
   }
 }
 

@@ -9,7 +9,6 @@
 //             the check itself is a branch on an already-computed value)
 //   kLog    – count + one line to stderr per failure (debug default)
 //   kThrow  – count + throw check::ContractViolation (tests)
-//   kAbort  – count + print + std::abort (hard CI runs)
 //
 // Every failing site self-registers in the global Registry on first failure,
 // so post-run code can enumerate exactly which contracts fired and how often
@@ -26,7 +25,7 @@
 
 namespace rdsim::check {
 
-enum class Policy : std::uint8_t { kCount, kLog, kThrow, kAbort };
+enum class Policy : std::uint8_t { kCount, kLog, kThrow };
 
 /// Policy selected at compile time when nobody calls set_policy():
 /// silent counting in release builds, logging in debug builds.

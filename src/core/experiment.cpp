@@ -70,8 +70,9 @@ RunResult ExperimentHarness::run_one(const SubjectProfile& profile, bool faulty,
   RunResult result;
   {
     obs::ContextScope obs_scope{collector_ != nullptr ? &obs_ctx : nullptr};
-    RDSIM_OBS_TIMER(obs::metric::kRunWall);
+    obs::Stopwatch stopwatch;
     result = session.run();
+    stopwatch.lap(obs::metric::kRunWall);
   }
   if (collector_ != nullptr) collector_->submit_run(run_id, std::move(obs_ctx));
   return result;

@@ -169,48 +169,39 @@ void TeleopSession::pump_commands(util::TimePoint now) {
 
 bool TeleopSession::step() {
   if (finished_) return false;
-  RDSIM_OBS_TIMER(obs::metric::kPhaseStep);
+  // One lap per phase; the step timer is their exact sum.
+  obs::Stopwatch stopwatch;
   const util::TimePoint now = clock_.now();
 
   // Physics sub-steps due at this tick.
-  {
-    RDSIM_OBS_TIMER(obs::metric::kPhasePhysics);
-    while (next_physics_ <= now) {
-      vehicle_.step_physics(units::Seconds::from_duration(physics_dt_));
-      recorder_.step(vehicle_.world());
-      if (config_.replay != nullptr) {
-        check::Fnv1a net;
-        net.u64(check::hash_channel(channel_));
-        net.u64(check::hash_qdisc(channel_.tc().root()));
-        config_.replay->record_tick(vehicle_.world().frame_counter(),
-                                    check::hash_frame(vehicle_.world().snapshot()),
-                                    net.digest());
-      }
-      next_physics_ += physics_dt_;
+  while (next_physics_ <= now) {
+    vehicle_.step_physics(units::Seconds::from_duration(physics_dt_));
+    recorder_.step(vehicle_.world());
+    if (config_.replay != nullptr) {
+      check::Fnv1a net;
+      net.u64(check::hash_channel(channel_));
+      net.u64(check::hash_qdisc(channel_.tc().root()));
+      config_.replay->record_tick(vehicle_.world().frame_counter(),
+                                  check::hash_frame(vehicle_.world().snapshot()),
+                                  net.digest());
     }
+    next_physics_ += physics_dt_;
   }
+  stopwatch.lap(obs::metric::kPhasePhysics);
 
-  {
-    RDSIM_OBS_TIMER(obs::metric::kPhaseFaults);
-    update_fault_plan();
-  }
-
-  {
-    RDSIM_OBS_TIMER(obs::metric::kPhaseVideo);
-    pump_video(now);
-  }
-  {
-    RDSIM_OBS_TIMER(obs::metric::kPhaseRouter);
-    channel_.poll(now);
-  }
+  update_fault_plan();
+  stopwatch.lap(obs::metric::kPhaseFaults);
+  pump_video(now);
+  stopwatch.lap(obs::metric::kPhaseVideo);
+  channel_.poll(now);
+  stopwatch.lap(obs::metric::kPhaseRouter);
   if (estimator_) {
-    RDSIM_OBS_TIMER(obs::metric::kPhaseMitigate);
     update_mitigation(now);
+    stopwatch.lap(obs::metric::kPhaseMitigate);
   }
-  {
-    RDSIM_OBS_TIMER(obs::metric::kPhaseCommands);
-    pump_commands(now);
-  }
+  pump_commands(now);
+  stopwatch.lap(obs::metric::kPhaseCommands);
+  stopwatch.total(obs::metric::kPhaseStep);
 
   clock_.advance(comms_dt_);
 

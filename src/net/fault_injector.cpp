@@ -5,6 +5,7 @@
 #include "obs/catalog.hpp"
 #include "obs/obs.hpp"
 #include "util/time.hpp"
+#include "util/units.hpp"
 
 namespace rdsim::net {
 
@@ -17,22 +18,19 @@ std::string to_string(FaultKind kind) {
   return "unknown";
 }
 
-std::string FaultSpec::to_netem_args() const {
-  std::ostringstream os;
-  switch (kind) {
-    case FaultKind::kNone:
-      break;
-    case FaultKind::kDelay:
-      os << "delay " << value << "ms";
-      break;
-    case FaultKind::kPacketLoss:
-      os << "loss " << value * 100.0 << "%";
-      break;
+NetemConfig FaultSpec::to_config() const {
+  NetemConfig cfg;
+  if (kind == FaultKind::kDelay) {
+    const auto delay =
+        util::Duration::checked_seconds(units::Millis{value}.to_seconds().value());
+    if (!delay) throw TcParseError{"delay out of range: " + label()};
+    cfg.delay = *delay;
+  } else if (kind == FaultKind::kPacketLoss) {
+    if (!(value >= 0.0 && value <= 1.0)) throw TcParseError{"loss out of range: " + label()};
+    cfg.loss_probability = units::Probability{value};
   }
-  return os.str();
+  return cfg;
 }
-
-NetemConfig FaultSpec::to_config() const { return parse_netem(to_netem_args()); }
 
 std::string FaultSpec::label() const {
   std::ostringstream os;

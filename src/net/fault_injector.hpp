@@ -35,8 +35,9 @@ struct FaultSpec {
   FaultKind kind{FaultKind::kNone};
   double value{0.0};  ///< ms for delay, fraction for probabilistic faults
 
-  /// The tc netem argument string for this fault ("delay 50ms", "loss 5%").
-  std::string to_netem_args() const;
+  /// The netem rule for this fault, at the exact `value`. Throws
+  /// TcParseError for a loss outside [0, 1] or a delay that is not finite
+  /// or overflows, as parse_netem does.
   NetemConfig to_config() const;
 
   /// Human-readable label used in the tables ("50ms", "5%").

@@ -91,7 +91,7 @@ units::Probability parse_percent(const std::string& token) {
   } else {
     throw TcParseError{"expected percentage, got '" + token + "'"};
   }
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // NaN included
     throw TcParseError{"percentage out of range in '" + token + "'"};
   }
   return units::Probability{p};

@@ -7,27 +7,12 @@
 
 namespace rdsim::obs {
 
-namespace {
-
-template <typename T>
-T& slot(std::vector<T>& cells, MetricId id) {
-  if (cells.size() <= id) cells.resize(id + 1);
-  return cells[id];
-}
-
-template <typename T>
-const T* slot_if(const std::vector<T>& cells, MetricId id) {
-  return id < cells.size() ? &cells[id] : nullptr;
-}
-
-}  // namespace
-
 void Context::count(MetricId id, std::uint64_t delta) {
-  slot(counters_, id) += delta;
+  counters_.at(id) += delta;
 }
 
 void Context::gauge_set(MetricId id, double value) {
-  GaugeCell& cell = slot(gauges_, id);
+  GaugeCell& cell = gauges_.at(id);
   if (cell.count == 0) {
     cell.min = value;
     cell.max = value;
@@ -48,11 +33,11 @@ void HistogramCell::add(std::span<const double> bounds, double value) {
 }
 
 void Context::observe(MetricId id, double value) {
-  slot(histograms_, id).add(histogram_bounds(id), value);
+  histograms_.at(id).add(histogram_bounds(id), value);
 }
 
 void Context::timer_add(MetricId id, std::uint64_t ns) {
-  TimerCell& cell = slot(timers_, id);
+  TimerCell& cell = timers_.at(id);
   cell.total_ns += ns;
   ++cell.count;
 }
@@ -82,23 +67,22 @@ void Context::instant(MetricId id, util::TimePoint ts, std::uint32_t lane) {
 }
 
 std::uint64_t Context::counter(MetricId id) const {
-  const std::uint64_t* cell = slot_if(counters_, id);
-  return cell != nullptr ? *cell : 0;
+  return counters_.at(id);
 }
 
 const GaugeCell* Context::gauge(MetricId id) const {
-  const GaugeCell* cell = slot_if(gauges_, id);
-  return cell != nullptr && cell->count > 0 ? cell : nullptr;
+  const GaugeCell& cell = gauges_.at(id);
+  return cell.count > 0 ? &cell : nullptr;
 }
 
 const HistogramCell* Context::histogram(MetricId id) const {
-  const HistogramCell* cell = slot_if(histograms_, id);
-  return cell != nullptr && !cell->counts.empty() ? cell : nullptr;
+  const HistogramCell& cell = histograms_.at(id);
+  return !cell.counts.empty() ? &cell : nullptr;
 }
 
 const TimerCell* Context::timer(MetricId id) const {
-  const TimerCell* cell = slot_if(timers_, id);
-  return cell != nullptr && cell->count > 0 ? cell : nullptr;
+  const TimerCell& cell = timers_.at(id);
+  return cell.count > 0 ? &cell : nullptr;
 }
 
 bool Context::empty() const {
@@ -117,15 +101,9 @@ bool Context::empty() const {
 }
 
 void Context::merge_from(const Context& other) {
-  if (counters_.size() < other.counters_.size()) {
-    counters_.resize(other.counters_.size());
-  }
-  for (std::size_t i = 0; i < other.counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
-  }
+  for (std::size_t i = 0; i < metric::kCount; ++i) counters_[i] += other.counters_[i];
 
-  if (gauges_.size() < other.gauges_.size()) gauges_.resize(other.gauges_.size());
-  for (std::size_t i = 0; i < other.gauges_.size(); ++i) {
+  for (std::size_t i = 0; i < metric::kCount; ++i) {
     const GaugeCell& b = other.gauges_[i];
     if (b.count == 0) continue;
     GaugeCell& a = gauges_[i];
@@ -140,10 +118,7 @@ void Context::merge_from(const Context& other) {
     a.last = b.last;
   }
 
-  if (histograms_.size() < other.histograms_.size()) {
-    histograms_.resize(other.histograms_.size());
-  }
-  for (std::size_t i = 0; i < other.histograms_.size(); ++i) {
+  for (std::size_t i = 0; i < metric::kCount; ++i) {
     const HistogramCell& b = other.histograms_[i];
     if (b.counts.empty()) continue;
     HistogramCell& a = histograms_[i];
@@ -153,8 +128,7 @@ void Context::merge_from(const Context& other) {
     a.sum += b.sum;
   }
 
-  if (timers_.size() < other.timers_.size()) timers_.resize(other.timers_.size());
-  for (std::size_t i = 0; i < other.timers_.size(); ++i) {
+  for (std::size_t i = 0; i < metric::kCount; ++i) {
     timers_[i].total_ns += other.timers_[i].total_ns;
     timers_[i].count += other.timers_[i].count;
   }

@@ -15,6 +15,7 @@
 // sorted-name order — see docs/observability.md.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -69,7 +70,9 @@ struct Instant {
 inline constexpr std::size_t kNoSpan = static_cast<std::size_t>(-1);
 
 /// Value store for one observed unit of work. Not thread-safe: exactly one
-/// thread writes a context at a time (the ContextScope discipline).
+/// thread writes a context at a time (the ContextScope discipline). Every
+/// kind keeps one cell per catalog id; an id of metric::kCount or beyond
+/// throws std::out_of_range, as metric_def does.
 class Context {
  public:
   Context() = default;
@@ -112,10 +115,10 @@ class Context {
   /// plain TLS load with no wrapper call.
   static inline constinit thread_local Context* current_ = nullptr;
 
-  std::vector<std::uint64_t> counters_;
-  std::vector<GaugeCell> gauges_;
-  std::vector<HistogramCell> histograms_;
-  std::vector<TimerCell> timers_;
+  std::array<std::uint64_t, metric::kCount> counters_{};
+  std::array<GaugeCell, metric::kCount> gauges_{};
+  std::array<HistogramCell, metric::kCount> histograms_{};
+  std::array<TimerCell, metric::kCount> timers_{};
   std::vector<Span> spans_;
   std::vector<Instant> instants_;
 };

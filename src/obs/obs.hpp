@@ -7,9 +7,9 @@
 //   1. a metrics registry (counters, gauges, fixed-bucket log-scale
 //      histograms) with a static catalog of metric names (obs/catalog.hpp) —
 //      names are registered exactly once, never concatenated in hot paths;
-//   2. RAII scoped wall-clock timers (obs/profile.hpp) accumulating into the
-//      thread-local context, merged across util::parallel_for workers in
-//      worker-count-independent order;
+//   2. lap-clock wall-clock timers (obs::Stopwatch, obs/profile.hpp)
+//      accumulating into the thread-local context, merged across
+//      util::parallel_for workers in worker-count-independent order;
 //   3. a span/event tracer keyed to the *virtual* simulation clock, exported
 //      as Chrome trace-event JSON (obs/trace_export.hpp) loadable in
 //      Perfetto.
@@ -26,10 +26,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-
-// Token pasting for unique RAII timer names.
-#define RDSIM_OBS_CONCAT2(a, b) a##b
-#define RDSIM_OBS_CONCAT(a, b) RDSIM_OBS_CONCAT2(a, b)
 
 /// Increment a registered counter by `delta` (a no-op without a context).
 #define RDSIM_OBS_COUNT(id, delta)                                    \
@@ -57,10 +53,6 @@
       rdsim_obs_ctx_->observe((id), (value));                         \
     }                                                                 \
   } while (0)
-
-/// RAII wall-clock timer over the rest of the enclosing scope.
-#define RDSIM_OBS_TIMER(id) \
-  ::rdsim::obs::ScopedTimer RDSIM_OBS_CONCAT(rdsim_obs_timer_, __COUNTER__){(id)}
 
 /// Instant event on the virtual clock (shows as a marker in the trace).
 #define RDSIM_OBS_EVENT(id, tp)                                       \

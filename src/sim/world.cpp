@@ -96,7 +96,7 @@ void World::apply_ego_control(const VehicleControl& control) {
 }
 
 void World::step(units::Seconds dt) {
-  RDSIM_OBS_TIMER(obs::metric::kSimWorldStep);
+  obs::Stopwatch stopwatch;
   for (auto& [_, actor] : actors_) {
     actor->step(road_, dt);
     // One projection per moved actor per step; controllers, sensors and
@@ -112,6 +112,7 @@ void World::step(units::Seconds dt) {
     sense_collisions();
     sense_lane_invasion();
   }
+  stopwatch.lap(obs::metric::kSimWorldStep);
 }
 
 void World::sense_collisions() {

@@ -301,9 +301,10 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
         f.fault_type = table.text(i, ca);
         f.value = table.number(i, cb);
         f.added = table.text(i, cc) == "added";
-        f.label = f.fault_type == "delay"
-                      ? util::format_number(f.value) + "ms"
-                      : util::format_number(f.value * 100.0) + "%";
+        const net::FaultKind fault_kind = f.fault_type == "delay"
+                                              ? net::FaultKind::kDelay
+                                              : net::FaultKind::kPacketLoss;
+        f.label = net::FaultSpec{fault_kind, f.value}.label();
         t.faults.push_back(f);
       }
     }

@@ -1,12 +1,15 @@
 // Closed-loop teleoperation sessions (integration of net + sim + driver).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "check/contracts.hpp"
 #include "core/teleop.hpp"
+#include "obs/obs.hpp"
 
 namespace rdsim::core {
 namespace {
@@ -204,6 +207,42 @@ TEST(TeleopSession, StepApiExposesProgress) {
   }
   EXPECT_GT(session.now().to_seconds(), 2.0);
   EXPECT_GT(session.vehicle().runtime().ego_position(), units::Meters{5.0});
+}
+
+TEST(TeleopSession, PhaseLapsSumExactlyToTheStepTimer) {
+  // A tick's phases are contiguous laps of one stopwatch: each phase is
+  // timed once per tick, and the step timer is exactly their sum, with no
+  // clock read between two phases or after the last one.
+  constexpr std::uint64_t kTicks = 400;
+  for (const bool mitigated : {false, true}) {
+    RunConfig rc = base_config("laps");
+    rc.mitigation.enabled = mitigated;
+    TeleopSession session{std::move(rc), sim::make_following_scenario()};
+    obs::Context ctx;
+    {
+      const obs::ContextScope scope{&ctx};
+      for (std::uint64_t i = 0; i < kTicks; ++i) ASSERT_TRUE(session.step());
+    }
+    namespace m = obs::metric;
+    std::vector<obs::MetricId> phases{m::kPhasePhysics, m::kPhaseFaults, m::kPhaseVideo,
+                                      m::kPhaseRouter, m::kPhaseCommands};
+    if (mitigated) {
+      phases.push_back(m::kPhaseMitigate);
+    } else {
+      EXPECT_EQ(ctx.timer(m::kPhaseMitigate), nullptr);
+    }
+    std::uint64_t phase_sum_ns = 0;
+    for (const obs::MetricId id : phases) {
+      const obs::TimerCell* cell = ctx.timer(id);
+      ASSERT_NE(cell, nullptr) << obs::metric_def(id).name;
+      EXPECT_EQ(cell->count, kTicks) << obs::metric_def(id).name;
+      phase_sum_ns += cell->total_ns;
+    }
+    const obs::TimerCell* step = ctx.timer(m::kPhaseStep);
+    ASSERT_NE(step, nullptr);
+    EXPECT_EQ(step->count, kTicks);
+    EXPECT_EQ(step->total_ns, phase_sum_ns) << "mitigated=" << mitigated;
+  }
 }
 
 TEST(TeleopSession, DatagramTransportsWithMitigationActOnStalenessAlone) {

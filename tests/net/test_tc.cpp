@@ -42,6 +42,7 @@ TEST(ParsePercent, Forms) {
   EXPECT_THROW(parse_percent("150%"), TcParseError);
   EXPECT_THROW(parse_percent("-1%"), TcParseError);
   EXPECT_THROW(parse_percent("5pc"), TcParseError);
+  EXPECT_THROW(parse_percent("nan%"), TcParseError);  // NaN is outside [0, 1] too
 }
 
 TEST(ParseRate, Units) {

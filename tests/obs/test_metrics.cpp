@@ -6,6 +6,7 @@
 
 #include <limits>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/catalog.hpp"
@@ -197,6 +198,23 @@ TEST(ObsContext, EmptyDetectsAnyActivity) {
   const std::size_t h = with_span.span_open(kCounterId, util::TimePoint{});
   with_span.span_close(h, util::TimePoint::from_micros(10));
   EXPECT_FALSE(with_span.empty());
+}
+
+TEST(ObsContext, RejectsIdsOutsideTheCatalog) {
+  // Cells are sized by the catalog; an id past its end throws like
+  // metric_def instead of writing out of bounds.
+  const auto past_end = static_cast<MetricId>(metric::kCount);
+  EXPECT_THROW(metric_def(past_end), std::out_of_range);
+  Context ctx;
+  EXPECT_THROW(ctx.count(past_end, 1), std::out_of_range);
+  EXPECT_THROW(ctx.gauge_set(past_end, 1.0), std::out_of_range);
+  EXPECT_THROW(ctx.observe(past_end, 1.0), std::out_of_range);
+  EXPECT_THROW(ctx.timer_add(past_end, 1), std::out_of_range);
+  EXPECT_THROW(ctx.counter(past_end), std::out_of_range);
+  EXPECT_THROW(ctx.gauge(past_end), std::out_of_range);
+  EXPECT_THROW(ctx.histogram(past_end), std::out_of_range);
+  EXPECT_THROW(ctx.timer(past_end), std::out_of_range);
+  EXPECT_TRUE(ctx.empty());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Scoped-timer and context-installation semantics: RAII accumulation, scope
-// nesting/restoration (a null scope being the one off switch), and
+// Stopwatch and context-installation semantics: lap accumulation, a total
+// that is exactly the sum of the laps, scope nesting/restoration (a null scope being the one off switch), and
 // worker-count independence of per-task context aggregation under the real
 // util::parallel_for.
 #include <gtest/gtest.h>
@@ -18,23 +18,45 @@ namespace {
 constexpr MetricId kScopeTimer = metric::kPhaseStep;
 constexpr MetricId kPoolCounter = metric::kFifoEnqueued;
 
-TEST(ObsProfile, ScopedTimerAccumulatesIntoCurrentContext) {
+TEST(ObsProfile, StopwatchAccumulatesIntoCurrentContext) {
   Context ctx;
   {
     ContextScope scope{&ctx};
-    { RDSIM_OBS_TIMER(kScopeTimer); }
-    { RDSIM_OBS_TIMER(kScopeTimer); }
+    Stopwatch{}.lap(kScopeTimer);
+    Stopwatch{}.lap(kScopeTimer);
   }
   const TimerCell* cell = ctx.timer(kScopeTimer);
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->count, 2u);
 }
 
+TEST(ObsProfile, StopwatchTotalIsTheSumOfItsLaps) {
+  Context ctx;
+  {
+    ContextScope scope{&ctx};
+    Stopwatch stopwatch;
+    stopwatch.lap(metric::kPhasePhysics);
+    stopwatch.lap(metric::kPhaseVideo);
+    stopwatch.lap(metric::kPhaseVideo);
+    stopwatch.total(kScopeTimer);
+  }
+  const TimerCell* physics = ctx.timer(metric::kPhasePhysics);
+  const TimerCell* video = ctx.timer(metric::kPhaseVideo);
+  const TimerCell* total = ctx.timer(kScopeTimer);
+  ASSERT_NE(physics, nullptr);
+  ASSERT_NE(video, nullptr);
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(physics->count, 1u);
+  EXPECT_EQ(video->count, 2u);
+  EXPECT_EQ(total->count, 1u);
+  EXPECT_EQ(total->total_ns, physics->total_ns + video->total_ns);
+}
+
 TEST(ObsProfile, NoContextMeansNoRecording) {
   ASSERT_EQ(Context::current(), nullptr);
   // Must be safe and free-standing with no context installed.
   RDSIM_OBS_COUNT(kPoolCounter, 1);
-  { RDSIM_OBS_TIMER(kScopeTimer); }
+  Stopwatch{}.lap(kScopeTimer);
 }
 
 TEST(ObsProfile, ContextScopesNestAndRestore) {
@@ -65,7 +87,7 @@ TEST(ObsProfile, RuntimeDisableBlocksContextInstallation) {
       ContextScope off_scope{nullptr};
       EXPECT_EQ(Context::current(), nullptr);
       RDSIM_OBS_COUNT(kPoolCounter, 100);
-      { RDSIM_OBS_TIMER(kScopeTimer); }
+      Stopwatch{}.lap(kScopeTimer);
     }
     EXPECT_TRUE(ctx.empty());
     EXPECT_EQ(Context::current(), &ctx);
@@ -88,7 +110,7 @@ TEST(ObsProfile, PoolAggregationIsWorkerCountIndependent) {
       ContextScope scope{&contexts[i]};
       for (std::size_t k = 0; k <= i; ++k) {
         RDSIM_OBS_COUNT(kPoolCounter, k + 1);
-        { RDSIM_OBS_TIMER(kScopeTimer); }
+        Stopwatch{}.lap(kScopeTimer);
       }
     });
     for (std::size_t i = 0; i < kTasks; ++i) {

@@ -159,6 +159,27 @@ TEST(RunTrace, CsvRoundTrip) {
   EXPECT_FALSE(parsed.faults[1].added);
 }
 
+TEST(RunTrace, CsvRoundTripKeepsFaultLabels) {
+  // Live traces label faults with FaultSpec::label(); the CSV loader must
+  // give the same label for the value it reads back.
+  net::TrafficControl tc;
+  net::FaultInjector inj{tc};
+  inj.inject({net::FaultKind::kDelay, 12.3456789}, util::TimePoint::from_seconds(1.0));
+  inj.inject({net::FaultKind::kPacketLoss, 0.05}, util::TimePoint::from_seconds(2.0));
+  inj.remove(util::TimePoint::from_seconds(3.0));
+  TraceRecorder rec{"run", "T1", true};
+  rec.ingest_fault_log(inj.log());
+  const RunTrace live = rec.take();
+  const RunTrace parsed =
+      RunTrace::from_csv(live.ego_csv(), live.others_csv(), live.events_csv());
+  ASSERT_EQ(parsed.faults.size(), live.faults.size());
+  ASSERT_EQ(live.faults.size(), 4u);
+  EXPECT_EQ(live.faults[0].label, "12.3457ms");
+  for (std::size_t i = 0; i < live.faults.size(); ++i) {
+    EXPECT_EQ(parsed.faults[i].label, live.faults[i].label) << i;
+  }
+}
+
 /// The message from_csv throws for the given tables, or "" when it parses.
 std::string from_csv_error(const std::string& ego, const std::string& others,
                            const std::string& events) {
