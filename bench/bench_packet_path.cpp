@@ -3,7 +3,8 @@
 // Exercises the redesigned qdisc/channel API end to end and emits
 // BENCH_packet_path.json with three families of numbers:
 //
-//   qdisc    raw NetemQdisc enqueue->heap->dequeue throughput (packets/s)
+//   qdisc    raw NetemQdisc enqueue->tail/heap->dequeue throughput under
+//            jitter (packets/s)
 //   steady   reliable stream over a disturbed channel: segment throughput,
 //            payload bandwidth, and heap allocations per tick / per segment
 //            once the payload pool is warm
@@ -122,7 +123,9 @@ ScenarioResult run_scenario(std::uint64_t seed, std::uint64_t ticks, bool prewar
   return r;
 }
 
-/// Raw qdisc hot loop: batches through the netem timer heap.
+/// Raw qdisc hot loop: batches through netem's tail list and timer heap;
+/// under jitter a packet that would release before the tail's last one
+/// goes to the heap.
 double qdisc_packets_per_second(std::uint64_t packets) {
   net::NetemConfig cfg;
   cfg.delay = util::Duration::millis(10);
@@ -182,7 +185,7 @@ int main(int argc, char** argv) {
 
   // Raw qdisc throughput.
   const double qdisc_pps = qdisc_packets_per_second(qdisc_packets);
-  std::printf("  qdisc       : %.2fM packets/s through the netem timer heap\n",
+  std::printf("  qdisc       : %.2fM packets/s through the netem tail and heap\n",
               qdisc_pps / 1e6);
 
   // Steady-state stream scenario, three runs: fresh, repeat, pre-warmed pool.

@@ -3,7 +3,7 @@
 #include "check/hash.hpp"
 #include "net/channel.hpp"
 #include "net/packet.hpp"
-#include "net/qdisc.hpp"
+#include "net/netem.hpp"
 #include "sim/frame.hpp"
 #include "sim/types.hpp"
 #include "util/vec2.hpp"
@@ -95,7 +95,7 @@ std::uint64_t hash_frame(const sim::WorldFrame& frame) {
   return h.digest();
 }
 
-std::uint64_t hash_qdisc(const net::Qdisc& qdisc) {
+std::uint64_t hash_qdisc(const net::NetemQdisc& qdisc) {
   Fnv1a h;
   fold(h, qdisc.stats());
   h.u64(qdisc.backlog());

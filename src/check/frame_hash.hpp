@@ -8,7 +8,7 @@
 #include <cstdint>
 
 #include "net/channel.hpp"
-#include "net/qdisc.hpp"
+#include "net/netem.hpp"
 #include "sim/frame.hpp"
 
 namespace rdsim::check {
@@ -19,7 +19,7 @@ std::uint64_t hash_frame(const sim::WorldFrame& frame);
 
 /// Fingerprint of a qdisc's externally visible state (counters + backlog +
 /// next release time).
-std::uint64_t hash_qdisc(const net::Qdisc& qdisc);
+std::uint64_t hash_qdisc(const net::NetemQdisc& qdisc);
 
 /// Fingerprint of a channel's delivery state (per-direction stats, packets in
 /// flight). Its release buffer is empty between polls, so it is not folded.

@@ -43,7 +43,7 @@ void Channel::poll(util::TimePoint now) {
   // each packet as the qdisc releases it instead would interleave the
   // directions and reorder the ACKs and retransmissions that handlers send
   // into the qdisc, and with them the packet ids and netem's random draws.
-  Qdisc& q = tc_.root();
+  NetemQdisc& q = tc_.root();
   if (const auto next = q.next_event_at(); !next || now < *next) return;
   q.dequeue_ready(now, released_);
   for (const Packet& packet : released_) {

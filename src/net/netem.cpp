@@ -57,8 +57,50 @@ std::string NetemConfig::describe() const {
   return os.str();
 }
 
+namespace {
+constexpr std::uint64_t kRngStream = 0x6e6574656dULL;
+}  // namespace
+
+std::string QdiscStats::summary() const {
+  std::ostringstream os;
+  os << "sent " << dequeued << " pkt (" << bytes_sent << " bytes)"
+     << " dropped " << total_dropped() << " (loss " << dropped_loss << ", overlimit "
+     << dropped_overlimit << ")"
+     << " duplicated " << duplicated << " corrupted " << corrupted << " reordered "
+     << reordered;
+  return os.str();
+}
+
+NetemQdisc::NetemQdisc()
+    : rng_{1, kRngStream},
+      metrics_{obs::metric::kFifoEnqueued, obs::metric::kFifoDequeued,
+               obs::metric::kFifoDroppedOverlimit, obs::metric::kFifoDepth},
+      has_rule_{false} {}
+
 NetemQdisc::NetemQdisc(NetemConfig config, std::uint64_t seed)
-    : config_{std::move(config)}, rng_{seed, /*stream=*/0x6e6574656dULL} {}
+    : config_{std::move(config)},
+      rng_{seed, kRngStream},
+      metrics_{obs::metric::kNetemEnqueued, obs::metric::kNetemDequeued,
+               obs::metric::kNetemDroppedOverlimit, obs::metric::kNetemDepth},
+      has_rule_{true} {}
+
+void NetemQdisc::change(NetemConfig config) {
+  RDSIM_REQUIRE(has_rule_, "only an installed netem rule can be changed");
+  config_ = std::move(config);
+}
+
+std::vector<Packet> NetemQdisc::drain(util::TimePoint now) {
+  std::vector<Packet> out;
+  dequeue_ready(now, out);
+  return out;
+}
+
+std::string NetemQdisc::summary() const {
+  std::ostringstream os;
+  os << "qdisc " << kind() << ": " << stats_.summary() << " backlog " << backlog_bytes_
+     << "b " << backlog() << "p";
+  return os.str();
+}
 
 double NetemQdisc::correlated_uniform(double correlation, double& state) {
   // netem's get_crandom: blend the previous deviate with a fresh one.
@@ -100,25 +142,17 @@ double NetemQdisc::sample_jitter_unit() {
   return 0.0;
 }
 
-util::Duration NetemQdisc::sample_delay() {
-  util::Duration d = config_.delay;
-  if (config_.jitter > util::Duration{}) {
-    double unit = 0.0;
-    if (config_.delay_correlation.value() > 0.0) {
-      // Correlated uniform mapped to [-1, 1].
-      unit = 2.0 * correlated_uniform(config_.delay_correlation.value(),
-                                      delay_corr_state_) -
-             1.0;
-    } else {
-      unit = sample_jitter_unit();
-    }
-    const auto jitter_us = static_cast<std::int64_t>(
-        unit * static_cast<double>(config_.jitter.count_micros()));
-    d += util::Duration::micros(jitter_us);
+util::Duration NetemQdisc::sample_jitter() {
+  double unit = 0.0;
+  if (config_.delay_correlation.value() > 0.0) {
+    // Correlated uniform mapped to [-1, 1].
+    unit = 2.0 * correlated_uniform(config_.delay_correlation.value(), delay_corr_state_) -
+           1.0;
+  } else {
+    unit = sample_jitter_unit();
   }
-  if (d.is_negative()) d = util::Duration{};
-  RDSIM_ENSURE(!d.is_negative(), "netem delay samples must be non-negative");
-  return d;
+  return util::Duration::micros(
+      static_cast<std::int64_t>(unit * static_cast<double>(config_.jitter.count_micros())));
 }
 
 bool NetemQdisc::sample_loss() {
@@ -133,7 +167,6 @@ bool NetemQdisc::sample_loss() {
     const double p_loss = ge_in_bad_state_ ? ge.k.value() : ge.h.value();
     return rng_.bernoulli(p_loss);
   }
-  if (config_.loss_probability.value() <= 0.0) return false;
   const double p = config_.loss_probability.value();
   const double rho = util::clamp(config_.loss_correlation.value(), 0.0, 1.0);
   if (rho <= 0.0) {
@@ -151,12 +184,12 @@ bool NetemQdisc::sample_loss() {
   return lost;
 }
 
-void NetemQdisc::enqueue(Packet packet, util::TimePoint now) {
+void NetemQdisc::enqueue(Packet&& packet, util::TimePoint now) {
   ++stats_.enqueued;
-  RDSIM_OBS_COUNT(obs::metric::kNetemEnqueued, 1);
+  RDSIM_OBS_COUNT(metrics_.enqueued, 1);
   packet.enqueued_at = now;
 
-  if (sample_loss()) {
+  if (config_.has_loss() && sample_loss()) {
     ++stats_.dropped_loss;
     RDSIM_OBS_COUNT(obs::metric::kNetemDroppedLoss, 1);
     return;
@@ -184,7 +217,9 @@ void NetemQdisc::enqueue(Packet packet, util::TimePoint now) {
     }
   }
 
-  util::Duration delay = sample_delay();
+  util::Duration delay = config_.delay;
+  if (config_.jitter > util::Duration{}) delay += sample_jitter();
+  if (delay.is_negative()) delay = util::Duration{};
 
   // Reordering: the selected packets jump the delay queue (sent "now"),
   // which makes them arrive ahead of earlier, still-delayed packets.
@@ -202,7 +237,7 @@ void NetemQdisc::enqueue(Packet packet, util::TimePoint now) {
   }
   if (send_immediately) {
     delay = util::Duration{};
-    if (!keys_.empty()) {
+    if (backlog() > 0) {
       ++stats_.reordered;
       RDSIM_OBS_COUNT(obs::metric::kNetemReordered, 1);
     }
@@ -219,15 +254,15 @@ void NetemQdisc::enqueue(Packet packet, util::TimePoint now) {
     last_tx_finish_ = release;
   }
 
-  if (keys_.size() >= config_.limit) {
+  if (backlog() >= config_.limit) {
     ++stats_.dropped_overlimit;
-    RDSIM_OBS_COUNT(obs::metric::kNetemDroppedOverlimit, 1);
+    RDSIM_OBS_COUNT(metrics_.dropped_overlimit, 1);
     return;
   }
 
   RDSIM_ENSURE(release >= now, "netem release time cannot precede enqueue time");
 
-  if (duplicate && keys_.size() + 1 < config_.limit) {
+  if (duplicate && backlog() + 1 < config_.limit) {
     Packet copy = packet.clone();
     copy.duplicate = true;
     ++stats_.duplicated;
@@ -235,14 +270,13 @@ void NetemQdisc::enqueue(Packet packet, util::TimePoint now) {
     schedule(std::move(copy), release);
   }
   schedule(std::move(packet), release);
-  RDSIM_OBS_GAUGE_SET(obs::metric::kNetemDepth,
-                      static_cast<double>(keys_.size()));
+  RDSIM_OBS_GAUGE_SET(metrics_.depth, static_cast<double>(backlog()));
 }
 
-void NetemQdisc::schedule(Packet packet, util::TimePoint release) {
+void NetemQdisc::schedule(Packet&& packet, util::TimePoint release) {
   if (slots_.capacity() == 0) {
     slots_.reserve(kInitialSlots);
-    keys_.reserve(kInitialSlots);
+    tail_.reserve(kInitialSlots);
   }
   backlog_bytes_ += packet.effective_wire_size();
   std::uint32_t slot = free_head_;
@@ -253,43 +287,52 @@ void NetemQdisc::schedule(Packet packet, util::TimePoint release) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.push_back(Slot{std::move(packet)});
   }
-  keys_.push_back(Key{release, seq_++, slot});
-  std::push_heap(keys_.begin(), keys_.end(), KeyAfter{});
-  // tfifo ordering: the heap root must be the earliest pending release.
-  RDSIM_INVARIANT(!(release < keys_.front().release),
-                  "netem heap root must be the earliest (release, seq)");
+  const Key key{release, seq_++, slot};
+  if (tail_.empty() || !(release < tail_.back().release)) {
+    tail_.push_back() = key;
+  } else {
+    if (heap_.capacity() == 0) heap_.reserve(kInitialSlots);
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), KeyAfter{});
+  }
 }
 
 void NetemQdisc::dequeue_ready(util::TimePoint now, std::vector<Packet>& out) {
   std::size_t n = 0;
+  std::uint64_t bytes = 0;
   util::TimePoint last_release{};
-  while (!keys_.empty() && keys_.front().release <= now) {
-    std::pop_heap(keys_.begin(), keys_.end(), KeyAfter{});
-    const Key key = keys_.back();
-    keys_.pop_back();
+  while (backlog() > 0) {
+    const bool in_heap = head_in_heap();
+    const Key key = in_heap ? heap_.front() : tail_.front();
+    if (now < key.release) break;
+    if (in_heap) {
+      std::pop_heap(heap_.begin(), heap_.end(), KeyAfter{});
+      heap_.pop_back();
+    } else {
+      tail_.pop_front();
+    }
     RDSIM_INVARIANT(n == 0 || !(key.release < last_release),
                     "netem must release packets in non-decreasing time order");
     last_release = key.release;
     Slot& slot = slots_[key.slot];
+    bytes += slot.packet.effective_wire_size();
+    out.push_back(std::move(slot.packet));
     slot.next_free = free_head_;
     free_head_ = key.slot;
-    ++stats_.dequeued;
-    const std::uint32_t bytes = slot.packet.effective_wire_size();
-    stats_.bytes_sent += bytes;
-    backlog_bytes_ -= bytes;
-    out.push_back(std::move(slot.packet));
     ++n;
   }
   if (n > 0) {
-    RDSIM_OBS_COUNT(obs::metric::kNetemDequeued, n);
-    RDSIM_OBS_GAUGE_SET(obs::metric::kNetemDepth,
-                        static_cast<double>(keys_.size()));
+    stats_.dequeued += n;
+    stats_.bytes_sent += bytes;
+    backlog_bytes_ -= bytes;
+    RDSIM_OBS_COUNT(metrics_.dequeued, n);
+    RDSIM_OBS_GAUGE_SET(metrics_.depth, static_cast<double>(backlog()));
   }
 }
 
 std::optional<util::TimePoint> NetemQdisc::next_event_at() const {
-  if (keys_.empty()) return std::nullopt;
-  return keys_.front().release;
+  if (backlog() == 0) return std::nullopt;
+  return head_in_heap() ? heap_.front().release : tail_.front().release;
 }
 
 }  // namespace rdsim::net

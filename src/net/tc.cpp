@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -64,6 +65,7 @@ bool looks_numeric(const std::string& token) {
 util::Duration parse_duration(const std::string& token) {
   std::size_t consumed = 0;
   const double value = leading_number(token, consumed);
+  if (value < 0.0) throw TcParseError{"negative duration in '" + token + "'"};
   const std::string unit = lower(token.substr(consumed));
   std::optional<util::Duration> d;
   if (unit.empty() || unit == "ms" || unit == "msec" || unit == "msecs") {
@@ -101,14 +103,20 @@ units::BytesPerSecond parse_rate(const std::string& token) {
   std::size_t consumed = 0;
   const double value = leading_number(token, consumed);
   const std::string unit = lower(token.substr(consumed));
-  if (unit == "bit") return units::BytesPerSecond::from_bit(value);
-  if (unit == "kbit") return units::BytesPerSecond::from_kbit(value);
-  if (unit == "mbit") return units::BytesPerSecond::from_mbit(value);
-  if (unit == "gbit") return units::BytesPerSecond::from_gbit(value);
-  if (unit == "bps" || unit.empty()) return units::BytesPerSecond::from_bps(value);
-  if (unit == "kbps") return units::BytesPerSecond::from_kbps(value);
-  if (unit == "mbps") return units::BytesPerSecond::from_mbps(value);
-  throw TcParseError{"unknown rate unit in '" + token + "'"};
+  const units::BytesPerSecond rate = [&] {
+    if (unit == "bit") return units::BytesPerSecond::from_bit(value);
+    if (unit == "kbit") return units::BytesPerSecond::from_kbit(value);
+    if (unit == "mbit") return units::BytesPerSecond::from_mbit(value);
+    if (unit == "gbit") return units::BytesPerSecond::from_gbit(value);
+    if (unit == "bps" || unit.empty()) return units::BytesPerSecond::from_bps(value);
+    if (unit == "kbps") return units::BytesPerSecond::from_kbps(value);
+    if (unit == "mbps") return units::BytesPerSecond::from_mbps(value);
+    throw TcParseError{"unknown rate unit in '" + token + "'"};
+  }();
+  if (!(rate.value() >= 0.0 && std::isfinite(rate.value()))) {  // NaN included
+    throw TcParseError{"rate must be finite and non-negative in '" + token + "'"};
+  }
+  return rate;
 }
 
 NetemConfig parse_netem_args(const std::vector<std::string>& args) {
@@ -183,24 +191,22 @@ NetemConfig parse_netem(const std::string& spec) {
 }
 
 void TrafficControl::add(const NetemConfig& config) {
-  if (is_netem_) {
+  if (has_netem()) {
     throw TcParseError{"RTNETLINK answers: File exists (netem already installed on lo)"};
   }
-  root_ = std::make_unique<NetemQdisc>(config, seed_ + next_stream_++);
-  is_netem_ = true;
+  root_ = NetemQdisc{config, seed_ + next_stream_++};
 }
 
 void TrafficControl::change(const NetemConfig& config) {
-  if (!is_netem_) throw TcParseError{"cannot change: no netem qdisc installed on lo"};
-  static_cast<NetemQdisc&>(*root_).change(config);
+  if (!has_netem()) throw TcParseError{"cannot change: no netem qdisc installed on lo"};
+  root_.change(config);
 }
 
 void TrafficControl::del() {
-  if (!is_netem_) {
+  if (!has_netem()) {
     throw TcParseError{"RTNETLINK answers: No such file or directory (no netem on lo)"};
   }
-  root_ = std::make_unique<FifoQdisc>();
-  is_netem_ = false;
+  root_ = NetemQdisc{};
 }
 
 void TrafficControl::execute(const std::string& command) {
@@ -241,8 +247,8 @@ void TrafficControl::execute(const std::string& command) {
 }
 
 std::optional<NetemConfig> TrafficControl::netem_config() const {
-  if (!is_netem_) return std::nullopt;
-  return static_cast<const NetemQdisc&>(*root_).config();
+  if (!has_netem()) return std::nullopt;
+  return root_.config();
 }
 
 }  // namespace rdsim::net

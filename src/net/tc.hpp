@@ -10,7 +10,6 @@
 // and a standalone one serves tc-only tests and tools.
 #pragma once
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,7 +27,8 @@ class TcParseError : public std::runtime_error {
 
 /// Parse a duration token: "50ms", "5ms", "1.5s", "200us". Bare numbers are
 /// milliseconds, following tc conventions. Throws TcParseError when the
-/// value is not finite or its microsecond count does not fit an int64_t.
+/// value is negative, not finite, or its microsecond count does not fit an
+/// int64_t.
 util::Duration parse_duration(const std::string& token);
 
 /// Parse a percentage token: "5%", "2.5%", or a bare fraction "0.05".
@@ -36,6 +36,7 @@ util::Duration parse_duration(const std::string& token);
 units::Probability parse_percent(const std::string& token);
 
 /// Parse a rate token: "1mbit", "500kbit", "125kbps" (bytes/s), "1gbit".
+/// Throws TcParseError when the rate is negative or not finite.
 units::BytesPerSecond parse_rate(const std::string& token);
 
 /// Parse the argument list after the `netem` keyword, e.g.
@@ -69,13 +70,13 @@ class TrafficControl {
   /// A command naming any device other than `lo` throws TcParseError.
   void execute(const std::string& command);
 
-  /// The root qdisc; the default pfifo until a netem rule is added. add and
-  /// del replace it, so callers look it up again after either.
-  Qdisc& root() { return *root_; }
-  const Qdisc& root() const { return *root_; }
+  /// The root qdisc; the default pfifo (netem with no rule) until a rule is
+  /// added. add and del replace its contents, counters included.
+  NetemQdisc& root() { return root_; }
+  const NetemQdisc& root() const { return root_; }
 
   /// True if a netem rule (not the default pfifo) is installed.
-  bool has_netem() const { return is_netem_; }
+  bool has_netem() const { return root_.has_rule(); }
 
   /// The installed netem config, if any.
   std::optional<NetemConfig> netem_config() const;
@@ -83,8 +84,7 @@ class TrafficControl {
  private:
   std::uint64_t seed_;
   std::uint64_t next_stream_{0};
-  QdiscPtr root_{std::make_unique<FifoQdisc>()};
-  bool is_netem_{false};
+  NetemQdisc root_;
 };
 
 }  // namespace rdsim::net

@@ -38,13 +38,13 @@ constexpr HistogramSpec kMillisSpec{1.0, 1e4, 48};
 
 constexpr std::array<MetricDef, kCount> kCatalog{{
     // ---- qdisc layer ----
-    counter(kFifoEnqueued, "qdisc.fifo.enqueued", "Packets accepted by FifoQdisc"),
-    counter(kFifoDequeued, "qdisc.fifo.dequeued", "Packets released by FifoQdisc"),
+    counter(kFifoEnqueued, "qdisc.fifo.enqueued", "Packets accepted by the pfifo root qdisc"),
+    counter(kFifoDequeued, "qdisc.fifo.dequeued", "Packets released by the pfifo root qdisc"),
     counter(kFifoDroppedOverlimit, "qdisc.fifo.dropped_overlimit",
             "Packets tail-dropped at the FIFO limit"),
     gauge(kFifoDepth, "qdisc.fifo.depth", "FIFO backlog after each op", "packets"),
-    counter(kNetemEnqueued, "qdisc.netem.enqueued", "Packets accepted by NetemQdisc"),
-    counter(kNetemDequeued, "qdisc.netem.dequeued", "Packets released by NetemQdisc"),
+    counter(kNetemEnqueued, "qdisc.netem.enqueued", "Packets accepted by a netem rule"),
+    counter(kNetemDequeued, "qdisc.netem.dequeued", "Packets released by a netem rule"),
     counter(kNetemDroppedLoss, "qdisc.netem.dropped_loss",
             "Packets dropped by the loss model"),
     counter(kNetemDroppedOverlimit, "qdisc.netem.dropped_overlimit",

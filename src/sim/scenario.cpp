@@ -21,13 +21,6 @@ DriveInstruction Scenario::instruction_at(units::Meters s) const {
   return current;
 }
 
-std::optional<PoiWindow> Scenario::poi_at(units::Meters s) const {
-  for (const PoiWindow& poi : pois) {
-    if (s >= poi.from && s < poi.to) return poi;
-  }
-  return std::nullopt;
-}
-
 ScenarioRuntime::ScenarioRuntime(Scenario scenario, World& world)
     : scenario_{std::move(scenario)}, world_{&world} {
   world_->set_weather(scenario_.weather);

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,9 +65,6 @@ struct Scenario {
   /// Instruction in force at route position `s` (the latest one whose window
   /// contains s; defaults keep lane 0 at 10 m/s).
   DriveInstruction instruction_at(units::Meters s) const;
-
-  /// The POI containing `s`, if any.
-  std::optional<PoiWindow> poi_at(units::Meters s) const;
 };
 
 /// Executes a scenario against a world: spawns the ego and initial actors,

@@ -56,101 +56,110 @@ std::vector<double> RunTrace::time_series() const {
   return out;
 }
 
+namespace {
+
+void write_ego_table(const RunTrace& trace, std::ostream& out) {
+  util::CsvWriter w{out};
+  w.write_row({"t", "frame", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "throttle",
+               "steer", "brake"});
+  for (const EgoSample& s : trace.ego) {
+    w.field(s.t)
+        .field(static_cast<std::int64_t>(s.frame))
+        .field(s.x)
+        .field(s.y)
+        .field(s.z)
+        .field(s.vx)
+        .field(s.vy)
+        .field(s.vz)
+        .field(s.ax)
+        .field(s.ay)
+        .field(s.az)
+        .field(s.throttle)
+        .field(s.steer)
+        .field(s.brake);
+    w.end_row();
+  }
+}
+
+void write_others_table(const RunTrace& trace, std::ostream& out) {
+  util::CsvWriter w{out};
+  w.write_row({"actor", "role", "t", "distance", "x", "y", "z", "vx", "vy", "vz", "throttle",
+               "steer", "brake"});
+  for (const OtherSample& s : trace.others) {
+    w.field(static_cast<std::int64_t>(s.actor))
+        .field(s.role)
+        .field(s.t)
+        .field(s.distance)
+        .field(s.x)
+        .field(s.y)
+        .field(s.z)
+        .field(s.vx)
+        .field(s.vy)
+        .field(s.vz)
+        .field(s.throttle)
+        .field(s.steer)
+        .field(s.brake);
+    w.end_row();
+  }
+}
+
+void write_events_table(const RunTrace& trace, std::ostream& out) {
+  util::CsvWriter w{out};
+  w.write_row({"event", "t", "frame", "a", "b", "c"});
+  for (const CollisionRecord& c : trace.collisions) {
+    w.field("collision")
+        .field(c.t)
+        .field(static_cast<std::int64_t>(c.frame))
+        .field(static_cast<std::int64_t>(c.other))
+        .field(c.other_kind)
+        .field(c.relative_speed);
+    w.end_row();
+  }
+  for (const LaneInvasionRecord& l : trace.lane_invasions) {
+    w.field("lane_invasion")
+        .field(l.t)
+        .field(static_cast<std::int64_t>(l.frame))
+        .field(l.marking)
+        .field(static_cast<std::int64_t>(l.from_lane))
+        .field(static_cast<std::int64_t>(l.to_lane));
+    w.end_row();
+  }
+  for (const FaultRecord& f : trace.faults) {
+    w.field("fault")
+        .field(f.t)
+        .field(static_cast<std::int64_t>(0))
+        .field(f.fault_type)
+        .field(f.value)
+        .field(f.added ? "added" : "deleted");
+    w.end_row();
+  }
+}
+
+}  // namespace
+
 void RunTrace::write_csv(std::ostream& ego_out, std::ostream& others_out,
                          std::ostream& events_out) const {
-  using util::CsvWriter;
-  {
-    CsvWriter w{ego_out};
-    w.write_row({"t", "frame", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az",
-                 "throttle", "steer", "brake"});
-    for (const EgoSample& s : ego) {
-      w.field(s.t)
-          .field(static_cast<std::int64_t>(s.frame))
-          .field(s.x)
-          .field(s.y)
-          .field(s.z)
-          .field(s.vx)
-          .field(s.vy)
-          .field(s.vz)
-          .field(s.ax)
-          .field(s.ay)
-          .field(s.az)
-          .field(s.throttle)
-          .field(s.steer)
-          .field(s.brake);
-      w.end_row();
-    }
-  }
-  {
-    CsvWriter w{others_out};
-    w.write_row({"actor", "role", "t", "distance", "x", "y", "z", "vx", "vy", "vz",
-                 "throttle", "steer", "brake"});
-    for (const OtherSample& s : others) {
-      w.field(static_cast<std::int64_t>(s.actor))
-          .field(s.role)
-          .field(s.t)
-          .field(s.distance)
-          .field(s.x)
-          .field(s.y)
-          .field(s.z)
-          .field(s.vx)
-          .field(s.vy)
-          .field(s.vz)
-          .field(s.throttle)
-          .field(s.steer)
-          .field(s.brake);
-      w.end_row();
-    }
-  }
-  {
-    CsvWriter w{events_out};
-    w.write_row({"event", "t", "frame", "a", "b", "c"});
-    for (const CollisionRecord& c : collisions) {
-      w.field("collision")
-          .field(c.t)
-          .field(static_cast<std::int64_t>(c.frame))
-          .field(static_cast<std::int64_t>(c.other))
-          .field(c.other_kind)
-          .field(c.relative_speed);
-      w.end_row();
-    }
-    for (const LaneInvasionRecord& l : lane_invasions) {
-      w.field("lane_invasion")
-          .field(l.t)
-          .field(static_cast<std::int64_t>(l.frame))
-          .field(l.marking)
-          .field(static_cast<std::int64_t>(l.from_lane))
-          .field(static_cast<std::int64_t>(l.to_lane));
-      w.end_row();
-    }
-    for (const FaultRecord& f : faults) {
-      w.field("fault")
-          .field(f.t)
-          .field(static_cast<std::int64_t>(0))
-          .field(f.fault_type)
-          .field(f.value)
-          .field(f.added ? "added" : "deleted");
-      w.end_row();
-    }
-  }
+  write_ego_table(*this, ego_out);
+  write_others_table(*this, others_out);
+  write_events_table(*this, events_out);
 }
 
 std::string RunTrace::ego_csv() const {
-  std::ostringstream a, b, c;
-  write_csv(a, b, c);
-  return a.str();
+  std::ostringstream os;
+  write_ego_table(*this, os);
+  return os.str();
 }
 
 std::string RunTrace::others_csv() const {
-  std::ostringstream a, b, c;
-  write_csv(a, b, c);
-  return b.str();
+  std::ostringstream os;
+  write_others_table(*this, os);
+  return os.str();
 }
 
 std::string RunTrace::events_csv() const {
-  std::ostringstream a, b, c;
-  write_csv(a, b, c);
-  return c.str();
+  std::ostringstream os;
+  write_events_table(*this, os);
+  return os.str();
 }
 
 namespace {

@@ -1,7 +1,7 @@
 #include "util/csv.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace rdsim::util {
 
@@ -125,15 +125,14 @@ int CsvTable::column(std::string_view name) const {
 std::string format_number(double v) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
-  if (v == static_cast<std::int64_t>(v) && std::fabs(v) < 1e15) {
-    return std::to_string(static_cast<std::int64_t>(v));
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  std::string s{buf};
-  while (!s.empty() && s.back() == '0') s.pop_back();
-  if (!s.empty() && s.back() == '.') s.pop_back();
-  return s;
+  // The shortest string that parses back to exactly `v`. Whole numbers below
+  // 1e15 keep their plain integer spelling instead of an exponent.
+  char buf[32];
+  const bool whole = std::fabs(v) < 1e15 && v == std::trunc(v);
+  const std::to_chars_result res =
+      whole ? std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed)
+            : std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
 }
 
 }  // namespace rdsim::util

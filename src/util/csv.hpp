@@ -63,8 +63,9 @@ std::optional<T> parse_number(std::string_view text) {
   return out;
 }
 
-/// Format a double compactly (up to 6 significant decimals, no trailing
-/// zeros) — keeps trace files small and diffs stable.
+/// Format a double as the shortest string that parse_number<double> reads
+/// back to the same value: whole numbers below 1e15 as plain integers, "nan",
+/// "inf" and "-inf" as such, so a CSV round trip is exact.
 std::string format_number(double v);
 
 }  // namespace rdsim::util

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -28,19 +29,30 @@ class SeqQueue {
 
   /// Element at `pos`; the caller keeps head() <= pos < tail().
   T& operator[](std::uint32_t pos) { return slots_[pos & mask_]; }
+  const T& operator[](std::uint32_t pos) const { return slots_[pos & mask_]; }
   T& front() { return (*this)[head_]; }
+  const T& front() const { return (*this)[head_]; }
+  /// The last element pushed; the caller keeps the queue non-empty.
+  const T& back() const { return (*this)[tail_ - 1]; }
 
   /// Appends a slot and returns it, still holding whatever the slot's last
   /// occupant left behind; the caller overwrites every field it uses.
   T& push_back() {
-    if (size() == slots_.size()) grow();
+    if (size() == slots_.size()) grow(std::max<std::size_t>(8, slots_.size() * 2));
     return slots_[tail_++ & mask_];
   }
   void pop_front() { ++head_; }
 
+  /// Allocates room for `n` elements at once, rounded up to a power of two,
+  /// unless the slot array already holds that many.
+  void reserve(std::size_t n) {
+    if (n > slots_.size()) grow(std::bit_ceil(n));
+  }
+
  private:
-  void grow() {
-    std::vector<T> bigger(std::max<std::size_t>(8, slots_.size() * 2));
+  /// Moves the elements into a slot array of `slots` entries, a power of two.
+  void grow(std::size_t slots) {
+    std::vector<T> bigger(slots);
     const auto mask = static_cast<std::uint32_t>(bigger.size() - 1);
     for (std::uint32_t pos = head_; pos != tail_; ++pos) {
       bigger[pos & mask] = std::move(slots_[pos & mask_]);

@@ -31,8 +31,10 @@ Packet make_packet(std::uint64_t id, std::uint32_t bytes = 100) {
   return p;
 }
 
-TEST(FifoQdisc, PassesThroughImmediately) {
-  FifoQdisc q{10};
+// A NetemQdisc with no rule is the kernel's default pfifo.
+TEST(Pfifo, PassesThroughImmediately) {
+  NetemQdisc q;
+  EXPECT_EQ(q.kind(), "pfifo");
   q.enqueue(make_packet(1), TimePoint{});
   auto out = q.drain(TimePoint{});
   ASSERT_EQ(out.size(), 1u);
@@ -40,11 +42,16 @@ TEST(FifoQdisc, PassesThroughImmediately) {
   EXPECT_EQ(q.stats().dequeued, 1u);
 }
 
-TEST(FifoQdisc, TailDropsOverLimit) {
-  FifoQdisc q{2};
-  for (int i = 0; i < 5; ++i) q.enqueue(make_packet(static_cast<std::uint64_t>(i)), TimePoint{});
+TEST(Pfifo, TailDropsOverLimit) {
+  NetemQdisc q;
+  EXPECT_EQ(q.config().limit, 1000u);
+  for (int i = 0; i < 1003; ++i) {
+    q.enqueue(make_packet(static_cast<std::uint64_t>(i)), TimePoint{});
+  }
   EXPECT_EQ(q.stats().dropped_overlimit, 3u);
-  EXPECT_EQ(q.drain(TimePoint{}).size(), 2u);
+  const auto out = q.drain(TimePoint{});
+  ASSERT_EQ(out.size(), 1000u);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].id, i);
 }
 
 TEST(Netem, FixedDelayHoldsPacket) {

@@ -370,12 +370,12 @@ TEST(PacketPath, WarmFrameBurstStreamAllocatesOnlyPerDeliveredMessage) {
 // ------------------------------------------------------ introspection surface
 
 TEST(QdiscIntrospection, SummaryAndBacklogBytesAreConsistent) {
-  FifoQdisc fifo;
+  NetemQdisc fifo;
   NetemConfig ncfg;
   ncfg.delay = Duration::millis(10);
   NetemQdisc netem{ncfg, 1};
-  Qdisc* const qdiscs[] = {&fifo, &netem};
-  for (Qdisc* q : qdiscs) {
+  NetemQdisc* const qdiscs[] = {&fifo, &netem};
+  for (NetemQdisc* q : qdiscs) {
     for (std::uint64_t i = 0; i < 3; ++i) {
       Packet p;
       p.id = i;
@@ -397,7 +397,7 @@ TEST(QdiscIntrospection, SummaryAndBacklogBytesAreConsistent) {
 }
 
 TEST(QdiscIntrospection, FifoNextEventIsTheHeadEnqueueTime) {
-  FifoQdisc q;
+  NetemQdisc q;
   EXPECT_FALSE(q.next_event_at().has_value());
   Packet p;
   q.enqueue(std::move(p), TimePoint::from_micros(777));

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "net/tc.hpp"
 
@@ -140,6 +141,30 @@ TEST(ParseNetem, UnknownKeywordThrows) {
   EXPECT_THROW(parse_netem("delay"), TcParseError);  // missing value
 }
 
+// A negative or non-finite time or rate is refused, naming the token, rather
+// than silently becoming no delay, no jitter, no shaper or a zero transmit
+// time.
+TEST(ParseNetem, RejectsNegativeAndNonFiniteValues) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"rate -5mbit", "-5mbit"},
+      {"rate nanmbit", "nanmbit"},
+      {"rate infkbit", "infkbit"},
+      {"delay -5ms", "-5ms"},
+      {"delay 5ms -3ms", "-3ms"},
+  };
+  for (const auto& [spec, token] : cases) {
+    try {
+      parse_netem(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const TcParseError& e) {
+      EXPECT_NE(std::string{e.what()}.find(std::string{"'"} + token + "'"), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  EXPECT_EQ(parse_netem("rate 0kbit").rate.value(), 0.0);  // zero still disables the shaper
+  EXPECT_EQ(parse_netem("delay 0ms").delay, Duration{});
+}
+
 TEST(ParseNetem, GapAndLimitTakeWholeUnsignedIntegers) {
   EXPECT_EQ(parse_netem("delay 10ms reorder 25% gap 7").reorder_gap, 7u);
   EXPECT_EQ(parse_netem("delay 10ms reorder 25% gap 0").reorder_gap, 1u);  // 0 acts as 1
@@ -202,6 +227,30 @@ TEST(TrafficControl, DelRevertsToPfifoAndDropsQueue) {
   EXPECT_FALSE(tc.has_netem());
   EXPECT_EQ(tc.root().backlog(), 0u);  // kernel drops queued packets
   EXPECT_THROW(tc.del(), TcParseError);
+}
+
+// add installs a fresh qdisc, as the kernel does: what the default pfifo
+// still held is dropped, and the rule's counters start at zero.
+TEST(TrafficControl, AddDropsWhatPfifoHeld) {
+  TrafficControl tc;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    Packet p;
+    p.id = id;
+    p.wire_size = 10;
+    tc.root().enqueue(std::move(p), util::TimePoint::from_micros(5));
+  }
+  ASSERT_EQ(tc.root().backlog(), 3u);
+  ASSERT_EQ(tc.root().stats().enqueued, 3u);
+  tc.add(parse_netem("delay 10ms"));
+  EXPECT_EQ(tc.root().kind(), "netem");
+  EXPECT_EQ(tc.root().backlog(), 0u);
+  EXPECT_EQ(tc.root().backlog_bytes(), 0u);
+  EXPECT_FALSE(tc.root().next_event_at().has_value());
+  const QdiscStats& s = tc.root().stats();
+  EXPECT_EQ(s.enqueued, 0u);
+  EXPECT_EQ(s.dequeued, 0u);
+  EXPECT_EQ(s.bytes_sent, 0u);
+  EXPECT_TRUE(tc.root().drain(util::TimePoint::from_seconds(1.0)).empty());
 }
 
 TEST(TrafficControl, ExecuteFullCommandStrings) {

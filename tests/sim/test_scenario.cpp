@@ -24,15 +24,6 @@ TEST(Scenario, InstructionLookupPicksContainingWindow) {
   EXPECT_DOUBLE_EQ(sc.instruction_at(Meters{500.0}).target_speed.value(), 10.0);
 }
 
-TEST(Scenario, PoiLookup) {
-  Scenario sc;
-  sc.pois.push_back({"x", Meters{10.0}, Meters{20.0}});
-  EXPECT_TRUE(sc.poi_at(Meters{15.0}).has_value());
-  EXPECT_EQ(sc.poi_at(Meters{15.0})->name, "x");
-  EXPECT_FALSE(sc.poi_at(Meters{25.0}).has_value());
-  EXPECT_FALSE(sc.poi_at(Meters{5.0}).has_value());
-}
-
 TEST(ScenarioRuntime, SpawnsEgoAndPopulates) {
   World world{make_town05_route()};
   Scenario sc = make_test_route_scenario();

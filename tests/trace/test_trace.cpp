@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -141,11 +143,11 @@ TEST(RunTrace, CsvRoundTrip) {
   const RunTrace parsed = RunTrace::from_csv(original.ego_csv(), original.others_csv(),
                                              original.events_csv());
   ASSERT_EQ(parsed.ego.size(), original.ego.size());
-  EXPECT_NEAR(parsed.ego[10].x, original.ego[10].x, 1e-6);
-  EXPECT_NEAR(parsed.ego[10].steer, original.ego[10].steer, 1e-6);
+  EXPECT_EQ(parsed.ego[10].x, original.ego[10].x);
+  EXPECT_EQ(parsed.ego[10].steer, original.ego[10].steer);
   ASSERT_EQ(parsed.others.size(), original.others.size());
   EXPECT_EQ(parsed.others[0].role, "lead");
-  EXPECT_NEAR(parsed.others[0].distance, 25.0, 1e-6);
+  EXPECT_EQ(parsed.others[0].distance, 25.0);
   EXPECT_EQ(parsed.others[0].throttle, 0.5);
   EXPECT_EQ(parsed.others[0].steer, -0.25);
   EXPECT_EQ(parsed.others[0].brake, 0.75);
@@ -178,6 +180,39 @@ TEST(RunTrace, CsvRoundTripKeepsFaultLabels) {
   for (std::size_t i = 0; i < live.faults.size(); ++i) {
     EXPECT_EQ(parsed.faults[i].label, live.faults[i].label) << i;
   }
+}
+
+// Every double reads back bit for bit, however many digits it needs, so a
+// fault loaded from CSV carries the label it had live.
+TEST(RunTrace, CsvRoundTripIsExact) {
+  net::TrafficControl tc;
+  net::FaultInjector inj{tc};
+  inj.inject({net::FaultKind::kPacketLoss, 0.0123456789}, util::TimePoint::from_seconds(1.0));
+  inj.remove(util::TimePoint::from_seconds(2.0));
+  TraceRecorder rec{"run", "T1", true};
+  rec.ingest_fault_log(inj.log());
+  RunTrace live = rec.take();
+  EgoSample e;
+  e.t = 0.5;
+  e.x = 1e-7;
+  live.ego.push_back(e);
+  OtherSample o;
+  o.actor = 2;
+  o.role = "lead";
+  o.t = 0.5;
+  o.distance = 123456.789012345;
+  live.others.push_back(o);
+
+  const RunTrace parsed =
+      RunTrace::from_csv(live.ego_csv(), live.others_csv(), live.events_csv());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(parsed.faults.size(), 2u);
+  EXPECT_EQ(bits(parsed.faults[0].value), bits(0.0123456789));
+  EXPECT_EQ(parsed.faults[0].label, live.faults[0].label);
+  ASSERT_EQ(parsed.ego.size(), 1u);
+  EXPECT_EQ(bits(parsed.ego[0].x), bits(1e-7));
+  ASSERT_EQ(parsed.others.size(), 1u);
+  EXPECT_EQ(bits(parsed.others[0].distance), bits(123456.789012345));
 }
 
 /// The message from_csv throws for the given tables, or "" when it parses.

@@ -20,6 +20,13 @@ TEST(SeqQueue, FifoOrderAndPositionsSurviveGrowth) {
   for (std::uint32_t pos = q.head(); pos != q.tail(); ++pos) {
     EXPECT_EQ(q[pos], static_cast<int>(pos));
   }
+  // reserve() moves the live range into a larger array the same way.
+  q.reserve(20);
+  EXPECT_EQ(q.size(), 13u);
+  EXPECT_EQ(q.back(), 14);
+  for (std::uint32_t pos = q.head(); pos != q.tail(); ++pos) {
+    EXPECT_EQ(q[pos], static_cast<int>(pos));
+  }
   for (int i = 2; i < 15; ++i) {
     EXPECT_EQ(q.front(), i);
     q.pop_front();
