@@ -27,6 +27,7 @@
 #include "core/campaign_hash.hpp"
 #include "core/experiment.hpp"
 #include "obs/report.hpp"
+#include "util/csv.hpp"
 
 using namespace rdsim;
 
@@ -47,8 +48,14 @@ int main(int argc, char** argv) {
       cfg.run_time_limit = units::Seconds{20.0};
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
+    } else if (const auto seed = util::parse_number<std::uint64_t>(argv[i])) {
+      cfg.seed = *seed;
     } else {
-      cfg.seed = std::strtoull(argv[i], nullptr, 10);
+      std::fprintf(stderr,
+                   "bench_campaign_scaling: bad seed '%s'\n"
+                   "usage: bench_campaign_scaling [--quick] [--out FILE] [seed]\n",
+                   argv[i]);
+      return 2;
     }
   }
 

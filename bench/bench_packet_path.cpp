@@ -7,19 +7,22 @@
 //            jitter (packets/s)
 //   steady   reliable stream over a disturbed channel: segment throughput,
 //            payload bandwidth, and heap allocations per tick / per segment
-//            once the payload pool is warm
+//            and fresh payload-pool acquisitions once the pool is warm
 //   idle     cost of polling an idle channel, which the event-driven
 //            next_event_at() early-out makes O(1) — gated at ZERO heap
 //            allocations per idle tick (non-zero exit otherwise)
 //
-// Three correctness gates make this a regression bench rather than a
+// Four correctness gates make this a regression bench rather than a
 // stopwatch (each exits 1 when it fails):
 //   - the delivered-byte digest of the steady scenario must be identical on
 //     a fresh channel and on one whose payload pool was pre-warmed with junk
 //     buffers (pooling may change where bytes live, never what they are);
 //   - the digest must be reproducible across two runs;
 //   - at the default seed the digest must equal the pinned value for the
-//     chosen length, so a change in packet-path behaviour fails the bench.
+//     chosen length, so a change in packet-path behaviour fails the bench;
+//   - over the warm half of the steady scenario the payload pool must serve
+//     every acquisition from its list: a buffer that leaves the pool for
+//     good (a dropped packet's, say) shows up as a fresh acquisition.
 //
 //   usage: bench_packet_path [--quick] [--out FILE] [seed]
 #include <chrono>
@@ -32,6 +35,7 @@
 #include "check/hash.hpp"
 #include "net/reliable_stream.hpp"
 #include "util/alloc_hook.hpp"
+#include "util/csv.hpp"
 
 using namespace rdsim;
 
@@ -53,7 +57,8 @@ struct ScenarioResult {
   std::uint64_t payload_bytes{0};
   std::uint64_t ticks{0};
   double wall_s{0.0};
-  std::uint64_t allocs_measured{0};  ///< over the second (warm) half
+  std::uint64_t allocs_measured{0};      ///< over the second (warm) half
+  std::uint64_t pool_fresh_measured{0};  ///< fresh pool acquisitions, warm half
   std::uint64_t ticks_measured{0};
   std::uint64_t segments_measured{0};
 };
@@ -64,8 +69,9 @@ ScenarioResult run_scenario(std::uint64_t seed, std::uint64_t ticks, bool prewar
   net::Channel ch{seed};
 
   if (prewarm_pool) {
-    // Populate freelists with odd-capacity junk so a pooling bug that leaks
-    // buffer contents or capacities into behaviour would change the digest.
+    // Populate the free list with odd-capacity junk so a pooling bug that
+    // leaks buffer contents or capacities into behaviour would change the
+    // digest.
     for (std::size_t i = 0; i < 32; ++i) {
       net::Payload junk(64u << (i % 5), static_cast<std::uint8_t>(i));
       ch.recycle(std::move(junk));
@@ -91,6 +97,7 @@ ScenarioResult run_scenario(std::uint64_t seed, std::uint64_t ticks, bool prewar
       // Second half only: pools and transport windows are warm.
       allocs.reset();
       r.segments_measured = r.segments;
+      r.pool_fresh_measured = ch.pool().stats().fresh;
     }
     const util::TimePoint now = util::TimePoint::from_micros(
         static_cast<std::int64_t>(tick) * kTickUs);
@@ -117,6 +124,7 @@ ScenarioResult run_scenario(std::uint64_t seed, std::uint64_t ticks, bool prewar
   r.allocs_measured = allocs.delta();
   r.ticks_measured = ticks - ticks / 2;
   r.segments_measured = r.segments - r.segments_measured;
+  r.pool_fresh_measured = ch.pool().stats().fresh - r.pool_fresh_measured;
   digest.u64(stream.stats().messages_delivered);
   digest.u64(ch.stats(net::LinkDirection::kDownlink).bytes_sent);
   r.digest = digest.digest();
@@ -174,8 +182,14 @@ int main(int argc, char** argv) {
       qdisc_packets = 200000;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
+    } else if (const auto parsed = util::parse_number<std::uint64_t>(argv[i])) {
+      seed = *parsed;
     } else {
-      seed = std::strtoull(argv[i], nullptr, 10);
+      std::fprintf(stderr,
+                   "bench_packet_path: bad seed '%s'\n"
+                   "usage: bench_packet_path [--quick] [--out FILE] [seed]\n",
+                   argv[i]);
+      return 2;
     }
   }
 
@@ -210,8 +224,10 @@ int main(int argc, char** argv) {
                 static_cast<double>(fresh.segments_measured)
           : 0.0;
   std::printf("  steady      : %.0f segments/s, %.1f MB/s delivered, "
-              "%.3f allocs/tick (warm), %.3f allocs/segment\n",
-              seg_per_s, mb_per_s, allocs_per_tick, allocs_per_segment);
+              "%.3f allocs/tick (warm), %.3f allocs/segment, "
+              "%llu fresh pool buffers (warm)\n",
+              seg_per_s, mb_per_s, allocs_per_tick, allocs_per_segment,
+              static_cast<unsigned long long>(fresh.pool_fresh_measured));
   std::printf("  digest      : %016llx  repeat %s, pre-warmed pool %s\n",
               static_cast<unsigned long long>(fresh.digest),
               reproducible ? "identical" : "MISMATCH",
@@ -250,6 +266,7 @@ int main(int argc, char** argv) {
        << "    \"delivered_mb_per_s\": " << mb_per_s << ",\n"
        << "    \"allocs_per_tick_warm\": " << allocs_per_tick << ",\n"
        << "    \"allocs_per_segment_warm\": " << allocs_per_segment << ",\n"
+       << "    \"pool_fresh_warm\": " << fresh.pool_fresh_measured << ",\n"
        << "    \"digest\": \"" << hash_buf << "\",\n"
        << "    \"repeat_identical\": " << (reproducible ? "true" : "false") << ",\n"
        << "    \"pool_transparent\": " << (pool_transparent ? "true" : "false") << "\n"
@@ -268,6 +285,11 @@ int main(int argc, char** argv) {
   if (seed == kDefaultSeed && fresh.digest != pinned_digest) {
     std::fprintf(stderr, "FAIL: delivered-stream digest %s, pinned %016llx\n", hash_buf,
                  static_cast<unsigned long long>(pinned_digest));
+    return 1;
+  }
+  if (fresh.pool_fresh_measured != 0) {
+    std::fprintf(stderr, "FAIL: warm payload pool allocated %llu fresh buffers\n",
+                 static_cast<unsigned long long>(fresh.pool_fresh_measured));
     return 1;
   }
   if (idle_allocs != 0) {

@@ -14,8 +14,21 @@
 
 #include "core/campaign_hash.hpp"
 #include "core/report.hpp"
+#include "util/csv.hpp"
 
 using namespace rdsim;
+
+namespace {
+
+int usage(const char* what, const char* arg) {
+  std::fprintf(stderr,
+               "full_campaign: bad %s '%s'\n"
+               "usage: full_campaign [--dump-traces] [--workers N] [seed]\n",
+               what, arg);
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   bool dump = false;
@@ -25,9 +38,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--dump-traces") == 0) {
       dump = true;
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      const auto n = util::parse_number<std::size_t>(argv[++i]);
+      if (!n) return usage("worker count", argv[i]);
+      workers = *n;
+    } else if (const auto seed = util::parse_number<std::uint64_t>(argv[i])) {
+      cfg.seed = *seed;
     } else {
-      cfg.seed = std::strtoull(argv[i], nullptr, 10);
+      return usage("seed", argv[i]);
     }
   }
 

@@ -8,20 +8,35 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/teleop.hpp"
 #include "metrics/safety.hpp"
 #include "metrics/srr.hpp"
 #include "metrics/ttc.hpp"
+#include "util/csv.hpp"
 
 using namespace rdsim;
 
+namespace {
+
+int usage(const std::string& reason) {
+  std::fprintf(stderr,
+               "scenario_lab: %s\n"
+               "usage: scenario_lab [route|following|slalom|overtake] [subject 1-12] "
+               "[none|delay|loss] [value]\n",
+               reason.c_str());
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const std::string scenario_name = argc > 1 ? argv[1] : "slalom";
-  const int subject_idx = argc > 2 ? std::atoi(argv[2]) : 5;
+  const std::string subject_arg = argc > 2 ? argv[2] : "5";
   const std::string fault_kind = argc > 3 ? argv[3] : "none";
-  const double fault_value = argc > 4 ? std::atof(argv[4]) : 0.0;
+  const std::string value_arg = argc > 4 ? argv[4] : "0";
 
   sim::Scenario scenario;
   if (scenario_name == "route") {
@@ -30,16 +45,23 @@ int main(int argc, char** argv) {
     scenario = sim::make_following_scenario();
   } else if (scenario_name == "overtake") {
     scenario = sim::make_overtake_scenario();
-  } else {
+  } else if (scenario_name == "slalom") {
     scenario = sim::make_slalom_scenario();
+  } else {
+    return usage("unknown scenario '" + scenario_name + "'");
   }
+  if (fault_kind != "none" && fault_kind != "delay" && fault_kind != "loss") {
+    return usage("unknown fault kind '" + fault_kind + "'");
+  }
+  const auto subject_idx = util::parse_number<int>(subject_arg);
+  if (!subject_idx || *subject_idx < 1 || *subject_idx > 12) {
+    return usage("subject must be 1..12, got '" + subject_arg + "'");
+  }
+  const auto fault_value = util::parse_number<double>(value_arg);
+  if (!fault_value) return usage("fault value is not a number: '" + value_arg + "'");
 
   const auto roster = core::make_roster();
-  if (subject_idx < 1 || subject_idx > 12) {
-    std::fprintf(stderr, "subject must be 1..12\n");
-    return 1;
-  }
-  const auto& profile = roster[static_cast<std::size_t>(subject_idx - 1)];
+  const auto& profile = roster[static_cast<std::size_t>(*subject_idx - 1)];
 
   core::RunConfig rc;
   rc.run_id = profile.id + "-" + scenario.name;
@@ -49,20 +71,24 @@ int main(int argc, char** argv) {
   if (fault_kind == "delay") {
     rc.fault_injected = true;
     for (const auto& poi : scenario.pois) {
-      rc.plan.push_back({poi.name, {net::FaultKind::kDelay, fault_value}});
+      rc.plan.push_back({poi.name, {net::FaultKind::kDelay, *fault_value}});
     }
   } else if (fault_kind == "loss") {
     rc.fault_injected = true;
     for (const auto& poi : scenario.pois) {
-      rc.plan.push_back({poi.name, {net::FaultKind::kPacketLoss, fault_value}});
+      rc.plan.push_back({poi.name, {net::FaultKind::kPacketLoss, *fault_value}});
     }
   }
 
   std::printf("running %s with %s (%s %s)...\n", scenario.name.c_str(),
               profile.id.c_str(), fault_kind.c_str(),
               argc > 4 ? argv[4] : "-");
-  core::TeleopSession session{std::move(rc), scenario};
-  const auto result = session.run();
+  core::RunResult result;
+  try {
+    result = core::TeleopSession{std::move(rc), scenario}.run();
+  } catch (const std::invalid_argument& e) {
+    return usage(e.what());
+  }
 
   // §V.F logging: ego channel, other vehicles, events (collisions, lane
   // invasions, fault injections).

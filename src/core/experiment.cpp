@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "check/replay.hpp"
@@ -21,8 +22,41 @@ std::vector<const SubjectResult*> CampaignResult::included() const {
   return out;
 }
 
+std::optional<std::string> ExperimentConfig::validate() const {
+  const std::size_t n_faults = net::paper_fault_model().size();
+  if (fault_weights.size() != n_faults) {
+    return "ExperimentConfig.fault_weights must hold " + std::to_string(n_faults) +
+           " weights, one per paper fault, not " + std::to_string(fault_weights.size());
+  }
+  double sum = 0.0;
+  for (const double w : fault_weights) {
+    if (!(std::isfinite(w) && w >= 0.0)) {
+      return "ExperimentConfig.fault_weights must be finite and >= 0";
+    }
+    sum += w;
+  }
+  if (!(sum > 0.0)) return "ExperimentConfig.fault_weights must have a positive sum";
+  if (!(poi_fault_probability >= 0.0 && poi_fault_probability <= 1.0)) {
+    return "ExperimentConfig.poi_fault_probability must be in [0, 1]";
+  }
+  if (!(std::isfinite(run_time_limit.value()) && run_time_limit.value() >= 0.0)) {
+    return "ExperimentConfig.run_time_limit must be finite and >= 0";
+  }
+  return rds.validate();
+}
+
+namespace {
+
+/// Rejects a configuration that cannot run before the harness keeps it.
+ExperimentConfig validated(ExperimentConfig config) {
+  if (auto error = config.validate()) throw std::invalid_argument{*error};
+  return config;
+}
+
+}  // namespace
+
 ExperimentHarness::ExperimentHarness(ExperimentConfig config)
-    : config_{std::move(config)} {}
+    : config_{validated(std::move(config))} {}
 
 std::vector<FaultAssignment> ExperimentHarness::make_fault_plan(
     const sim::Scenario& scenario, util::Random& rng) const {
@@ -31,7 +65,7 @@ std::vector<FaultAssignment> ExperimentHarness::make_fault_plan(
   for (const sim::PoiWindow& poi : scenario.pois) {
     if (!rng.bernoulli(config_.poi_fault_probability)) continue;
     const std::size_t pick = rng.weighted_index(config_.fault_weights);
-    plan.push_back({poi.name, model[pick % model.size()]});
+    plan.push_back({poi.name, model[pick]});
   }
   return plan;
 }

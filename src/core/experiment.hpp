@@ -9,6 +9,9 @@
 // one seed.
 #pragma once
 
+#include <optional>
+#include <string>
+
 #include "check/replay.hpp"
 #include "core/teleop.hpp"
 #include "mitigate/mitigation.hpp"
@@ -44,6 +47,13 @@ struct ExperimentConfig {
   /// plans of its unmitigated twin (the plan RNG stream is independent of
   /// mitigation), so the two form a paired ablation.
   mitigate::MitigationConfig mitigation{};
+
+  /// Why this configuration cannot run, naming the field, or nullopt when it
+  /// can: fault_weights must hold one finite, non-negative weight per
+  /// net::paper_fault_model() entry with a positive sum,
+  /// poi_fault_probability must be finite and in [0, 1], run_time_limit
+  /// must be finite and >= 0, and rds must pass RdsConfig::validate().
+  std::optional<std::string> validate() const;
 };
 
 struct SubjectResult {
@@ -63,6 +73,8 @@ struct CampaignResult {
 
 class ExperimentHarness {
  public:
+  /// Throws std::invalid_argument with the reason when config.validate()
+  /// rejects the configuration.
   explicit ExperimentHarness(ExperimentConfig config = {});
 
   /// Fault plan for one subject: one weighted-random fault per selected POI.

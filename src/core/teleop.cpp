@@ -10,6 +10,7 @@
 #include "net/datagram.hpp"
 #include "net/packet.hpp"
 #include "net/reliable_stream.hpp"
+#include "net/tc.hpp"
 #include "obs/catalog.hpp"
 #include "obs/obs.hpp"
 #include "sim/frame.hpp"
@@ -87,12 +88,18 @@ TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
 }
 
 /// The plan's POI windows in first-match order: assignment by assignment,
-/// each one's windows in scenario order. Rejects an assignment that names a
-/// POI the scenario lacks, since it could never fire.
+/// each one's windows in scenario order. Rejects an assignment whose fault
+/// has no netem rule, or that names a POI the scenario lacks, since it could
+/// never fire.
 std::vector<TeleopSession::FaultWindow> TeleopSession::resolve_fault_plan(
     const std::vector<FaultAssignment>& plan, const sim::Scenario& scenario) {
   std::vector<FaultWindow> windows;
   for (std::size_t i = 0; i < plan.size(); ++i) {
+    try {
+      (void)plan[i].fault.to_config();
+    } catch (const net::TcParseError& e) {
+      throw std::invalid_argument{"fault plan for POI '" + plan[i].poi + "': " + e.what()};
+    }
     const std::size_t before = windows.size();
     for (const sim::PoiWindow& poi : scenario.pois) {
       if (poi.name == plan[i].poi) windows.push_back({poi.from, poi.to, i});

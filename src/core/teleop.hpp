@@ -80,7 +80,8 @@ struct RunResult {
 class TeleopSession {
  public:
   /// Throws std::invalid_argument when the configuration cannot run, e.g.
-  /// when the fault plan names a POI that `scenario` lacks.
+  /// when the fault plan names a POI that `scenario` lacks or a fault that
+  /// FaultSpec::to_config() rejects (a loss outside [0, 1]).
   TeleopSession(RunConfig config, sim::Scenario scenario);
 
   /// Advance one communication tick. Returns false once the run is over.

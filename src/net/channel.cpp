@@ -21,7 +21,8 @@ std::uint64_t Channel::send(LinkDirection dir, Packet&& packet, util::TimePoint 
   DirectionStats& s = mutable_stats(dir);
   ++s.packets_sent;
   s.bytes_sent += packet.effective_wire_size();
-  tc_.root().enqueue(std::move(packet), now);
+  // enqueue leaves a dropped packet with the caller: its buffer goes back now.
+  if (!tc_.root().enqueue(std::move(packet), now)) recycle(std::move(packet.payload));
   return next_id_ - 1;
 }
 
@@ -70,7 +71,10 @@ void Channel::dispatch(LinkDirection dir, util::TimePoint now) {
       handlers_[id](view->header, view->body, dir, now);
     }
     // The view above reads from the payload; recycle only after handling.
-    recycle(std::move(packet.payload));
+    // A netem duplicate's buffer is a heap copy, not one the pool handed
+    // out, so it is freed with released_ and the pool stays no larger than
+    // the link's peak backlog.
+    if (!packet.duplicate) recycle(std::move(packet.payload));
   }
 }
 

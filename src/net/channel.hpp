@@ -11,9 +11,11 @@
 //
 // The packet path is allocation-free in steady state: senders build payloads
 // in buffers leased from the channel's PayloadPool (acquire_payload) and move
-// the finished Packet into send(). poll() has the qdisc append what it
-// releases to one buffer that keeps its capacity, dispatches each packet
-// where it sits, and recycles its payload buffer once the handler returns.
+// the finished Packet into send(), which recycles the buffer at once when the
+// qdisc drops the packet. poll() has the qdisc append what it releases to one
+// buffer that keeps its capacity, dispatches each packet where it sits, and
+// recycles its payload buffer once the handler returns. So a pooled buffer is
+// out of the pool only while its packet is on the link.
 // poll() consults the qdisc's next_event_at() and leaves the queue untouched
 // while nothing can be released yet.
 #pragma once
@@ -61,12 +63,14 @@ class Channel {
   /// Queue `packet` for transmission at `now`. The channel assigns the
   /// packet id and flow from `dir`; everything else (payload, wire_size)
   /// is the caller's. This is the primary, allocation-free entry point.
-  /// Returns the assigned packet id.
+  /// A packet the qdisc drops has its payload recycled. Returns the
+  /// assigned packet id.
   std::uint64_t send(LinkDirection dir, Packet&& packet, util::TimePoint now);
 
   /// Convenience overload that wraps `payload` in a fresh Packet. Kept for
-  /// tests and tooling; production senders should lease a buffer with
-  /// acquire_payload() and use the Packet&& overload so buffers recycle.
+  /// tests and tooling: the payload joins the pool once it is delivered or
+  /// dropped, so each call grows the pool by one buffer. Production senders
+  /// lease a buffer with acquire_payload() and use the Packet&& overload.
   std::uint64_t send(LinkDirection dir, Payload payload, std::uint32_t wire_size,
                      util::TimePoint now);
 

@@ -184,7 +184,7 @@ bool NetemQdisc::sample_loss() {
   return lost;
 }
 
-void NetemQdisc::enqueue(Packet&& packet, util::TimePoint now) {
+bool NetemQdisc::enqueue(Packet&& packet, util::TimePoint now) {
   ++stats_.enqueued;
   RDSIM_OBS_COUNT(metrics_.enqueued, 1);
   packet.enqueued_at = now;
@@ -192,7 +192,7 @@ void NetemQdisc::enqueue(Packet&& packet, util::TimePoint now) {
   if (config_.has_loss() && sample_loss()) {
     ++stats_.dropped_loss;
     RDSIM_OBS_COUNT(obs::metric::kNetemDroppedLoss, 1);
-    return;
+    return false;
   }
 
   bool duplicate = false;
@@ -257,7 +257,7 @@ void NetemQdisc::enqueue(Packet&& packet, util::TimePoint now) {
   if (backlog() >= config_.limit) {
     ++stats_.dropped_overlimit;
     RDSIM_OBS_COUNT(metrics_.dropped_overlimit, 1);
-    return;
+    return false;
   }
 
   RDSIM_ENSURE(release >= now, "netem release time cannot precede enqueue time");
@@ -271,6 +271,7 @@ void NetemQdisc::enqueue(Packet&& packet, util::TimePoint now) {
   }
   schedule(std::move(packet), release);
   RDSIM_OBS_GAUGE_SET(metrics_.depth, static_cast<double>(backlog()));
+  return true;
 }
 
 void NetemQdisc::schedule(Packet&& packet, util::TimePoint release) {

@@ -108,10 +108,11 @@ class NetemQdisc {
   bool has_rule() const { return has_rule_; }
   const NetemConfig& config() const { return config_; }
 
-  /// Hand a packet to the discipline at time `now`. It takes the packet
-  /// unless it drops it (loss model or over-limit), and may duplicate or
-  /// corrupt it before scheduling it.
-  void enqueue(Packet&& packet, util::TimePoint now);
+  /// Hand a packet to the discipline at time `now`; it may duplicate or
+  /// corrupt it before scheduling it. Returns false when the loss model or
+  /// the limit drops it: the packet then stays with the caller, payload and
+  /// all, so the caller can recycle its buffer.
+  bool enqueue(Packet&& packet, util::TimePoint now);
 
   /// Append every packet whose scheduled release time is <= now to `out`,
   /// in (release, enqueue) order.

@@ -5,62 +5,28 @@
 
 namespace rdsim::net {
 
-namespace {
-
-/// Index of the smallest size class covering `n`, or kNumBuckets when `n`
-/// exceeds the largest class.
-std::size_t bucket_covering(std::size_t n) {
-  for (std::size_t i = 0; i < PayloadPool::kNumBuckets; ++i) {
-    if (PayloadPool::kBucketBytes[i] >= n) return i;
-  }
-  return PayloadPool::kNumBuckets;
-}
-
-/// Index of the largest size class a capacity of `n` can serve, or
-/// kNumBuckets when `n` is below the smallest class.
-std::size_t bucket_served_by(std::size_t n) {
-  for (std::size_t i = PayloadPool::kNumBuckets; i-- > 0;) {
-    if (n >= PayloadPool::kBucketBytes[i]) return i;
-  }
-  return PayloadPool::kNumBuckets;
-}
-
-}  // namespace
-
 Payload PayloadPool::acquire(std::size_t size_hint) {
-  const std::size_t b = bucket_covering(size_hint);
-  if (b < kNumBuckets && !free_[b].empty()) {
-    Payload out = std::move(free_[b].back());
-    free_[b].pop_back();
-    out.clear();
-    ++stats_.reused;
-    RDSIM_OBS_COUNT(obs::metric::kPoolReused, 1);
-    return out;
+  Payload out;
+  if (!free_.empty()) {
+    out = std::move(free_.back());
+    free_.pop_back();
+    if (out.capacity() >= size_hint) {
+      ++stats_.reused;
+      RDSIM_OBS_COUNT(obs::metric::kPoolReused, 1);
+      return out;
+    }
   }
   ++stats_.fresh;
   RDSIM_OBS_COUNT(obs::metric::kPoolFresh, 1);
-  Payload out;
-  out.reserve(b < kNumBuckets ? kBucketBytes[b] : size_hint);
+  out.reserve(size_hint);
   return out;
 }
 
 void PayloadPool::release(Payload&& payload) {
-  const std::size_t b = bucket_served_by(payload.capacity());
-  if (b >= kNumBuckets || free_[b].size() >= max_per_bucket_) {
-    ++stats_.discarded;
-    RDSIM_OBS_COUNT(obs::metric::kPoolDiscarded, 1);
-    return;  // payload freed normally as it goes out of scope
-  }
   payload.clear();
-  free_[b].push_back(std::move(payload));
+  free_.push_back(std::move(payload));
   ++stats_.recycled;
   RDSIM_OBS_COUNT(obs::metric::kPoolRecycled, 1);
-}
-
-std::size_t PayloadPool::cached() const {
-  std::size_t total = 0;
-  for (const auto& bucket : free_) total += bucket.size();
-  return total;
 }
 
 }  // namespace rdsim::net

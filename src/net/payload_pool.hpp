@@ -1,16 +1,20 @@
-// Deterministic freelist of size-bucketed payload buffers.
+// Deterministic free list of payload buffers.
 //
 // The packet hot path used to allocate one payload vector per packet sent
 // and free it once the receiver parsed the delivery. A PayloadPool recycles
-// those buffers instead: acquire() hands out a cleared buffer whose capacity
-// covers the requested size, release() returns it to a per-size-class LIFO
-// freelist. Each Channel owns one pool, so recycling is single-threaded and
+// those buffers instead: release() pushes a buffer onto one LIFO list, and
+// acquire() pops the most recently released one, growing it when it is too
+// short. Each Channel owns one pool, so recycling is single-threaded and
 // fully deterministic — the pool affects *where* bytes live, never what they
 // are, and the golden campaign hashes are bit-identical with or without it.
+//
+// The list needs no cap: the Channel returns every buffer, delivered or
+// dropped, so the pool never holds more buffers than the link once held at
+// the same time, and netem's packet limit bounds that.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <vector>
 
 #include "net/packet.hpp"
 
@@ -19,40 +23,25 @@ namespace rdsim::net {
 class PayloadPool {
  public:
   struct Stats {
-    std::uint64_t fresh{0};      ///< acquire() had to heap-allocate
-    std::uint64_t reused{0};     ///< acquire() served from a freelist
-    std::uint64_t recycled{0};   ///< release() kept the buffer
-    std::uint64_t discarded{0};  ///< release() dropped it (full/odd-sized)
+    std::uint64_t fresh{0};     ///< acquire() allocated or grew a buffer
+    std::uint64_t reused{0};    ///< acquire() served a cached buffer as it was
+    std::uint64_t recycled{0};  ///< release() kept the buffer
   };
 
-  /// `max_per_bucket` bounds the buffers cached per size class, which caps
-  /// pool memory at roughly max_per_bucket * sum(bucket sizes). The default
-  /// holds a whole video frame burst: a 6 MB frame is 93 segments, and its
-  /// 93 ACKs are in flight at the same time.
-  explicit PayloadPool(std::size_t max_per_bucket = 256)
-      : max_per_bucket_{max_per_bucket} {}
-
-  /// A cleared buffer with capacity >= size_hint (when size_hint fits the
-  /// largest size class; bigger requests fall through to a plain allocation).
+  /// A cleared buffer with capacity >= size_hint: the most recently
+  /// released one, grown when shorter, or a new one when none is cached.
   Payload acquire(std::size_t size_hint);
 
-  /// Return a buffer to the freelist of the largest size class its capacity
-  /// covers. Undersized or surplus buffers are freed normally.
+  /// Keep `payload` for the next acquire().
   void release(Payload&& payload);
 
   const Stats& stats() const { return stats_; }
 
-  /// Buffers currently cached across all size classes.
-  std::size_t cached() const;
-
-  static constexpr std::size_t kNumBuckets = 8;
-  /// Size classes, geometric: 64 B .. 1 MiB.
-  static constexpr std::array<std::size_t, kNumBuckets> kBucketBytes{
-      64, 256, 1024, 4096, 16384, 65536, 262144, 1048576};
+  /// Buffers currently cached.
+  std::size_t cached() const { return free_.size(); }
 
  private:
-  std::size_t max_per_bucket_;
-  std::array<std::vector<Payload>, kNumBuckets> free_;
+  std::vector<Payload> free_;
   Stats stats_;
 };
 

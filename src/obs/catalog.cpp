@@ -60,11 +60,9 @@ constexpr std::array<MetricDef, kCount> kCatalog{{
             "Packets released by a TBF qdisc (none is built: always 0)"),
 
     // ---- payload pool ----
-    counter(kPoolFresh, "pool.fresh", "Payload acquisitions that fell back to the heap"),
+    counter(kPoolFresh, "pool.fresh", "Payload acquisitions that allocated or grew"),
     counter(kPoolReused, "pool.reused", "Payload acquisitions served from the freelist"),
     counter(kPoolRecycled, "pool.recycled", "Released payload buffers kept for reuse"),
-    counter(kPoolDiscarded, "pool.discarded",
-            "Released payload buffers dropped (bucket full or undersized)"),
 
     // ---- reliable stream ----
     counter(kStreamSegmentsTx, "stream.segments_tx",

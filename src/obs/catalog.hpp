@@ -36,10 +36,9 @@ enum Id : std::uint32_t {
   kTbfDequeued,  ///< always zero; see catalog.cpp
 
   // ---- payload pool (per-channel buffer freelist) ----
-  kPoolFresh,      ///< acquisitions that heap-allocated
-  kPoolReused,     ///< acquisitions served from the freelist
-  kPoolRecycled,   ///< released buffers kept for reuse
-  kPoolDiscarded,  ///< released buffers dropped (cap/odd size)
+  kPoolFresh,     ///< acquisitions that allocated or grew a buffer
+  kPoolReused,    ///< acquisitions served from the freelist
+  kPoolRecycled,  ///< released buffers kept for reuse
 
   // ---- reliable stream (TCP analogue) ----
   kStreamSegmentsTx,  ///< every DATA transmission

@@ -3,6 +3,10 @@
 // fast; the integration suite covers the rest.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/correlation.hpp"
 #include "core/report.hpp"
 
@@ -44,6 +48,67 @@ TEST(FaultPlan, RespectsWeightsAndCoverage) {
   for (const auto& label : report::fault_labels()) {
     EXPECT_GT(counts[label], 0) << label;
   }
+}
+
+/// The message of the std::invalid_argument ExperimentHarness throws for
+/// `cfg`, or "" when it constructs.
+std::string rejection(ExperimentConfig cfg) {
+  try {
+    ExperimentHarness harness{std::move(cfg)};
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(ExperimentHarness, RejectsFaultWeightsNotOnePerPaperFault) {
+  for (const std::size_t n : {0u, 4u, 6u}) {
+    ExperimentConfig cfg;
+    cfg.fault_weights.assign(n, 1.0);
+    EXPECT_NE(rejection(cfg).find("fault_weights"), std::string::npos) << n;
+  }
+  ExperimentConfig one_hot;  // the shape rdsim_bench's loss workload uses
+  one_hot.fault_weights = {0, 0, 0, 0, 1};
+  EXPECT_EQ(rejection(one_hot), "");
+}
+
+TEST(ExperimentHarness, RejectsNegativeOrNonFiniteFaultWeight) {
+  for (const double w : {-1.0, kNaN, kInf}) {
+    ExperimentConfig cfg;
+    cfg.fault_weights[2] = w;
+    EXPECT_NE(rejection(cfg).find("fault_weights"), std::string::npos) << w;
+  }
+}
+
+TEST(ExperimentHarness, RejectsAllZeroFaultWeights) {
+  ExperimentConfig cfg;
+  cfg.fault_weights.assign(cfg.fault_weights.size(), 0.0);
+  EXPECT_NE(rejection(cfg).find("positive sum"), std::string::npos);
+}
+
+TEST(ExperimentHarness, RejectsPoiFaultProbabilityOutsideTheUnitInterval) {
+  for (const double p : {-0.1, 1.5, kNaN, kInf}) {
+    ExperimentConfig cfg;
+    cfg.poi_fault_probability = p;
+    EXPECT_NE(rejection(cfg).find("poi_fault_probability"), std::string::npos) << p;
+  }
+}
+
+TEST(ExperimentHarness, RejectsNegativeOrNonFiniteRunTimeLimit) {
+  for (const double s : {-1.0, kNaN, kInf}) {
+    ExperimentConfig cfg;
+    cfg.run_time_limit = units::Seconds{s};
+    EXPECT_NE(rejection(cfg).find("run_time_limit"), std::string::npos) << s;
+  }
+}
+
+TEST(ExperimentHarness, RejectsUnrunnableRdsConfig) {
+  ExperimentConfig cfg;
+  cfg.rds.comms_hz = 0.0;
+  EXPECT_NE(rejection(cfg).find("comms_hz"), std::string::npos);
 }
 
 TEST(RunSubject, ProducesGoldenAndFaultyRuns) {

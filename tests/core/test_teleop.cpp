@@ -93,6 +93,15 @@ TEST(TeleopSession, RejectsFaultPlanNamingAnUnknownPoi) {
   EXPECT_EQ(rejection(rc), "");
 }
 
+TEST(TeleopSession, RejectsFaultWithoutNetemRuleNamingPoiAndValue) {
+  RunConfig rc = base_config("bad-loss");
+  rc.fault_injected = true;
+  rc.plan.push_back({"following", {net::FaultKind::kPacketLoss, 5.0}});
+  const std::string why = rejection(rc);
+  EXPECT_NE(why.find("'following'"), std::string::npos) << why;
+  EXPECT_NE(why.find("500%"), std::string::npos) << why;
+}
+
 TEST(TeleopSession, GoldenRunCompletesCleanly) {
   TeleopSession session{base_config("golden"), sim::make_following_scenario()};
   const RunResult r = session.run();

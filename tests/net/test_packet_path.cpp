@@ -27,44 +27,23 @@ TEST(PayloadPool, ReusesReleasedBuffers) {
   pool.release(std::move(a));
   EXPECT_EQ(pool.cached(), 1u);
 
-  Payload b = pool.acquire(200);  // same 256-byte class as the released buffer
-  EXPECT_EQ(b.data(), data);      // LIFO freelist handed the same buffer back
+  Payload b = pool.acquire(100);  // as large as the released buffer
+  EXPECT_EQ(b.data(), data);      // LIFO list handed the same buffer back
   EXPECT_TRUE(b.empty());         // ...cleared
-  EXPECT_GE(b.capacity(), 200u);
+  EXPECT_GE(b.capacity(), 100u);
   EXPECT_EQ(pool.stats().reused, 1u);
   EXPECT_EQ(pool.stats().fresh, 1u);
 }
 
-TEST(PayloadPool, AcquireReservesBucketCapacity) {
+TEST(PayloadPool, ShortBufferIsGrownAndCountedFresh) {
   PayloadPool pool;
-  Payload p = pool.acquire(1000);
-  EXPECT_GE(p.capacity(), 1024u);  // rounded up to the size class
+  pool.release(pool.acquire(16));
+  Payload p = pool.acquire(1000);  // the cached 16-byte buffer, grown
+  EXPECT_GE(p.capacity(), 1000u);
   EXPECT_TRUE(p.empty());
-}
-
-TEST(PayloadPool, OversizedRequestsBypassTheBuckets) {
-  PayloadPool pool;
-  Payload big = pool.acquire(2u << 20);  // 2 MiB > largest class
-  EXPECT_GE(big.capacity(), 2u << 20);
-  pool.release(std::move(big));
-  // An over-large buffer lands in the largest class it can serve (1 MiB),
-  // so it is still recycled rather than freed.
-  EXPECT_EQ(pool.stats().recycled, 1u);
-
-  Payload tiny;  // capacity 0: below every class, discarded on release
-  pool.release(std::move(tiny));
-  EXPECT_EQ(pool.stats().discarded, 1u);
-}
-
-TEST(PayloadPool, PerBucketCapIsEnforced) {
-  // Release four distinct buffers into one size class; only two may be kept.
-  PayloadPool capped{2};
-  std::vector<Payload> buffers;
-  for (int i = 0; i < 4; ++i) buffers.push_back(capped.acquire(64));
-  for (auto& b : buffers) capped.release(std::move(b));
-  EXPECT_EQ(capped.cached(), 2u);
-  EXPECT_EQ(capped.stats().recycled, 2u);
-  EXPECT_EQ(capped.stats().discarded, 2u);
+  EXPECT_EQ(pool.cached(), 0u);
+  EXPECT_EQ(pool.stats().fresh, 2u);
+  EXPECT_EQ(pool.stats().reused, 0u);
 }
 
 // -------------------------------------------------------------------- Packet
@@ -256,6 +235,47 @@ TEST(PacketPath, IdleTicksDoNotAllocate) {
   EXPECT_EQ(allocs.delta(), 0u) << "idle packet path must not touch the heap";
 }
 
+/// Sends one 64-byte packet in a pooled buffer at `now`, then polls.
+void send_pooled_and_poll(Channel& ch, TimePoint now) {
+  Packet p;
+  p.payload = ch.acquire_payload(64);
+  p.payload.resize(64);
+  ch.send(LinkDirection::kDownlink, std::move(p), now);
+  ch.poll(now);
+}
+
+/// A pooled buffer is out of the pool only while its packet is on the link:
+/// the channel recycles the payload of a packet netem drops, by its loss
+/// model or by its limit, as it recycles a delivered one.
+TEST(PacketPath, DroppedPacketsReturnTheirBuffers) {
+  for (const std::string rule : {"netem loss 100%", "netem delay 10ms limit 1"}) {
+    Channel ch{3};
+    ch.tc().execute("qdisc add dev lo root " + rule);
+    for (std::int64_t tick = 0; tick < 50; ++tick) {
+      send_pooled_and_poll(ch, TimePoint::from_micros(tick * 1000));
+      EXPECT_EQ(ch.pool().cached() + ch.in_flight(), ch.pool().stats().fresh)
+          << rule << " tick " << tick;
+    }
+    EXPECT_GE(ch.tc().root().stats().total_dropped(), 40u) << rule;
+    EXPECT_LE(ch.pool().stats().fresh, 2u) << rule;
+  }
+}
+
+/// A netem duplicate carries a heap copy of its original's buffer. The
+/// channel frees that copy instead of pooling it, so the pool keeps only
+/// buffers it handed out and stays as small as the link's peak backlog.
+TEST(PacketPath, DuplicatesDoNotGrowThePool) {
+  Channel ch{3};
+  ch.tc().execute("qdisc add dev lo root netem delay 1ms duplicate 100%");
+  for (std::int64_t tick = 0; tick < 50; ++tick) {
+    send_pooled_and_poll(ch, TimePoint::from_micros(tick * 1000));
+  }
+  ch.poll(TimePoint::from_micros(60000));
+  EXPECT_EQ(ch.in_flight(), 0u);
+  EXPECT_EQ(ch.tc().root().stats().duplicated, 50u);
+  EXPECT_EQ(ch.pool().cached(), ch.pool().stats().fresh);
+}
+
 TEST(PacketPath, WarmStreamTickReusesPooledPayloads) {
   Channel ch{5};
   ReliableStream stream{ch, 1, LinkDirection::kDownlink};
@@ -354,8 +374,8 @@ TEST(PacketPath, WarmMultiSegmentStreamAllocatesOnlyPerDeliveredMessage) {
 /// The same gate at the paper's frame shape: 93 segments per message (a
 /// 6 MB frame over a 65 000-byte MTU), one message per 37 ms as the 27 fps
 /// feed sends them. A frame's 93 DATA buffers and its 93 ACK buffers are in
-/// flight together, so the payload pool must cache a whole burst per size
-/// class or every frame allocates afresh.
+/// flight together, so the payload pool must cache a whole burst or every
+/// frame allocates afresh.
 TEST(PacketPath, WarmFrameBurstStreamAllocatesOnlyPerDeliveredMessage) {
   constexpr int kMessages = 100;
   const WarmPass pass = measure_warm_stream(/*wire=*/93000, /*payload_bytes=*/9300,
