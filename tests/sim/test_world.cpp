@@ -77,6 +77,68 @@ TEST(World, CollisionSensorFiresOncePerEpisode) {
   EXPECT_TRUE(w.ego_in_contact());
 }
 
+TEST(World, CollisionSensorReArmsOnlyAfterSeparationAndCooldown) {
+  // One event per contact episode; after an event the sensor stays silent
+  // for 5 s, and it re-arms only once the bodies have separated. Teleporting
+  // the ego makes every contact start and end on a known step.
+  World w = make_world();
+  const ActorId ego = w.spawn_on_road(ActorKind::kVehicle, Meters{0.0}, 0);
+  w.designate_ego(ego);
+  const ActorId parked = w.spawn_on_road(ActorKind::kStaticVehicle, Meters{100.0}, 0);
+  const auto place_ego = [&w](double s, double speed) {
+    const util::Pose pose = w.road().sample_offset(s, w.road().lane_center_offset(0));
+    KinematicState st;
+    st.position = pose.position;
+    st.heading = pose.heading;
+    st.velocity = pose.forward() * speed;
+    w.ego().vehicle().set_state(st);
+  };
+  const Seconds dt{0.01};
+
+  place_ego(100.0, 0.0);
+  w.step(dt);
+  ASSERT_EQ(w.collisions().size(), 1u);
+  EXPECT_EQ(w.collisions()[0].other, parked);
+  EXPECT_EQ(w.collisions()[0].frame, w.frame_counter());
+  EXPECT_TRUE(w.ego_in_contact());
+
+  // Separate, then touch again inside the cooldown: contact, but no event.
+  place_ego(50.0, 0.0);
+  w.step(dt);
+  EXPECT_FALSE(w.ego_in_contact());
+  place_ego(100.0, 0.0);
+  w.step(dt);
+  EXPECT_TRUE(w.ego_in_contact());
+  EXPECT_EQ(w.collisions().size(), 1u);
+
+  // Separate for more than 5 s: the next touch is a new event.
+  place_ego(50.0, 0.0);
+  for (int i = 0; i < 500; ++i) w.step(dt);
+  EXPECT_FALSE(w.ego_in_contact());
+  place_ego(100.0, 0.0);
+  w.step(dt);
+  ASSERT_EQ(w.collisions().size(), 2u);
+  EXPECT_EQ(w.collisions()[1].other, parked);
+  EXPECT_EQ(w.collisions()[1].frame, w.frame_counter());
+
+  // A moving ego that lands on two parked vehicles in one step records both
+  // in id order; the first impact has already stopped it for the second.
+  const ActorId first = w.spawn_on_road(ActorKind::kStaticVehicle, Meters{300.0}, 0);
+  const ActorId second = w.spawn_on_road(ActorKind::kStaticVehicle, Meters{304.0}, 0);
+  place_ego(302.0, 5.0);
+  w.step(dt);
+  ASSERT_EQ(w.collisions().size(), 4u);
+  const CollisionEvent& hit_first = w.collisions()[2];
+  const CollisionEvent& hit_second = w.collisions()[3];
+  EXPECT_EQ(hit_first.other, first);
+  EXPECT_EQ(hit_second.other, second);
+  EXPECT_EQ(hit_first.frame, w.frame_counter());
+  EXPECT_EQ(hit_second.frame, w.frame_counter());
+  EXPECT_GT(hit_first.relative_speed, 4.0);
+  EXPECT_EQ(hit_second.relative_speed, 0.0);
+  EXPECT_EQ(w.ego().state().velocity.norm(), 0.0);
+}
+
 TEST(World, CollisionZeroesEgoSpeed) {
   World w = make_world();
   const ActorId ego = w.spawn_on_road(ActorKind::kVehicle, Meters{0.0}, 0, {},
