@@ -2,9 +2,12 @@
 // (§I); the methodology exists to design them. This bench closes that loop:
 // it re-runs heavy-fault scenarios with the SafetyMonitor enabled (degraded-
 // mode braking when the command stream goes stale) and reports how the
-// safety metrics move.
+// safety metrics move. The last line is a hash over every reported run, in
+// print order.
 #include <cstdio>
 
+#include "check/hash.hpp"
+#include "core/campaign_hash.hpp"
 #include "core/teleop.hpp"
 #include "metrics/srr.hpp"
 #include "metrics/ttc.hpp"
@@ -32,7 +35,7 @@ core::RunResult run_route(const core::SubjectProfile& profile, net::FaultSpec fa
   return session.run();
 }
 
-void report_case(const char* fault_name, net::FaultSpec fault) {
+void report_case(const char* fault_name, net::FaultSpec fault, check::Fnv1a& runs_hash) {
   std::printf("-- fault: %s --\n", fault_name);
   std::printf("%-4s %-22s %-22s %s\n", "", "without monitor", "with monitor", "");
   std::printf("%-4s %-6s %-7s %-7s %-6s %-7s %-7s %s\n", "subj", "crash", "minTTC",
@@ -42,6 +45,8 @@ void report_case(const char* fault_name, net::FaultSpec fault) {
     const auto& profile = roster[static_cast<std::size_t>(idx)];
     const auto bare = run_route(profile, fault, false);
     const auto guarded = run_route(profile, fault, true);
+    runs_hash.u64(check::hash_run(bare));
+    runs_hash.u64(check::hash_run(guarded));
     metrics::TtcAnalyzer ttc;
     const auto tb = ttc.summarize(ttc.series(bare.trace));
     const auto tg = ttc.summarize(ttc.series(guarded.trace));
@@ -64,8 +69,10 @@ int main() {
               "50 ms delay is invisible to a command-age watchdog (age stays\n"
               "~85 ms), so its crashes persist - a design-loop insight the\n"
               "methodology is meant to surface.\n\n");
-  report_case("5% packet loss", {net::FaultKind::kPacketLoss, 0.05});
-  report_case("50ms delay", {net::FaultKind::kDelay, 50.0});
-  report_case("200ms delay", {net::FaultKind::kDelay, 200.0});
+  check::Fnv1a runs_hash;
+  report_case("5% packet loss", {net::FaultKind::kPacketLoss, 0.05}, runs_hash);
+  report_case("50ms delay", {net::FaultKind::kDelay, 50.0}, runs_hash);
+  report_case("200ms delay", {net::FaultKind::kDelay, 200.0}, runs_hash);
+  std::printf("hash %016llx\n", static_cast<unsigned long long>(runs_hash.digest()));
   return 0;
 }

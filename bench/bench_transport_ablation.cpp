@@ -2,9 +2,12 @@
 // paper's CARLA setup uses) versus latest-wins UDP-style datagrams (as many
 // production teleoperation stacks use). Under loss, TCP stalls and freezes;
 // UDP drops frames but never blocks — the fault *symptom* changes even
-// though the injected fault is identical.
+// though the injected fault is identical. The last line is a hash over every
+// reported run, in print order.
 #include <cstdio>
 
+#include "check/hash.hpp"
+#include "core/campaign_hash.hpp"
 #include "core/teleop.hpp"
 #include "metrics/srr.hpp"
 
@@ -12,7 +15,8 @@ using namespace rdsim;
 
 namespace {
 
-void run_case(const char* transport, bool datagram, net::FaultSpec fault) {
+void run_case(const char* transport, bool datagram, net::FaultSpec fault,
+              check::Fnv1a& runs_hash) {
   core::RunConfig rc;
   rc.run_id = "ablation";
   rc.subject_id = "T5";
@@ -27,6 +31,7 @@ void run_case(const char* transport, bool datagram, net::FaultSpec fault) {
   }
   core::TeleopSession session{std::move(rc), scenario};
   const auto r = session.run();
+  runs_hash.u64(check::hash_run(r));
   metrics::SrrAnalyzer srr;
   std::printf("%-10s %-10s: frames %4llu/%-4llu frozen %5.1f%% longest %4.0fms "
               "SRR %5.1f qoe %.1f crash %zu\n",
@@ -44,6 +49,7 @@ void run_case(const char* transport, bool datagram, net::FaultSpec fault) {
 int main() {
   std::printf("Transport ablation on the vehicle-following scenario.\n"
               "tcp = reliable stream (paper's CARLA setup), udp = latest-wins datagrams.\n\n");
+  check::Fnv1a runs_hash;
   for (const auto fault :
        {net::FaultSpec{net::FaultKind::kNone, 0.0},
         net::FaultSpec{net::FaultKind::kPacketLoss, 0.02},
@@ -51,11 +57,12 @@ int main() {
         net::FaultSpec{net::FaultKind::kPacketLoss, 0.10},
         net::FaultSpec{net::FaultKind::kDelay, 50.0},
         net::FaultSpec{net::FaultKind::kDelay, 200.0}}) {
-    run_case("tcp", false, fault);
-    run_case("udp", true, fault);
+    run_case("tcp", false, fault, runs_hash);
+    run_case("udp", true, fault, runs_hash);
   }
   std::printf("\nExpected: under loss, tcp shows freezes (frozen%%, longest) while\n"
               "udp shows dropped frames (displayed < encoded) but less freezing;\n"
               "under heavy delay both stale, tcp additionally throughput-collapses.\n");
+  std::printf("hash %016llx\n", static_cast<unsigned long long>(runs_hash.digest()));
   return 0;
 }

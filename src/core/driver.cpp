@@ -21,8 +21,7 @@ DriverModel::DriverModel(DriverParams params, const sim::Scenario* scenario,
       rng_{std::move(rng)},
       perception_{util::Duration::seconds(params.reaction_time_s)} {}
 
-void DriverModel::observe(const DisplayedView& view) {
-  perception_.push(view.displayed_at, view);
+void DriverModel::observe(DisplayedView view) {
   if (view.frame.frame_id != last_frame_id_) {
     if (last_display_change_) {
       const double frozen = (view.displayed_at - *last_display_change_).to_seconds();
@@ -40,6 +39,7 @@ void DriverModel::observe(const DisplayedView& view) {
     last_frame_id_ = view.frame.frame_id;
     last_display_change_ = view.displayed_at;
   }
+  perception_.push(view.displayed_at, std::move(view));
 }
 
 units::Seconds DriverModel::display_staleness(util::TimePoint now) const {

@@ -108,7 +108,7 @@ class DriverModel {
               const sim::RoadNetwork* road, util::Random rng);
 
   /// Feed a newly displayed frame (call whenever the display updates).
-  void observe(const DisplayedView& view);
+  void observe(DisplayedView view);
 
   /// Produce the wheel/pedal state at time `now`. Call at the operator tick
   /// rate; decisions refresh internally at control_rate_hz.

@@ -27,7 +27,7 @@ double QoeStats::score() const {
 OperatorSubsystem::OperatorSubsystem(const StationConfig& station, DriverModel driver)
     : station_{station}, driver_{std::move(driver)} {}
 
-void OperatorSubsystem::on_frame(const sim::WorldFrame& frame, util::TimePoint now) {
+void OperatorSubsystem::on_frame(sim::WorldFrame frame, util::TimePoint now) {
   if (any_frame_ && frame.frame_id <= displayed_frame_id_) {
     ++frames_superseded_;  // late frame, already superseded on screen
     RDSIM_OBS_COUNT(obs::metric::kOpFramesSuperseded, 1);
@@ -43,10 +43,8 @@ void OperatorSubsystem::on_frame(const sim::WorldFrame& frame, util::TimePoint n
       units::Millis::from_duration(now - util::TimePoint::from_micros(frame.sim_time_us))
           .value());
 
-  DisplayedView view;
-  view.frame = frame;
-  view.displayed_at = now + station_.display_latency.to_duration();
-  driver_.observe(view);
+  driver_.observe(
+      DisplayedView{std::move(frame), now + station_.display_latency.to_duration()});
 }
 
 std::optional<CommandMsg> OperatorSubsystem::poll(util::TimePoint now) {

@@ -41,7 +41,7 @@ class OperatorSubsystem {
 
   /// A decoded video frame arrived from the network at `now`; it reaches
   /// the driver's eyes after the display latency.
-  void on_frame(const sim::WorldFrame& frame, util::TimePoint now);
+  void on_frame(sim::WorldFrame frame, util::TimePoint now);
 
   /// Sample the station at `now`: updates QoE accounting and, when a
   /// command is due, returns it for transmission.

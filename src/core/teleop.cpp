@@ -136,14 +136,14 @@ void TeleopSession::pump_video(util::TimePoint now) {
     if (video_->send_backlog() > kSenderBacklogLimit) {
       ++frames_skipped_sender_;  // transport is behind: drop, don't queue
     } else {
-      video_->send_message(std::move(frame->payload), frame->wire_size, now);
+      video_->send_message(std::move(*frame), config_.rds.video.frame_wire_bytes, now);
     }
   }
   video_->step(now);
   while (auto msg = video_->pop_delivered()) {
     if (auto decoded = sim::WorldFrame::decode(msg->bytes)) {
       if (governor_) perceived_speed_ = units::MetersPerSecond{decoded->ego.state.speed()};
-      operator_->on_frame(*decoded, now);
+      operator_->on_frame(std::move(*decoded), now);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include "mitigate/mitigation.hpp"
 #include "mitigate/mrm.hpp"
+#include "net/packet.hpp"
 #include "sim/frame.hpp"
 #include "sim/road.hpp"
 #include "sim/scenario.hpp"
@@ -30,20 +31,15 @@ void VehicleSubsystem::enable_mitigation(const mitigate::WatchdogConfig& watchdo
                                                    config_.vehicle.max_brake_decel);
 }
 
-std::optional<VehicleSubsystem::EncodedFrame> VehicleSubsystem::maybe_encode_frame(
-    util::TimePoint now) {
+std::optional<net::Payload> VehicleSubsystem::maybe_encode_frame(util::TimePoint now) {
   if (now < next_frame_) return std::nullopt;
   // 25-30 fps: jitter the frame interval around the configured rate.
   const double base_period = 1.0 / config_.station.video_fps;
   const double period = base_period * rng_.uniform(0.93, 1.09);
   next_frame_ = now + util::Duration::seconds(period);
 
-  const sim::WorldFrame frame = world_.snapshot();
-  EncodedFrame out;
-  out.payload = frame.encode();
-  out.wire_size = config_.video.frame_wire_bytes;
   ++frames_encoded_;
-  return out;
+  return world_.snapshot().encode();
 }
 
 void VehicleSubsystem::on_command(const CommandMsg& msg, util::TimePoint now) {

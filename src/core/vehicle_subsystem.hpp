@@ -43,11 +43,7 @@ class VehicleSubsystem {
 
   /// If a video frame is due at `now`, encode it. Frame cadence follows the
   /// configured fps with the 25-30 fps jitter the paper reports.
-  struct EncodedFrame {
-    net::Payload payload;
-    std::uint32_t wire_size{0};
-  };
-  std::optional<EncodedFrame> maybe_encode_frame(util::TimePoint now);
+  std::optional<net::Payload> maybe_encode_frame(util::TimePoint now);
 
   /// Apply a received command (latest-wins by sequence number).
   void on_command(const CommandMsg& msg, util::TimePoint now);

@@ -1,9 +1,19 @@
 #include "net/payload_pool.hpp"
 
+#include <algorithm>
+
 #include "obs/catalog.hpp"
 #include "obs/obs.hpp"
 
 namespace rdsim::net {
+namespace {
+
+// Every packet of the campaign's stream workloads is 23-77 B (ACKs and DATA
+// segments share one pool), so a buffer of at least this capacity serves any
+// of them: an ACK's buffer is never grown again for a segment.
+constexpr std::size_t kMinCapacity = 128;
+
+}  // namespace
 
 Payload PayloadPool::acquire(std::size_t size_hint) {
   Payload out;
@@ -18,7 +28,7 @@ Payload PayloadPool::acquire(std::size_t size_hint) {
   }
   ++stats_.fresh;
   RDSIM_OBS_COUNT(obs::metric::kPoolFresh, 1);
-  out.reserve(size_hint);
+  out.reserve(std::max(size_hint, kMinCapacity));
   return out;
 }
 

@@ -73,30 +73,6 @@ void LaneFollowController::update(Actor& actor, const RoadNetwork& road,
   actor.vehicle().apply_control(control);
 }
 
-WalkerController::WalkerController(units::MetersPerSecond walk_speed,
-                                   units::Meters target_lateral)
-    : walk_speed_{walk_speed}, target_lateral_{target_lateral} {}
-
-void WalkerController::update(Actor& actor, const RoadNetwork& road, units::Seconds dt) {
-  if (!crossing_ || done_ || dt.value() <= 0.0) return;
-  const RoadProjection& proj = actor.projection();
-  const double remaining = target_lateral_.value() - proj.lateral;
-  const double dir = remaining >= 0.0 ? 1.0 : -1.0;
-  const double step =
-      std::min((walk_speed_ * dt).value(), std::fabs(remaining));
-  const util::Vec2 left = util::Vec2::from_heading(road.heading_at(proj.s)).perp();
-
-  KinematicState st = actor.state();
-  st.position += left * (dir * step);
-  st.velocity = left * (dir * walk_speed_.value());
-  st.heading = (left * dir).heading();
-  if (std::fabs(remaining) <= step + 1e-9) {
-    done_ = true;
-    st.velocity = {};
-  }
-  actor.vehicle().set_state(st);
-}
-
 CyclistController::CyclistController(units::MetersPerSecond speed,
                                      units::Meters edge_offset, double wobble_amp,
                                      units::Seconds wobble_period)

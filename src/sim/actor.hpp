@@ -54,11 +54,7 @@ class Actor {
 
   void step(const RoadNetwork& road, units::Seconds dt) {
     if (controller_) controller_->update(*this, road, dt);
-    // Static vehicles don't move; walkers are integrated by their
-    // controller, not by the wheeled-plant dynamics.
-    if (kind_ != ActorKind::kStaticVehicle && kind_ != ActorKind::kWalker) {
-      vehicle_.step(dt);
-    }
+    if (kind_ != ActorKind::kStaticVehicle) vehicle_.step(dt);
   }
 
  private:
@@ -94,29 +90,6 @@ class LaneFollowController final : public ActorController {
   int lane_;
   units::MetersPerSecond cruise_speed_;
   std::vector<SpeedPoint> profile_;
-};
-
-/// A pedestrian crossing the carriageway at walking pace. Starts parked at
-/// the roadside; once switched to crossing (typically by a scenario
-/// trigger when the ego approaches) it walks laterally across the lanes and
-/// stops on the far side. Motion is integrated directly — walkers are not
-/// wheeled plants.
-class WalkerController final : public ActorController {
- public:
-  /// `target_lateral` is where the walker stops (far kerb).
-  WalkerController(units::MetersPerSecond walk_speed, units::Meters target_lateral);
-
-  void start_crossing() { crossing_ = true; }
-  bool crossing() const { return crossing_; }
-  bool done() const { return done_; }
-
-  void update(Actor& actor, const RoadNetwork& road, units::Seconds dt) override;
-
- private:
-  units::MetersPerSecond walk_speed_;
-  units::Meters target_lateral_;
-  bool crossing_{false};
-  bool done_{false};
 };
 
 /// Rides near the right road edge at cycling speed with a gentle wobble —

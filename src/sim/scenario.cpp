@@ -96,38 +96,26 @@ Scenario make_test_route_scenario() {
 
   // ---- instruction sheet ----
   // Leg 1 (0-600): follow the lead vehicle in lane 0.
-  sc.instructions.push_back(
-      {M{0.0}, M{600.0}, 0, Mps{11.0}, M{0.0}, "follow lead vehicle"});
+  sc.instructions.push_back({M{0.0}, M{600.0}, 0, Mps{11.0}, M{0.0}});
   // Leg 2 (600-980): slalom between sloppily parked vehicles, 70 m apart —
   // one continuous weave, each obstacle passed mid-transition. Nominal
   // clearance ~1.3 m: comfortable with a live view, tight when the view
   // stalls mid-lane-change.
-  sc.instructions.push_back(
-      {M{600.0}, M{660.0}, 1, Mps{10.5}, M{0.0}, "left past parked #1"});
-  sc.instructions.push_back(
-      {M{660.0}, M{730.0}, 0, Mps{10.5}, M{0.0}, "right past parked #2"});
-  sc.instructions.push_back(
-      {M{730.0}, M{830.0}, 1, Mps{10.5}, M{0.0}, "left past parked #3"});
-  sc.instructions.push_back(
-      {M{830.0}, M{980.0}, 0, Mps{10.0}, M{0.0}, "back to lane 0"});
+  sc.instructions.push_back({M{600.0}, M{660.0}, 1, Mps{10.5}, M{0.0}});  // left past #1
+  sc.instructions.push_back({M{660.0}, M{730.0}, 0, Mps{10.5}, M{0.0}});  // right past #2
+  sc.instructions.push_back({M{730.0}, M{830.0}, 1, Mps{10.5}, M{0.0}});  // left past #3
+  sc.instructions.push_back({M{830.0}, M{980.0}, 0, Mps{10.0}, M{0.0}});  // to lane 0
   // Leg 3 (980-1150): cruise; give cyclist #1 room.
-  sc.instructions.push_back(
-      {M{980.0}, M{1150.0}, 0, Mps{11.0}, M{0.8}, "pass cyclist with margin"});
+  sc.instructions.push_back({M{980.0}, M{1150.0}, 0, Mps{11.0}, M{0.8}});
   // Leg 4 (1150-1500): overtake the slow vehicle.
-  sc.instructions.push_back(
-      {M{1150.0}, M{1250.0}, 0, Mps{11.0}, M{0.0}, "approach slow vehicle"});
-  sc.instructions.push_back(
-      {M{1250.0}, M{1450.0}, 1, Mps{12.0}, M{0.0}, "overtake via lane 1"});
-  sc.instructions.push_back(
-      {M{1450.0}, M{1600.0}, 0, Mps{11.0}, M{0.0}, "merge back"});
+  sc.instructions.push_back({M{1150.0}, M{1250.0}, 0, Mps{11.0}, M{0.0}});  // approach
+  sc.instructions.push_back({M{1250.0}, M{1450.0}, 1, Mps{12.0}, M{0.0}});  // overtake
+  sc.instructions.push_back({M{1450.0}, M{1600.0}, 0, Mps{11.0}, M{0.0}});  // merge
   // Leg 5 (1600-2100): night section with cyclist #2.
-  sc.instructions.push_back(
-      {M{1600.0}, M{1950.0}, 0, Mps{10.0}, M{0.0}, "night cruise"});
-  sc.instructions.push_back(
-      {M{1950.0}, M{2100.0}, 0, Mps{10.0}, M{0.8}, "pass cyclist with margin"});
+  sc.instructions.push_back({M{1600.0}, M{1950.0}, 0, Mps{10.0}, M{0.0}});  // cruise
+  sc.instructions.push_back({M{1950.0}, M{2100.0}, 0, Mps{10.0}, M{0.8}});  // cyclist
   // Leg 6 (2100-2400): second following leg with a braking lead.
-  sc.instructions.push_back(
-      {M{2100.0}, M{2400.0}, 0, Mps{10.0}, M{0.0}, "follow braking lead"});
+  sc.instructions.push_back({M{2100.0}, M{2400.0}, 0, Mps{10.0}, M{0.0}});
 
   // ---- points of interest for fault injection ----
   sc.pois.push_back({"following-1", M{120.0}, M{280.0}});
@@ -200,8 +188,7 @@ Scenario make_following_scenario() {
   sc.ego_initial_speed = Mps{8.0};
   sc.end = M{500.0};
   sc.time_limit = units::Seconds{120.0};
-  sc.instructions.push_back(
-      {M{0.0}, M{500.0}, 0, Mps{11.0}, M{0.0}, "follow the lead vehicle"});
+  sc.instructions.push_back({M{0.0}, M{500.0}, 0, Mps{11.0}, M{0.0}});
   sc.pois.push_back({"following", M{100.0}, M{450.0}});
   sc.populate = [](World& world) {
     spawn_lead(world, M{60.0},
@@ -217,13 +204,10 @@ Scenario make_slalom_scenario() {
   sc.ego_initial_speed = Mps{8.0};
   sc.end = M{450.0};
   sc.time_limit = units::Seconds{120.0};
-  sc.instructions.push_back({M{0.0}, M{162.0}, 0, Mps{9.5}, M{0.0}, "approach"});
-  sc.instructions.push_back(
-      {M{162.0}, M{232.0}, 1, Mps{9.5}, M{0.0}, "left past parked #1"});
-  sc.instructions.push_back(
-      {M{232.0}, M{302.0}, 0, Mps{9.5}, M{0.0}, "right past parked #2"});
-  sc.instructions.push_back(
-      {M{302.0}, M{450.0}, 1, Mps{9.5}, M{0.0}, "left past parked #3"});
+  sc.instructions.push_back({M{0.0}, M{162.0}, 0, Mps{9.5}, M{0.0}});  // approach
+  sc.instructions.push_back({M{162.0}, M{232.0}, 1, Mps{9.5}, M{0.0}});  // left past #1
+  sc.instructions.push_back({M{232.0}, M{302.0}, 0, Mps{9.5}, M{0.0}});  // right past #2
+  sc.instructions.push_back({M{302.0}, M{450.0}, 1, Mps{9.5}, M{0.0}});  // left past #3
   sc.pois.push_back({"slalom", M{160.0}, M{420.0}});
   sc.populate = [](World& world) {
     spawn_parked(world, M{200.0}, 0, "parked-1", +0.3);
@@ -239,48 +223,13 @@ Scenario make_overtake_scenario() {
   sc.ego_initial_speed = Mps{10.0};
   sc.end = M{500.0};
   sc.time_limit = units::Seconds{120.0};
-  sc.instructions.push_back(
-      {M{0.0}, M{120.0}, 0, Mps{11.0}, M{0.0}, "approach slow vehicle"});
-  sc.instructions.push_back(
-      {M{120.0}, M{320.0}, 1, Mps{12.0}, M{0.0}, "overtake via lane 1"});
-  sc.instructions.push_back({M{320.0}, M{500.0}, 0, Mps{11.0}, M{0.0}, "merge back"});
+  sc.instructions.push_back({M{0.0}, M{120.0}, 0, Mps{11.0}, M{0.0}});  // approach
+  sc.instructions.push_back({M{120.0}, M{320.0}, 1, Mps{12.0}, M{0.0}});  // overtake
+  sc.instructions.push_back({M{320.0}, M{500.0}, 0, Mps{11.0}, M{0.0}});  // merge back
   sc.pois.push_back({"overtake", M{80.0}, M{350.0}});
   sc.populate = [](World& world) {
     spawn_lead(world, M{130.0}, {{M{0.0}, Mps{5.0}}}, Mps{5.0}, "slow-lead");
   };
-  return sc;
-}
-
-Scenario make_pedestrian_crossing_scenario() {
-  Scenario sc;
-  sc.name = "pedestrian-crossing";
-  sc.ego_initial_speed = Mps{8.0};
-  sc.end = M{400.0};
-  sc.time_limit = units::Seconds{120.0};
-  sc.instructions.push_back(
-      {M{0.0}, M{400.0}, 0, Mps{10.0}, M{0.0}, "watch for pedestrians"});
-  sc.pois.push_back({"crossing", M{120.0}, M{260.0}});
-  sc.populate = [](World& world) {
-    // Waiting at the right kerb, 200 m in.
-    const ActorId id =
-        world.spawn_at_offset(ActorKind::kWalker, M{200.0}, -2.2, {}, Mps{}, "walker-1");
-    world.set_controller(
-        id, std::make_unique<WalkerController>(/*walk_speed=*/Mps{1.4},
-                                               /*target_lateral=*/M{5.3}));
-  };
-  // The pedestrian commits when the ego is ~3.5 s away at the instructed
-  // speed: a classic conflict the remote driver must brake for.
-  sc.triggers.push_back({M{165.0}, "pedestrian steps off the kerb", [](World& world) {
-                           for (const Actor* a : world.actors()) {
-                             if (a->kind() != ActorKind::kWalker) continue;
-                             // Controllers are owned by the actor; install a
-                             // crossing controller in place of the waiting one.
-                             auto ctl =
-                                 std::make_unique<WalkerController>(Mps{1.4}, M{5.3});
-                             ctl->start_crossing();
-                             world.set_controller(a->id(), std::move(ctl));
-                           }
-                         }});
   return sc;
 }
 

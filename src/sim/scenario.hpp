@@ -30,7 +30,6 @@ struct DriveInstruction {
   int target_lane{0};
   units::MetersPerSecond target_speed{10.0};
   units::Meters lateral_bias{};  ///< + left of the lane centre
-  std::string note{};
 };
 
 /// A point of interest where faults are injected (§V.C: "points of interest
@@ -100,11 +99,5 @@ Scenario make_test_route_scenario();
 Scenario make_following_scenario();
 Scenario make_slalom_scenario();
 Scenario make_overtake_scenario();
-
-/// Extension beyond the paper's operational domain: a pedestrian steps off
-/// the kerb and crosses as the ego approaches. The paper's introduction
-/// motivates exactly this risk ("environments with manual vehicles or
-/// pedestrians"); its Town 5 OD contained no walkers.
-Scenario make_pedestrian_crossing_scenario();
 
 }  // namespace rdsim::sim

@@ -18,7 +18,7 @@ enum class ActorKind : std::uint8_t {
   kVehicle,
   kStaticVehicle,  ///< parked / broken-down vehicles (lane-change scenario)
   kCyclist,        ///< the false-positive road users of §V.B
-  kWalker,
+  kWalker,         ///< no scenario spawns one; kept as frame-codec value 3
 };
 
 std::string to_string(ActorKind kind);

@@ -1,5 +1,6 @@
 #include "sim/world.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/catalog.hpp"
@@ -22,15 +23,12 @@ ActorId World::spawn_on_road(ActorKind kind, units::Meters s, int lane,
 ActorId World::spawn_at_offset(ActorKind kind, units::Meters s, double lateral,
                                std::optional<VehicleParams> params,
                                units::MetersPerSecond initial_speed, std::string role) {
-  const ActorId id = next_id_++;
+  const auto id = static_cast<ActorId>(actors_.size() + 1);
   VehicleParams p = params.value_or(default_params_);
   if (kind == ActorKind::kCyclist) {
     p.bbox = BoundingBox{0.9, 0.35};
     p.wheelbase = units::Meters{1.1};
     p.max_speed = units::MetersPerSecond{9.0};
-  } else if (kind == ActorKind::kWalker) {
-    p.bbox = BoundingBox{0.25, 0.25};
-    p.max_speed = units::MetersPerSecond{3.0};
   }
   auto actor = std::make_unique<Actor>(id, kind, p);
   actor->set_role(std::move(role));
@@ -42,7 +40,8 @@ ActorId World::spawn_at_offset(ActorKind kind, units::Meters s, double lateral,
   state.velocity = pose.forward() * initial_speed.value();
   actor->vehicle().set_state(state);
   actor->set_projection(road_.project(state.position, s.value()));
-  actors_.emplace(id, std::move(actor));
+  actors_.push_back(std::move(actor));
+  contacts_.emplace_back();
   return id;
 }
 
@@ -50,27 +49,12 @@ void World::set_controller(ActorId id, std::unique_ptr<ActorController> controll
   if (Actor* a = find(id)) a->set_controller(std::move(controller));
 }
 
-void World::destroy(ActorId id) {
-  actors_.erase(id);
-  contact_set_.erase(id);
-  if (ego_ == id) ego_ = kInvalidActor;
-}
-
 Actor* World::find(ActorId id) {
-  const auto it = actors_.find(id);
-  return it == actors_.end() ? nullptr : it->second.get();
+  return id != kInvalidActor && id <= actors_.size() ? actors_[id - 1].get() : nullptr;
 }
 
 const Actor* World::find(ActorId id) const {
-  const auto it = actors_.find(id);
-  return it == actors_.end() ? nullptr : it->second.get();
-}
-
-std::vector<const Actor*> World::actors() const {
-  std::vector<const Actor*> out;
-  out.reserve(actors_.size());
-  for (const auto& [_, a] : actors_) out.push_back(a.get());
-  return out;
+  return id != kInvalidActor && id <= actors_.size() ? actors_[id - 1].get() : nullptr;
 }
 
 void World::designate_ego(ActorId id) {
@@ -97,7 +81,7 @@ void World::apply_ego_control(const VehicleControl& control) {
 
 void World::step(units::Seconds dt) {
   obs::Stopwatch stopwatch;
-  for (auto& [_, actor] : actors_) {
+  for (auto& actor : actors_) {
     actor->step(road_, dt);
     // One projection per moved actor per step; controllers, sensors and
     // project_ego() read this cache. Static vehicles keep their spawn one.
@@ -116,42 +100,42 @@ void World::step(units::Seconds dt) {
 }
 
 void World::sense_collisions() {
-  const Actor& e = ego();
-  for (auto& [id, actor] : actors_) {
-    if (id == ego_) continue;
-    const bool touching =
-        boxes_overlap(e.bbox(), e.pose(), actor->bbox(), actor->pose());
-    const bool was_touching = contact_set_.count(id) != 0;
+  Actor& e = ego();
+  // In id order: an impact zeroes the ego's velocity before later actors'
+  // relative speeds are read.
+  for (std::size_t i = 0; i < actors_.size(); ++i) {
+    const Actor& actor = *actors_[i];
+    if (actor.id() == ego_) continue;
+    Contact& c = contacts_[i];
+    const bool touching = boxes_overlap(e.bbox(), e.pose(), actor.bbox(), actor.pose());
     // Debounce: scraping along an obstacle produces contact chatter; CARLA's
     // sensor reports a burst per impact, so re-arm only after a cooldown.
-    const auto cool_it = collision_cooldown_.find(id);
-    const bool cooling =
-        cool_it != collision_cooldown_.end() &&
-        (now_ - cool_it->second) < util::Duration::seconds(5.0);
-    if (touching && !was_touching && !cooling) {
+    const bool cooling = c.last_collision &&
+                         (now_ - *c.last_collision) < util::Duration::seconds(5.0);
+    if (touching && !c.touching && !cooling) {
       CollisionEvent ev;
       ev.time = now_;
       ev.frame = physics_frame_;
-      ev.other = id;
-      ev.other_kind = actor->kind();
-      ev.relative_speed = (e.state().velocity - actor->state().velocity).norm();
+      ev.other = actor.id();
+      ev.other_kind = actor.kind();
+      ev.relative_speed = (e.state().velocity - actor.state().velocity).norm();
       collisions_.push_back(ev);
       RDSIM_OBS_COUNT(obs::metric::kSimCollision, 1);
       RDSIM_OBS_EVENT(obs::metric::kSimCollision, now_);
-      contact_set_[id] = true;
-      collision_cooldown_[id] = now_;
+      c.last_collision = now_;
       // Crude inelastic response: the ego loses its speed into the obstacle,
       // which keeps it from driving through and ends the manoeuvre, as a
       // real crash would end a test run.
       KinematicState st = e.state();
       st.velocity = {};
-      ego().vehicle().set_state(st);
-    } else if (touching && !was_touching && cooling) {
-      contact_set_[id] = true;  // still in the same scrape episode
-    } else if (!touching && was_touching) {
-      contact_set_.erase(id);
+      e.vehicle().set_state(st);
     }
+    c.touching = touching;
   }
+}
+
+bool World::ego_in_contact() const {
+  return std::ranges::any_of(contacts_, &Contact::touching);
 }
 
 void World::sense_lane_invasion() {
@@ -189,9 +173,11 @@ WorldFrame World::snapshot() const {
   f.frame_id = physics_frame_;
   f.sim_time_us = now_.count_micros();
   f.weather = weather_;
-  if (const Actor* e = find(ego_)) f.ego = snapshot_actor(*e);
-  for (const auto& [id, actor] : actors_) {
-    if (id == ego_) continue;
+  const Actor* e = find(ego_);
+  if (e) f.ego = snapshot_actor(*e);
+  f.others.reserve(actors_.size() - (e ? 1 : 0));
+  for (const auto& actor : actors_) {
+    if (actor.get() == e) continue;
     f.others.push_back(snapshot_actor(*actor));
   }
   return f;

@@ -3,8 +3,9 @@
 // data logging records (§V.F).
 #pragma once
 
-#include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/actor.hpp"
@@ -53,11 +54,11 @@ class World {
                           units::MetersPerSecond initial_speed = {},
                           std::string role = {});
   void set_controller(ActorId id, std::unique_ptr<ActorController> controller);
-  void destroy(ActorId id);
 
   Actor* find(ActorId id);
   const Actor* find(ActorId id) const;
-  std::vector<const Actor*> actors() const;
+  /// Every actor, in id order (ids are dense from 1; none is ever removed).
+  std::span<const std::unique_ptr<Actor>> actors() const { return actors_; }
   std::size_t actor_count() const { return actors_.size(); }
 
   // ----- ego -----
@@ -94,17 +95,23 @@ class World {
   const std::vector<LaneInvasionEvent>& lane_invasions() const { return invasions_; }
 
   /// True while the ego is in contact with another actor.
-  bool ego_in_contact() const { return !contact_set_.empty(); }
+  bool ego_in_contact() const;
 
  private:
+  /// The collision sensor's state for one actor, against the ego.
+  struct Contact {
+    bool touching{false};
+    std::optional<util::TimePoint> last_collision;
+  };
+
   void sense_collisions();
   void sense_lane_invasion();
   static ActorSnapshot snapshot_actor(const Actor& actor);
 
   RoadNetwork road_;
   VehicleParams default_params_;
-  std::map<ActorId, std::unique_ptr<Actor>> actors_;
-  ActorId next_id_{1};
+  std::vector<std::unique_ptr<Actor>> actors_;  ///< actors_[id - 1]
+  std::vector<Contact> contacts_;                ///< contacts_[id - 1]
   ActorId ego_{kInvalidActor};
   WeatherConfig weather_{};
   util::TimePoint now_{};
@@ -112,8 +119,6 @@ class World {
 
   std::vector<CollisionEvent> collisions_;
   std::vector<LaneInvasionEvent> invasions_;
-  std::map<ActorId, bool> contact_set_;  ///< actors currently touching ego
-  std::map<ActorId, util::TimePoint> collision_cooldown_;
   int last_ego_lane_{0};
   bool ego_lane_valid_{false};
 };

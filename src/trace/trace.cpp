@@ -372,7 +372,7 @@ void TraceRecorder::step(const sim::World& world) {
   s.brake = ctl.brake;
   trace_.ego.push_back(s);
 
-  for (const sim::Actor* actor : world.actors()) {
+  for (const auto& actor : world.actors()) {
     if (actor->id() == ego.id()) continue;
     OtherSample o;
     o.actor = actor->id();

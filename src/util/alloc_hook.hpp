@@ -6,7 +6,8 @@
 // the enforcement mechanism behind the zero-allocation packet path.
 //
 // Only link this into binaries that gate on allocations (bench_packet_path,
-// test_net); production binaries keep the stock allocator.
+// test_net, test_sim, test_core); production binaries keep the stock
+// allocator.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,8 @@
 // whose timestamp is <= t - delay.
 #pragma once
 
+#include <utility>
+
 #include "util/seq_queue.hpp"
 #include "util/time.hpp"
 
@@ -17,12 +19,11 @@ class DelayLine {
   explicit DelayLine(Duration delay) : delay_{delay} {}
 
   /// Record `value` as produced at time `t`. Timestamps must be monotone.
-  /// The value is copied into a recycled slot, so a T that owns buffers
-  /// reuses their capacity.
-  void push(TimePoint t, const T& value) {
+  /// The value is moved into a recycled slot.
+  void push(TimePoint t, T value) {
     Entry& e = entries_.push_back();
     e.t = t;
-    e.value = value;
+    e.value = std::move(value);
   }
 
   /// Newest value visible at time `now` (produced at or before now - delay),

@@ -25,9 +25,9 @@ struct DriverHarness {
     sc.ego_start_lane = 0;
     sc.end = units::Meters{2000.0};
     sc.instructions.push_back({units::Meters{0.0}, units::Meters{300.0}, 0,
-                               units::MetersPerSecond{10.0}, units::Meters{0.0}, "cruise"});
+                               units::MetersPerSecond{10.0}, units::Meters{0.0}});
     sc.instructions.push_back({units::Meters{300.0}, units::Meters{2000.0}, 1,
-                               units::MetersPerSecond{10.0}, units::Meters{0.0}, "lane 1"});
+                               units::MetersPerSecond{10.0}, units::Meters{0.0}});
     return sc;
   }
 

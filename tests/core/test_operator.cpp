@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/operator_subsystem.hpp"
+#include "util/alloc_hook.hpp"
 
 namespace rdsim::core {
 namespace {
@@ -14,7 +15,7 @@ const sim::Scenario& shared_scenario() {
   static const sim::Scenario scenario = [] {
     sim::Scenario s;
     s.instructions.push_back({units::Meters{0.0}, units::Meters{5000.0}, 0,
-                              units::MetersPerSecond{10.0}, units::Meters{0.0}, "cruise"});
+                              units::MetersPerSecond{10.0}, units::Meters{0.0}});
     return s;
   }();
   return scenario;
@@ -112,6 +113,28 @@ TEST(Operator, QoeScoreDegradesWithFreezes) {
   }
   EXPECT_GT(smooth.qoe().score(), 4.5);
   EXPECT_LT(frozen.qoe().score(), smooth.qoe().score() - 1.0);
+}
+
+TEST(OperatorSubsystem, DisplayingAFrameCopiesNothing) {
+  // Frames carrying five other actors, so a copy would allocate.
+  const auto busy_frame = [](std::uint32_t id, TimePoint t) {
+    sim::WorldFrame f = frame_at(id, t);
+    f.others.resize(5);
+    return f;
+  };
+  auto op = make_operator();
+  std::uint32_t id = 0;
+  TimePoint t{};
+  for (int ms = 0; ms < 2000; ms += 5) {  // warm: the perception queue at depth
+    t = TimePoint::from_micros(ms * 1000);
+    if (ms % 35 == 0) op.on_frame(busy_frame(++id, t), t);
+    op.poll(t);
+  }
+  sim::WorldFrame next = busy_frame(++id, t);
+  util::AllocCounter allocs;
+  op.on_frame(std::move(next), t);
+  EXPECT_EQ(allocs.delta(), 0u);
+  EXPECT_EQ(op.displayed_frame_id(), id);
 }
 
 TEST(QoeStats, ScoreBounds) {

@@ -26,8 +26,7 @@ TEST(VehicleSubsystem, EncodedFrameDecodes) {
   VehicleSubsystem vs{cfg, sim::make_following_scenario()};
   const auto frame = vs.maybe_encode_frame(TimePoint{});
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->wire_size, cfg.video.frame_wire_bytes);
-  const auto decoded = sim::WorldFrame::decode(frame->payload);
+  const auto decoded = sim::WorldFrame::decode(*frame);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->ego.id, vs.world().ego_id());
   EXPECT_FALSE(decoded->others.empty());  // the lead vehicle

@@ -46,6 +46,19 @@ TEST(PayloadPool, ShortBufferIsGrownAndCountedFresh) {
   EXPECT_EQ(pool.stats().reused, 0u);
 }
 
+TEST(PayloadPool, AckSizedBufferServesADataSegment) {
+  // A stream link recycles ACK buffers (23 B) into DATA segments (up to 77 B
+  // in the campaign workloads); the pooled buffer must not need growing.
+  PayloadPool pool;
+  pool.release(pool.acquire(23));
+  util::AllocCounter allocs;
+  Payload p = pool.acquire(77);
+  EXPECT_EQ(allocs.delta(), 0u);
+  EXPECT_GE(p.capacity(), 77u);
+  EXPECT_EQ(pool.stats().fresh, 1u);
+  EXPECT_EQ(pool.stats().reused, 1u);
+}
+
 // -------------------------------------------------------------------- Packet
 
 TEST(Packet, EffectiveWireSizeTakesTheLargerOfWireAndPayload) {

@@ -2,6 +2,7 @@
 
 #include "sim/scenario.hpp"
 #include "sim/world.hpp"
+#include "util/alloc_hook.hpp"
 
 namespace rdsim::sim {
 namespace {
@@ -29,14 +30,6 @@ TEST(World, SpawnAtOffsetPlacesLaterally) {
   const ActorId id = w.spawn_at_offset(ActorKind::kCyclist, Meters{50.0}, -1.45);
   const auto proj = w.road().project(w.find(id)->state().position);
   EXPECT_NEAR(proj.lateral, -1.45, 0.05);
-}
-
-TEST(World, DestroyRemovesActor) {
-  World w = make_world();
-  const ActorId id = w.spawn_on_road(ActorKind::kVehicle, Meters{0.0}, 0);
-  w.destroy(id);
-  EXPECT_EQ(w.find(id), nullptr);
-  EXPECT_EQ(w.actor_count(), 0u);
 }
 
 TEST(World, EgoRequiredForEgoAccessors) {
@@ -185,18 +178,45 @@ TEST(World, SnapshotContainsEgoAndOthers) {
   EXPECT_EQ(f.frame_id, 1u);
 }
 
-/// Drives `scenario` for 240 sim-s with a throttled ego and checks, after
-/// every step, that each actor's cached projection equals a fresh one.
-void expect_cached_projections_fresh(Scenario scenario) {
+/// An ego at 10 m with five parked vehicles ahead of it.
+World make_world_with_six_actors() {
   World w = make_world();
-  ScenarioRuntime runtime{std::move(scenario), w};
+  w.designate_ego(w.spawn_on_road(ActorKind::kVehicle, Meters{10.0}, 0));
+  for (int i = 1; i <= 5; ++i) {
+    w.spawn_on_road(ActorKind::kStaticVehicle, Meters{10.0 + 40.0 * i}, i % 2);
+  }
+  return w;
+}
+
+TEST(World, SnapshotAllocatesOnlyItsActorList) {
+  const World w = make_world_with_six_actors();
+  util::AllocCounter allocs;
+  const WorldFrame f = w.snapshot();
+  EXPECT_EQ(allocs.delta(), 1u);
+  EXPECT_EQ(f.others.size(), 5u);
+}
+
+TEST(World, ActorsAllocatesNothing) {
+  const World w = make_world_with_six_actors();
+  util::AllocCounter allocs;
+  std::uint64_t id_sum = 0;
+  for (const auto& a : w.actors()) id_sum += a->id();
+  EXPECT_EQ(allocs.delta(), 0u);
+  EXPECT_EQ(id_sum, 21u);
+}
+
+TEST(World, CachedProjectionMatchesAFreshOneAfterEveryStep) {
+  // 240 sim-s of the test route with a throttled ego; after every step each
+  // actor's cached projection must equal a fresh one.
+  World w = make_world();
+  ScenarioRuntime runtime{make_test_route_scenario(), w};
   VehicleControl throttle;
   throttle.throttle = 0.4;
   w.apply_ego_control(throttle);
   for (int i = 0; i < 24000 && !::testing::Test::HasFailure(); ++i) {
     w.step(Seconds{0.01});
     runtime.step();
-    for (const Actor* a : w.actors()) {
+    for (const auto& a : w.actors()) {
       const RoadProjection& cached = a->projection();
       const RoadProjection fresh =
           w.road().project(a->state().position, a->track_position().value());
@@ -205,15 +225,6 @@ void expect_cached_projections_fresh(Scenario scenario) {
       EXPECT_EQ(cached.lane, fresh.lane) << "actor " << a->id() << " step " << i;
     }
   }
-}
-
-TEST(World, CachedProjectionMatchesAFreshOneAfterEveryStep) {
-  expect_cached_projections_fresh(make_test_route_scenario());
-}
-
-TEST(World, CachedProjectionFollowsACrossingWalker) {
-  // The walker's controller moves it directly, not through the vehicle plant.
-  expect_cached_projections_fresh(make_pedestrian_crossing_scenario());
 }
 
 TEST(LaneFollowController, TracksLaneAndSpeedProfile) {
