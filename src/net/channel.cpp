@@ -5,7 +5,7 @@
 namespace rdsim::net {
 
 namespace {
-// Flow ids: the low bit records the direction, so dispatch knows the handler's
+// Flow ids: the low bit records the direction, so dispatch knows the endpoint's
 // arrived_via and the stats to count.
 constexpr std::uint32_t kDownFlow = 0;
 constexpr std::uint32_t kUpFlow = 1;
@@ -34,15 +34,21 @@ std::uint64_t Channel::send(LinkDirection dir, Payload payload, std::uint32_t wi
   return send(dir, std::move(p), now);
 }
 
-void Channel::register_stream(std::uint16_t stream_id, Handler handler) {
-  if (stream_id >= handlers_.size()) handlers_.resize(std::size_t{stream_id} + 1);
-  handlers_[stream_id] = std::move(handler);
+void Channel::register_stream(std::uint16_t stream_id, PacketEndpoint& endpoint) {
+  if (stream_id >= endpoints_.size()) endpoints_.resize(std::size_t{stream_id} + 1);
+  endpoints_[stream_id] = &endpoint;
+}
+
+void Channel::deregister_stream(std::uint16_t stream_id, const PacketEndpoint& endpoint) {
+  if (stream_id < endpoints_.size() && endpoints_[stream_id] == &endpoint) {
+    endpoints_[stream_id] = nullptr;
+  }
 }
 
 void Channel::poll(util::TimePoint now) {
   // Release everything due first, then dispatch down before up. Dispatching
   // each packet as the qdisc releases it instead would interleave the
-  // directions and reorder the ACKs and retransmissions that handlers send
+  // directions and reorder the ACKs and retransmissions that endpoints send
   // into the qdisc, and with them the packet ids and netem's random draws.
   NetemQdisc& q = tc_.root();
   if (const auto next = q.next_event_at(); !next || now < *next) return;
@@ -58,19 +64,19 @@ void Channel::poll(util::TimePoint now) {
 }
 
 void Channel::dispatch(LinkDirection dir, util::TimePoint now) {
-  // Handlers only send, and sends go to the qdisc, never to released_, so
-  // each packet stays where it is while its handler reads it.
+  // Endpoints only send, and sends go to the qdisc, never to released_, so
+  // each packet stays where it is while its endpoint reads it.
   for (Packet& packet : released_) {
     if (direction_of(packet) != dir) continue;
-    if (const auto view = open_packet_view(packet.payload); !view) {
+    if (auto view = open_packet_view(packet.payload); !view) {
       ++checksum_failures_;
     } else if (const std::uint16_t id = view->header.stream_id;
-               id >= handlers_.size() || !handlers_[id]) {
+               id >= endpoints_.size() || endpoints_[id] == nullptr) {
       ++unroutable_;
     } else {
-      handlers_[id](view->header, view->body, dir, now);
+      endpoints_[id]->on_packet(view->header, view->body, dir, now);
     }
-    // The view above reads from the payload; recycle only after handling.
+    // The view above reads from the payload; recycle only after delivery.
     // A netem duplicate's buffer is a heap copy, not one the pool handed
     // out, so it is freed with released_ and the pool stays no larger than
     // the link's peak backlog.

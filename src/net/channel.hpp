@@ -5,23 +5,29 @@
 // egress qdisc on `lo` disturbs *both* the downlink video and the uplink
 // driving commands. A Channel is that whole link. It owns its TrafficControl,
 // whose one root qdisc takes the packets of both directions; tc verbs go
-// through tc(). It also owns the delivery end: transports register a handler
-// per stream id, and poll() hands each released packet, verified by its
-// framing checksum, to the handler of its stream.
+// through tc(). It also owns the delivery end: each stream id has at most one
+// PacketEndpoint, and poll() hands each released packet, verified by its
+// framing checksum, to the endpoint of its stream with one virtual call. The
+// transports (ReliableStream, DatagramSocket) are those endpoints: each
+// registers itself at construction and deregisters in its destructor, so a
+// packet still on the link when its transport dies is counted unroutable.
+// A Channel must outlive the transports registered on it.
 //
 // The packet path is allocation-free in steady state: senders build payloads
 // in buffers leased from the channel's PayloadPool (acquire_payload) and move
 // the finished Packet into send(), which recycles the buffer at once when the
-// qdisc drops the packet. poll() has the qdisc append what it releases to one
-// buffer that keeps its capacity, dispatches each packet where it sits, and
-// recycles its payload buffer once the handler returns. So a pooled buffer is
-// out of the pool only while its packet is on the link.
+// qdisc drops the packet. A leased buffer holds whatever bytes its last
+// packet left: ByteWriter overwrites it and take() cuts it to the bytes
+// written, so nothing stale reaches the wire. poll() has the qdisc append
+// what it releases to one buffer that keeps its capacity, dispatches each
+// packet where it sits, and recycles its payload buffer once the endpoint
+// returns. So a pooled buffer is out of the pool only while its packet is on
+// the link.
 // poll() consults the qdisc's next_event_at() and leaves the queue untouched
 // while nothing can be released yet.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -47,13 +53,21 @@ struct DirectionStats {
   }
 };
 
+/// The receiving end of one stream id on a Channel.
+class PacketEndpoint {
+ public:
+  /// One verified packet of the endpoint's stream. `body` reads the packet
+  /// payload in place and is only valid during the call; the endpoint copies
+  /// out whatever must outlive it.
+  virtual void on_packet(const ProtocolHeader& header, ByteReader& body,
+                         LinkDirection arrived_via, util::TimePoint now) = 0;
+
+ protected:
+  ~PacketEndpoint() = default;
+};
+
 class Channel {
  public:
-  /// `body` views the packet payload and is only valid during the call;
-  /// handlers copy out whatever must outlive it.
-  using Handler = std::function<void(const ProtocolHeader&, ByteReader body,
-                                     LinkDirection arrived_via, util::TimePoint now)>;
-
   /// `seed` seeds the random streams of the netem rules tc() installs.
   explicit Channel(std::uint64_t seed = 1) : tc_{seed} {}
 
@@ -74,16 +88,20 @@ class Channel {
   std::uint64_t send(LinkDirection dir, Payload payload, std::uint32_t wire_size,
                      util::TimePoint now);
 
-  /// Route packets carrying `stream_id` to `handler`, replacing any earlier
-  /// handler for that id.
-  void register_stream(std::uint16_t stream_id, Handler handler);
+  /// Route packets carrying `stream_id` to `endpoint`, replacing any earlier
+  /// endpoint for that id. The endpoint must deregister before it dies.
+  void register_stream(std::uint16_t stream_id, PacketEndpoint& endpoint);
+
+  /// Stop routing `stream_id` to `endpoint`; its later packets count as
+  /// unroutable. A no-op when another endpoint has replaced it.
+  void deregister_stream(std::uint16_t stream_id, const PacketEndpoint& endpoint);
 
   /// Deliver what the qdisc releases by `now`: step the qdisc (skipped while
   /// next_event_at() is in the future), count every released packet as
   /// delivered, then dispatch the downlink packets and then the uplink ones,
   /// each in release order. Each packet is verified and handed to its
-  /// stream's handler in place; a packet failing verification, or whose
-  /// stream has no handler, is counted and dropped. Packets that handlers
+  /// stream's endpoint in place; a packet failing verification, or whose
+  /// stream has no endpoint, is counted and dropped. Packets that endpoints
   /// send meanwhile go into the qdisc, so they leave at a later poll at the
   /// earliest.
   void poll(util::TimePoint now);
@@ -98,7 +116,8 @@ class Channel {
   /// Earliest instant the qdisc could release a packet; nullopt while idle.
   std::optional<util::TimePoint> next_event_at() const { return tc_.root().next_event_at(); }
 
-  /// Lease a cleared payload buffer with capacity >= size_hint.
+  /// Lease a payload buffer with capacity >= size_hint. Its length and
+  /// contents are unspecified: write it through ByteWriter{lease, size}.
   Payload acquire_payload(std::size_t size_hint) { return pool_.acquire(size_hint); }
 
   /// Hand a payload buffer to the pool for reuse by future sends.
@@ -118,7 +137,7 @@ class Channel {
   DirectionStats down_stats_;
   DirectionStats up_stats_;
   PayloadPool pool_;
-  std::vector<Handler> handlers_;  ///< indexed by stream id; empty = none
+  std::vector<PacketEndpoint*> endpoints_;  ///< indexed by stream id; null = none
   std::uint64_t checksum_failures_{0};
   std::uint64_t unroutable_{0};
 };

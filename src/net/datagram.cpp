@@ -11,10 +11,10 @@ namespace rdsim::net {
 DatagramSocket::DatagramSocket(Channel& channel, std::uint16_t stream_id,
                                LinkDirection send_direction)
     : channel_{&channel}, stream_id_{stream_id}, send_dir_{send_direction} {
-  channel_->register_stream(
-      stream_id_, [this](const ProtocolHeader& h, ByteReader body, LinkDirection via,
-                         util::TimePoint now) { on_packet(h, body, via, now); });
+  channel_->register_stream(stream_id_, *this);
 }
+
+DatagramSocket::~DatagramSocket() { channel_->deregister_stream(stream_id_, *this); }
 
 std::uint32_t DatagramSocket::send_message(Payload bytes,
                                            std::uint32_t declared_wire_size,
@@ -36,7 +36,7 @@ std::uint32_t DatagramSocket::send_message(Payload bytes,
   return seq;
 }
 
-void DatagramSocket::on_packet(const ProtocolHeader& header, ByteReader r,
+void DatagramSocket::on_packet(const ProtocolHeader& header, ByteReader& r,
                                LinkDirection via, util::TimePoint now) {
   if (header.type != SegmentType::kDatagram || via != send_dir_) return;
   const std::uint32_t seq = r.u32();

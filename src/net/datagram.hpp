@@ -13,9 +13,12 @@
 
 namespace rdsim::net {
 
-class DatagramSocket final : public MessageTransport {
+class DatagramSocket final : public MessageTransport, private PacketEndpoint {
  public:
+  /// Registers the socket with `channel`, which must outlive it.
   DatagramSocket(Channel& channel, std::uint16_t stream_id, LinkDirection send_direction);
+  /// Deregisters the socket, so its packets still on the link go unroutable.
+  ~DatagramSocket() override;
 
   /// Fire-and-forget. Returns the datagram sequence number.
   std::uint32_t send_message(Payload bytes, std::uint32_t declared_wire_size,
@@ -40,8 +43,8 @@ class DatagramSocket final : public MessageTransport {
   std::uint64_t stale_discarded() const { return stale_; }
 
  private:
-  void on_packet(const ProtocolHeader& header, ByteReader body, LinkDirection via,
-                 util::TimePoint now);
+  void on_packet(const ProtocolHeader& header, ByteReader& body, LinkDirection via,
+                 util::TimePoint now) override;
 
   Channel* channel_;
   std::uint16_t stream_id_;

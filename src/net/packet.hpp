@@ -7,8 +7,8 @@
 //
 // Packets are move-only: the Channel moves a packet from the sender into its
 // root qdisc and from there into its release buffer, where the stream's
-// handler reads it in place; the payload buffer is never copied, and the
-// Channel recycles it through a PayloadPool once the handler returns, or at
+// endpoint reads it in place; the payload buffer is never copied, and the
+// Channel recycles it through a PayloadPool once the endpoint returns, or at
 // once when the qdisc drops the packet. The one legitimate copy, netem
 // duplication, is spelled explicitly with clone().
 #pragma once

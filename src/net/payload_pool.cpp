@@ -28,12 +28,12 @@ Payload PayloadPool::acquire(std::size_t size_hint) {
   }
   ++stats_.fresh;
   RDSIM_OBS_COUNT(obs::metric::kPoolFresh, 1);
+  out.clear();  // growing need not copy the old bytes
   out.reserve(std::max(size_hint, kMinCapacity));
   return out;
 }
 
 void PayloadPool::release(Payload&& payload) {
-  payload.clear();
   free_.push_back(std::move(payload));
   ++stats_.recycled;
   RDSIM_OBS_COUNT(obs::metric::kPoolRecycled, 1);

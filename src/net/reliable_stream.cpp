@@ -43,10 +43,10 @@ ReliableStream::ReliableStream(Channel& channel, std::uint16_t stream_id,
       config_{config},
       ring_mask_{std::bit_ceil(std::max<std::uint32_t>(config.window_segments, 1)) - 1},
       rto_base_{std::max(kInitialRto, config.rto_min)} {
-  channel_->register_stream(
-      stream_id_, [this](const ProtocolHeader& h, ByteReader body, LinkDirection via,
-                         util::TimePoint now) { on_packet(h, body, via, now); });
+  channel_->register_stream(stream_id_, *this);
 }
+
+ReliableStream::~ReliableStream() { channel_->deregister_stream(stream_id_, *this); }
 
 std::uint32_t ReliableStream::send_message(Payload bytes, std::uint32_t declared_wire_size,
                                            util::TimePoint now) {
@@ -174,7 +174,7 @@ void ReliableStream::update_rtt(util::Duration sample) {
   stats_.rto = units::Millis::from_duration(current_rto());
 }
 
-void ReliableStream::on_packet(const ProtocolHeader& header, ByteReader body,
+void ReliableStream::on_packet(const ProtocolHeader& header, ByteReader& body,
                                LinkDirection via, util::TimePoint now) {
   if (header.type == SegmentType::kData && via == data_dir_) {
     on_data(body, now);
@@ -185,7 +185,7 @@ void ReliableStream::on_packet(const ProtocolHeader& header, ByteReader body,
   // path) is silently ignored, as a real socket would.
 }
 
-void ReliableStream::on_data(ByteReader body, util::TimePoint now) {
+void ReliableStream::on_data(ByteReader& body, util::TimePoint now) {
   const std::uint32_t seq = body.u32();
   const std::uint32_t message_id = body.u32();
   const std::uint16_t seg_index = body.u16();
@@ -299,7 +299,7 @@ void ReliableStream::send_ack(util::TimePoint now) {
   ack_pending_ = false;
 }
 
-void ReliableStream::on_ack(ByteReader r, util::TimePoint now) {
+void ReliableStream::on_ack(ByteReader& r, util::TimePoint now) {
   const std::uint32_t cum_ack = r.u32();
   const std::uint32_t sack_count = r.u32();
   // Our sender never writes more than kMaxSackHints; a larger count is a

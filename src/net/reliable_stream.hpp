@@ -82,10 +82,13 @@ struct StreamConfig {
 /// One reliable stream. A single object serves both halves because the whole
 /// experiment runs in-process; the DATA direction is fixed at construction
 /// and ACKs flow the opposite way through the same faulted channel.
-class ReliableStream final : public MessageTransport {
+class ReliableStream final : public MessageTransport, private PacketEndpoint {
  public:
+  /// Registers the stream with `channel`, which must outlive it.
   ReliableStream(Channel& channel, std::uint16_t stream_id, LinkDirection data_direction,
                  StreamConfig config = {});
+  /// Deregisters the stream, so its packets still on the link go unroutable.
+  ~ReliableStream() override;
 
   /// Queue a message. `declared_wire_size` is the size the link should
   /// account for (e.g. the encoded video frame size); the actual payload
@@ -136,14 +139,14 @@ class ReliableStream final : public MessageTransport {
     Payload chunk;  ///< keeps its capacity from one occupant to the next
   };
 
-  void on_packet(const ProtocolHeader& header, ByteReader body, LinkDirection via,
-                 util::TimePoint now);
-  void on_data(ByteReader body, util::TimePoint now);
+  void on_packet(const ProtocolHeader& header, ByteReader& body, LinkDirection via,
+                 util::TimePoint now) override;
+  void on_data(ByteReader& body, util::TimePoint now);
   void absorb(std::uint32_t message_id, std::uint16_t seg_index, std::uint16_t seg_count,
               std::uint64_t sent_us, std::span<const std::uint8_t> chunk,
               util::TimePoint now);
   void update_hol_obs(util::TimePoint now);
-  void on_ack(ByteReader body, util::TimePoint now);
+  void on_ack(ByteReader& body, util::TimePoint now);
   void transmit_segment(std::uint32_t seq, util::TimePoint now, bool retransmission);
   void send_ack(util::TimePoint now);
   void update_rtt(util::Duration sample);

@@ -25,11 +25,13 @@ class ByteWriter {
   /// A fresh buffer of exactly `size` bytes.
   explicit ByteWriter(std::size_t size) { buf_.resize(size); }
 
-  /// Reuse a leased buffer (e.g. from a PayloadPool): keeps its capacity,
-  /// sizes it to `size` bytes and starts writing from offset zero.
+  /// Reuse a leased buffer (e.g. from a PayloadPool) of any length and
+  /// contents: writing starts at offset zero and overwrites its old bytes,
+  /// which are never read. The buffer is lengthened (zero-filled) only when
+  /// it is shorter than `size`, and take() cuts it to the bytes written.
   explicit ByteWriter(std::vector<std::uint8_t>&& reuse, std::size_t size = 0)
       : buf_{std::move(reuse)} {
-    buf_.resize(size);
+    if (buf_.size() < size) buf_.resize(size);
   }
 
   void u8(std::uint8_t v) { put(&v, sizeof v); }

@@ -108,19 +108,21 @@ TEST(DiffReplays, ReportsLengthMismatchWhenPrefixAgrees) {
 
 /// Digest of hash_channel and hash_qdisc after every poll of one phase of a
 /// fixed packet script. Each 1 ms tick sends a downlink packet on stream 1
-/// and, every third tick, an uplink one on stream 2; the stream 1 handler
-/// answers every delivery with an uplink packet, so handler sends go back
-/// into the qdisc between polls, as ACKs do.
-struct LinkScript {
+/// and, every third tick, an uplink one on stream 2; the script, the
+/// endpoint of both streams, answers every stream 1 delivery with an uplink
+/// packet, so endpoint sends go back into the qdisc between polls, as ACKs do.
+struct LinkScript final : net::PacketEndpoint {
   LinkScript() {
-    channel.register_stream(1, [this](const net::ProtocolHeader&, net::ByteReader body,
-                                      net::LinkDirection, util::TimePoint now) {
-      channel.send(net::LinkDirection::kUplink,
-                   net::ProtocolHeader::seal(2, net::SegmentType::kAck, {body.u8()}), 40,
-                   now);
-    });
-    channel.register_stream(2, [](const net::ProtocolHeader&, net::ByteReader,
-                                  net::LinkDirection, util::TimePoint) {});
+    channel.register_stream(1, *this);
+    channel.register_stream(2, *this);
+  }
+
+  void on_packet(const net::ProtocolHeader& header, net::ByteReader& body,
+                 net::LinkDirection, util::TimePoint now) override {
+    if (header.stream_id != 1) return;
+    channel.send(net::LinkDirection::kUplink,
+                 net::ProtocolHeader::seal(2, net::SegmentType::kAck, {body.u8()}), 40,
+                 now);
   }
 
   std::uint64_t run_phase(int ticks) {

@@ -3,7 +3,10 @@
 
 #include <vector>
 
+#include "callback_endpoint.hpp"
 #include "net/channel.hpp"
+#include "net/datagram.hpp"
+#include "net/reliable_stream.hpp"
 
 namespace rdsim::net {
 namespace {
@@ -18,12 +21,13 @@ TEST(Channel, DeliversBothDirections) {
     Payload body;
   };
   std::vector<Arrival> got;
-  ch.register_stream(1, [&](const ProtocolHeader&, ByteReader body, LinkDirection via,
-                            TimePoint) {
-    Arrival a{via, Payload(body.remaining())};
-    for (auto& b : a.body) b = body.u8();
-    got.push_back(a);
-  });
+  CallbackEndpoint endpoint{
+      [&](const ProtocolHeader&, ByteReader& body, LinkDirection via, TimePoint) {
+        Arrival a{via, Payload(body.remaining())};
+        for (auto& b : a.body) b = body.u8();
+        got.push_back(a);
+      }};
+  ch.register_stream(1, endpoint);
   // Uplink is sent first, but poll dispatches the downlink packets first.
   ch.send(LinkDirection::kUplink, ProtocolHeader::seal(1, SegmentType::kData, {4, 5}), 50,
           TimePoint{});
@@ -137,12 +141,14 @@ TEST(Channel, RoutesByStreamId) {
   Channel ch;
   int got_a = 0;
   int got_b = 0;
-  ch.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection, TimePoint) {
+  CallbackEndpoint a{[&](const ProtocolHeader&, ByteReader&, LinkDirection, TimePoint) {
     ++got_a;
-  });
-  ch.register_stream(2, [&](const ProtocolHeader&, ByteReader, LinkDirection, TimePoint) {
+  }};
+  CallbackEndpoint b{[&](const ProtocolHeader&, ByteReader&, LinkDirection, TimePoint) {
     ++got_b;
-  });
+  }};
+  ch.register_stream(1, a);
+  ch.register_stream(2, b);
   ch.send(LinkDirection::kDownlink, ProtocolHeader::seal(1, SegmentType::kData, {1}), 10,
           TimePoint{});
   ch.send(LinkDirection::kUplink, ProtocolHeader::seal(2, SegmentType::kData, {2}), 10,
@@ -160,9 +166,9 @@ TEST(Channel, DropsCorruptedPacketsLikeTcpChecksum) {
   // the §V.C observation that corruption has no distinct user-visible effect.
   Channel ch;
   int delivered = 0;
-  ch.register_stream(1, [&](const ProtocolHeader&, ByteReader, LinkDirection, TimePoint) {
-    ++delivered;
-  });
+  CallbackEndpoint endpoint{
+      [&](const ProtocolHeader&, ByteReader&, LinkDirection, TimePoint) { ++delivered; }};
+  ch.register_stream(1, endpoint);
   ch.tc().add(parse_netem("corrupt 100%"));
   for (int i = 0; i < 50; ++i) {
     ch.send(LinkDirection::kDownlink,
@@ -171,6 +177,52 @@ TEST(Channel, DropsCorruptedPacketsLikeTcpChecksum) {
   ch.poll(TimePoint{});
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(ch.checksum_failures(), 50u);
+}
+
+TEST(Channel, DeregisteredStreamIsUnroutableAndReplacedOneStays) {
+  Channel ch;
+  int got_a = 0;
+  int got_b = 0;
+  CallbackEndpoint a{[&](const ProtocolHeader&, ByteReader&, LinkDirection, TimePoint) {
+    ++got_a;
+  }};
+  CallbackEndpoint b{[&](const ProtocolHeader&, ByteReader&, LinkDirection, TimePoint) {
+    ++got_b;
+  }};
+  ch.register_stream(1, a);
+  ch.register_stream(1, b);     // b replaces a ...
+  ch.deregister_stream(1, a);   // ... so a's deregistration leaves b in place
+  ch.deregister_stream(40, a);  // an id never registered
+  ch.send(LinkDirection::kDownlink, ProtocolHeader::seal(1, SegmentType::kData, {1}), 10,
+          TimePoint{});
+  ch.poll(TimePoint{});
+  EXPECT_EQ(got_a, 0);
+  EXPECT_EQ(got_b, 1);
+  ch.deregister_stream(1, b);
+  ch.send(LinkDirection::kDownlink, ProtocolHeader::seal(1, SegmentType::kData, {2}), 10,
+          TimePoint{});
+  ch.poll(TimePoint{});
+  EXPECT_EQ(got_b, 1);
+  EXPECT_EQ(ch.unroutable(), 1u);
+}
+
+/// A transport dies with its packets still on the link: the channel must not
+/// call into it, and counts those packets as unroutable.
+TEST(Channel, PacketsOfADestroyedTransportAreUnroutable) {
+  Channel ch;
+  {
+    ReliableStream stream{ch, 1, LinkDirection::kDownlink};
+    DatagramSocket socket{ch, 2, LinkDirection::kUplink};
+    stream.send_message(Payload(64, 1), 64, TimePoint{});
+    stream.step(TimePoint{});  // one DATA segment onto the link
+    socket.send_message(Payload(8, 2), 8, TimePoint{});
+    ASSERT_EQ(ch.in_flight(), 2u);
+  }
+  ch.poll(TimePoint{});
+  EXPECT_EQ(ch.stats(LinkDirection::kDownlink).packets_delivered, 1u);
+  EXPECT_EQ(ch.stats(LinkDirection::kUplink).packets_delivered, 1u);
+  EXPECT_EQ(ch.unroutable(), 2u);
+  EXPECT_EQ(ch.checksum_failures(), 0u);
 }
 
 }  // namespace

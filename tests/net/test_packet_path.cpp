@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "callback_endpoint.hpp"
 #include "check/hash.hpp"
 #include "net/reliable_stream.hpp"
 #include "util/alloc_hook.hpp"
@@ -29,7 +30,6 @@ TEST(PayloadPool, ReusesReleasedBuffers) {
 
   Payload b = pool.acquire(100);  // as large as the released buffer
   EXPECT_EQ(b.data(), data);      // LIFO list handed the same buffer back
-  EXPECT_TRUE(b.empty());         // ...cleared
   EXPECT_GE(b.capacity(), 100u);
   EXPECT_EQ(pool.stats().reused, 1u);
   EXPECT_EQ(pool.stats().fresh, 1u);
@@ -40,7 +40,6 @@ TEST(PayloadPool, ShortBufferIsGrownAndCountedFresh) {
   pool.release(pool.acquire(16));
   Payload p = pool.acquire(1000);  // the cached 16-byte buffer, grown
   EXPECT_GE(p.capacity(), 1000u);
-  EXPECT_TRUE(p.empty());
   EXPECT_EQ(pool.cached(), 0u);
   EXPECT_EQ(pool.stats().fresh, 2u);
   EXPECT_EQ(pool.stats().reused, 0u);
@@ -57,6 +56,39 @@ TEST(PayloadPool, AckSizedBufferServesADataSegment) {
   EXPECT_GE(p.capacity(), 77u);
   EXPECT_EQ(pool.stats().fresh, 1u);
   EXPECT_EQ(pool.stats().reused, 1u);
+}
+
+/// A leased buffer keeps its last packet's bytes: the writer must overwrite
+/// it and cut it to the bytes written, or stale bytes would go on the wire
+/// (and fail the receiver's checksum).
+TEST(PayloadPool, StaleBytesOfALeaseNeverReachTheWire) {
+  Channel ch;
+  std::vector<Payload> delivered;
+  CallbackEndpoint endpoint{
+      [&](const ProtocolHeader&, ByteReader& body, LinkDirection, TimePoint) {
+        Payload& got = delivered.emplace_back(body.remaining());
+        for (auto& b : got) b = body.u8();
+      }};
+  ch.register_stream(1, endpoint);
+  Payload junk(512, 0xee);
+  const std::uint8_t* const junk_data = junk.data();
+  ch.recycle(std::move(junk));
+
+  const Payload body{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const std::size_t size = ProtocolHeader::kSize + body.size();
+  Payload lease = ch.acquire_payload(size);
+  ASSERT_EQ(lease.data(), junk_data);  // the junk buffer, longer than the packet
+  ByteWriter w{std::move(lease), size};
+  ProtocolHeader::begin(w, 1, SegmentType::kData);
+  w.raw(body.data(), body.size());
+  Packet p;
+  p.payload = ProtocolHeader::finish(w);
+  EXPECT_EQ(p.payload, ProtocolHeader::seal(1, SegmentType::kData, body));
+  ch.send(LinkDirection::kDownlink, std::move(p), TimePoint{});
+  ch.poll(TimePoint{});
+  EXPECT_EQ(ch.checksum_failures(), 0u);  // the checksum verified
+  ASSERT_EQ(delivered.size(), 1u);
+  EXPECT_EQ(delivered[0], body);  // exactly the bytes written
 }
 
 // -------------------------------------------------------------------- Packet
@@ -175,13 +207,14 @@ std::uint64_t delivered_digest(std::uint64_t seed, const std::string& rule,
   Channel ch{seed};
   ch.tc().execute("qdisc add dev lo root " + rule);
   check::Fnv1a h;
-  ch.register_stream(1, [&h](const ProtocolHeader& header, ByteReader body,
-                             LinkDirection via, TimePoint) {
+  CallbackEndpoint endpoint{[&h](const ProtocolHeader& header, ByteReader& body,
+                                 LinkDirection via, TimePoint) {
     h.u32(static_cast<std::uint32_t>(via));
     h.u32(header.stream_id);
     h.u64(body.remaining());
     for (std::size_t n = body.remaining(); n > 0; --n) h.u8(body.u8());
-  });
+  }};
+  ch.register_stream(1, endpoint);
   std::uint32_t fill = 0x12345u;
   for (std::int64_t tick = 0; tick < 500; ++tick) {
     const TimePoint now = TimePoint::from_micros(tick * 1000);

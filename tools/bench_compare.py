@@ -2,8 +2,9 @@
 """Compare a base and a head rdsim_bench result.
 
     python3 tools/bench_compare.py BENCH_rdsim.json
-        compares the ledger's runs.parent with runs.head, workload by
-        workload, and reports the medians of its interleaved A/B runs (`ab`)
+        names the change the ledger measures (its `change` field), compares
+        its runs.parent with runs.head, workload by workload, and reports the
+        medians of its interleaved A/B runs (`ab`)
     python3 tools/bench_compare.py BASE.json HEAD.json
         compares two rdsim_bench results (the JSON line a run prints last)
 
@@ -149,6 +150,8 @@ def main(argv):
         if "parent" not in runs or "head" not in runs:
             print(f"bench_compare: {argv[1]} has no runs.parent / runs.head", file=sys.stderr)
             return 2
+        if "change" in ledger:
+            print(f"ledger change: {ledger['change']}")
         for workload in runs["head"]:
             if workload not in runs["parent"]:
                 failures.append(f"{workload}: no parent run")
