@@ -28,7 +28,7 @@ using util::TimePoint;
 
 constexpr std::uint64_t kSeeds[] = {3, 17, 2024};
 constexpr std::uint32_t kWindows[] = {4, 128};
-constexpr std::int64_t kAckDelaysMs[] = {0, 5};
+constexpr std::int64_t kAckDelaysMs[] = {0};
 constexpr int kMessages = 40;
 constexpr std::uint32_t kMtu = 1000;
 
@@ -162,7 +162,7 @@ struct RuleOutcome {
   std::uint64_t stale{0};        ///< duplicate segments the receivers discarded
 };
 
-/// Folds every run of one rule: 3 seeds x 2 windows x 2 ACK delays.
+/// Folds every run of one rule: 3 seeds x 2 windows.
 RuleOutcome run_rule(const Rule& rule) {
   check::Fnv1a h;
   RuleOutcome out;
@@ -182,11 +182,11 @@ RuleOutcome run_rule(const Rule& rule) {
 
 // ---- pinned digests (regenerate via the failure output, see header) ----
 constexpr std::uint64_t kPinned[] = {
-    0xfa34e36a0e4a5b49ULL,  // clean
-    0xf47ef612569fa618ULL,  // loss5
-    0x05716b70775b830bULL,  // mixed
-    0x66322a07e8120024ULL,  // jitter
-    0x8967dac5dc0ec346ULL,  // corrupt2
+    0x22682f498fef7dcaULL,  // clean
+    0x27ad342e12da97f9ULL,  // loss5
+    0xa98d7b1b48fb73d1ULL,  // mixed
+    0xfa3592eac5a1d0ccULL,  // jitter
+    0xceab0a92df4deaecULL,  // corrupt2
 };
 static_assert(std::size(kPinned) == std::size(kRules));
 

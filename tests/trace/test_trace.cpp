@@ -8,6 +8,8 @@
 #include <string>
 
 #include "check/contracts.hpp"
+#include "check/hash.hpp"
+#include "core/teleop.hpp"
 #include "sim/scenario.hpp"
 #include "trace/trace.hpp"
 
@@ -296,6 +298,74 @@ TEST(RunTrace, FromCsvRejectsNonNumericCells) {
                            "event,t,frame,a,b,c\ncollision,1,4294967296,3,vehicle,2\n"),
             "events CSV row 1 column 'frame' holds '4294967296', which is not an integer "
             "in range");
+}
+
+/// A trace in which every field of every row holds its own value, with the
+/// cells CSV must quote and the doubles that are easy to misprint.
+RunTrace make_distinct_trace() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  RunTrace t;
+  t.run_id = "distinct";
+  t.subject = "T7";
+  t.ego.push_back({0.125, 7, 1.5, -2.25, -0.0, 3e-310, sub, -sub, inf, -inf, nan,
+                   0.1, -0.2, 0.3});
+  t.ego.push_back({1.0 / 3.0, 4294967295u, 1e15, 1e-15, 123456.789, -7.0, 2.5e300,
+                   -1e-300, 0.0, 42.0, -42.5, 1.0, -1.0, 0.999});
+  t.others.push_back({3, "lead,car", 0.125, 25.5, -0.0, sub, inf, -inf, nan, 1e21, 0.4,
+                      -0.5, 0.6});
+  t.others.push_back({4294967295u, "say \"hi\"", 0.25, 1e-7, 2.0, 3.0, 4.0, 5.0, 6.0,
+                      7.0, 8.0, 9.0, 10.0});
+  t.others.push_back({9, "cr\rlf\n", 0.5, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0,
+                      19.0, 20.0});
+  t.collisions.push_back({1.75, 35, 3, "vehicle", 4.5});
+  t.collisions.push_back({-0.0, 0, 4294967295u, "odd,\"kind\"", -inf});
+  t.lane_invasions.push_back({0.8, 16, "broken", -1, 2});
+  t.lane_invasions.push_back({2.0e-5, 4294967295u, "solid", 2147483647, -2147483647 - 1});
+  t.faults.push_back({0.5, "delay", 12.3456789, true, "12.3457ms"});
+  t.faults.push_back({0.75, "loss", 0.05, true, "5%"});
+  t.faults.push_back({0.9, "loss", 0.05, false, "5%"});
+  return t;
+}
+
+/// A recorded slalom run under 50 ms delay: T1 collides in it.
+RunTrace record_slalom_run() {
+  const sim::Scenario scenario = sim::make_slalom_scenario();
+  const std::vector<core::SubjectProfile> roster = core::make_roster();
+  const core::SubjectProfile& profile = roster.front();
+  core::RunConfig rc;
+  rc.run_id = profile.id + "-" + scenario.name;
+  rc.subject_id = profile.id;
+  rc.driver = profile.driver;
+  rc.seed = profile.seed;
+  rc.fault_injected = true;
+  for (const auto& poi : scenario.pois) {
+    rc.plan.push_back({poi.name, {net::FaultKind::kDelay, 50.0}});
+  }
+  return core::TeleopSession{std::move(rc), scenario}.run().trace;
+}
+
+std::uint64_t fnv(const std::string& text) {
+  check::Fnv1a h;
+  h.str(text);
+  return h.digest();
+}
+
+// The exact bytes of the three tables, pinned: a change to how any column is
+// named, ordered or formatted shows up here.
+TEST(RunTrace, CsvTablesMatchPinnedDigests) {
+  const RunTrace distinct = make_distinct_trace();
+  EXPECT_EQ(fnv(distinct.ego_csv()), 0x0b1e7aac4d0f8c5dULL);
+  EXPECT_EQ(fnv(distinct.others_csv()), 0x5d578f1882e9d4f3ULL);
+  EXPECT_EQ(fnv(distinct.events_csv()), 0xe6c462a1049516b8ULL);
+
+  const RunTrace slalom = record_slalom_run();
+  ASSERT_FALSE(slalom.collisions.empty());
+  ASSERT_FALSE(slalom.faults.empty());
+  EXPECT_EQ(fnv(slalom.ego_csv()), 0xabee0a2dd26abda2ULL);
+  EXPECT_EQ(fnv(slalom.others_csv()), 0xad01df570b007200ULL);
+  EXPECT_EQ(fnv(slalom.events_csv()), 0x489b01f2507476f5ULL);
 }
 
 TEST(RunTrace, SteeringSeriesExtraction) {
