@@ -5,6 +5,7 @@
 
 #include <optional>
 
+#include "core/campaign_hash.hpp"
 #include "core/teleop.hpp"
 #include "metrics/srr.hpp"
 #include "metrics/ttc.hpp"
@@ -205,6 +206,15 @@ void BM_TraceCsvRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceCsvRoundTrip);
+
+void BM_HashRun(benchmark::State& state) {
+  core::RunResult run;
+  run.trace = bench_trace();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(check::hash_run(run));
+  }
+}
+BENCHMARK(BM_HashRun);
 
 }  // namespace
 

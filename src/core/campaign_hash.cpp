@@ -78,24 +78,12 @@ void fold(Fnv1a& h, const net::StreamStats& v) {
            retransmits_fast, acks_sent, dup_acks_seen, stale_segments, srtt, rto);
 }
 
-void fold(Fnv1a& h, const trace::EgoSample& v) {
-  const auto& [t, frame, x, y, z, vx, vy, vz, ax, ay, az, throttle, steer, brake] = v;
-  fold_all(h, t, frame, x, y, z, vx, vy, vz, ax, ay, az, throttle, steer, brake);
-}
-
-void fold(Fnv1a& h, const trace::OtherSample& v) {
-  const auto& [actor, role, t, distance, x, y, z, vx, vy, vz, throttle, steer, brake] = v;
-  fold_all(h, actor, role, t, distance, x, y, z, vx, vy, vz, throttle, steer, brake);
-}
-
-void fold(Fnv1a& h, const trace::CollisionRecord& v) {
-  const auto& [t, frame, other, other_kind, relative_speed] = v;
-  fold_all(h, t, frame, other, other_kind, relative_speed);
-}
-
-void fold(Fnv1a& h, const trace::LaneInvasionRecord& v) {
-  const auto& [t, frame, marking, from_lane, to_lane] = v;
-  fold_all(h, t, frame, marking, from_lane, to_lane);
+// The regular trace rows (ego, others, collisions, lane invasions) fold their
+// trace::fields() walk, whose structured binding names every member.
+template <typename Row>
+  requires requires(const Row& v) { trace::fields(v, [](const char*, const auto&) {}); }
+void fold(Fnv1a& h, const Row& v) {
+  trace::fields(v, [&h](const char*, const auto& member) { fold(h, member); });
 }
 
 void fold(Fnv1a& h, const trace::FaultRecord& v) {

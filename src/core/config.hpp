@@ -55,9 +55,6 @@ struct RdsConfig {
   sim::VehicleParams vehicle{};
   double road_scale{1.0};               ///< world geometry scale (model rig: 0.25)
 
-  double physics_hz{100.0};
-  double comms_hz{400.0};               ///< network/operator sub-tick rate
-
   /// Use unreliable datagrams instead of the TCP-like stream (ablation).
   bool datagram_video{false};
   bool datagram_commands{false};

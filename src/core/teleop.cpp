@@ -23,6 +23,11 @@ namespace {
 
 /// Trace sampling rate.
 constexpr double kLogHz = 20.0;
+/// Vehicle physics rate, and the network/operator sub-tick rate.
+constexpr double kPhysicsHz = 100.0;
+constexpr double kCommsHz = 400.0;
+constexpr util::Duration kPhysicsDt = util::Duration::seconds(1.0 / kPhysicsHz);
+constexpr util::Duration kCommsDt = util::Duration::seconds(1.0 / kCommsHz);
 /// Declared wire size of one driving command.
 constexpr std::uint32_t kCommandWireBytes = 200;
 /// Drop a video frame at the sender while more than this many segments are
@@ -82,8 +87,6 @@ TeleopSession::TeleopSession(RunConfig config, sim::Scenario scenario)
     vehicle_.enable_mitigation(config_.mitigation.watchdog);
   }
 
-  comms_dt_ = util::Duration::seconds(1.0 / rds.comms_hz);
-  physics_dt_ = util::Duration::seconds(1.0 / rds.physics_hz);
   next_physics_ = clock_.now();
 }
 
@@ -182,7 +185,7 @@ bool TeleopSession::step() {
 
   // Physics sub-steps due at this tick.
   while (next_physics_ <= now) {
-    vehicle_.step_physics(units::Seconds::from_duration(physics_dt_));
+    vehicle_.step_physics(units::Seconds::from_duration(kPhysicsDt));
     recorder_.step(vehicle_.world());
     if (config_.replay != nullptr) {
       check::Fnv1a net;
@@ -192,7 +195,7 @@ bool TeleopSession::step() {
                                   check::hash_frame(vehicle_.world().snapshot()),
                                   net.digest());
     }
-    next_physics_ += physics_dt_;
+    next_physics_ += kPhysicsDt;
   }
   stopwatch.lap(obs::metric::kPhasePhysics);
 
@@ -210,7 +213,7 @@ bool TeleopSession::step() {
   stopwatch.lap(obs::metric::kPhaseCommands);
   stopwatch.total(obs::metric::kPhaseStep);
 
-  clock_.advance(comms_dt_);
+  clock_.advance(kCommsDt);
 
   if (vehicle_.runtime().complete() || vehicle_.runtime().timed_out()) {
     if (injector_.active()) injector_.remove(clock_.now());

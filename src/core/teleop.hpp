@@ -135,8 +135,6 @@ class TeleopSession {
   std::unique_ptr<mitigate::DegradationGovernor> governor_;
   units::MetersPerSecond perceived_speed_{};  ///< ego speed of the last decoded frame
 
-  util::Duration comms_dt_{};
-  util::Duration physics_dt_{};
   util::TimePoint next_physics_{};
   std::optional<std::size_t> active_assignment_;
   std::uint64_t frames_skipped_sender_{0};

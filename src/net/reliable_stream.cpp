@@ -142,9 +142,6 @@ void ReliableStream::step(util::TimePoint now) {
   } else {
     rto_backoff_ = 0;
   }
-
-  // Delayed ack timer.
-  if (ack_pending_ && now >= ack_due_) send_ack(now);
 }
 
 util::Duration ReliableStream::current_rto() const {
@@ -229,12 +226,7 @@ void ReliableStream::on_data(ByteReader& body, util::TimePoint now) {
 
   update_hol_obs(now);
 
-  if (config_.ack_delay.is_zero()) {
-    send_ack(now);
-  } else if (!ack_pending_) {
-    ack_pending_ = true;
-    ack_due_ = now + config_.ack_delay;
-  }
+  send_ack(now);
 }
 
 void ReliableStream::absorb(std::uint32_t message_id, std::uint16_t seg_index,
@@ -296,7 +288,6 @@ void ReliableStream::send_ack(util::TimePoint now) {
   p.wire_size = kAckWireSize;
   channel_->send(reverse(data_dir_), std::move(p), now);
   ++stats_.acks_sent;
-  ack_pending_ = false;
 }
 
 void ReliableStream::on_ack(ByteReader& r, util::TimePoint now) {

@@ -67,7 +67,6 @@ struct StreamConfig {
   /// dropping frames, reproducing the paper's observation that >100 ms
   /// delays made driving very hard and >200 ms stopped the feed entirely.
   std::uint32_t window_segments{128};
-  util::Duration ack_delay{};  ///< 0 = ack immediately
 
   /// Segments carry a u16 count, so a message may span at most this many.
   static constexpr std::uint64_t kMaxSegments = 0xffff;
@@ -185,8 +184,6 @@ class ReliableStream final : public MessageTransport, private PacketEndpoint {
   Payload partial_;               ///< bytes of the message under reassembly
   std::uint32_t next_deliver_message_{0};
   util::SeqQueue<DeliveredMessage> delivered_;
-  bool ack_pending_{false};
-  util::TimePoint ack_due_{};
   std::uint64_t last_data_ts_us_{0};
 
   // Head-of-line stall tracking (observation only — never read by the

@@ -41,7 +41,6 @@ class Actor {
   void set_controller(std::unique_ptr<ActorController> controller) {
     controller_ = std::move(controller);
   }
-  bool has_controller() const { return controller_ != nullptr; }
 
   /// The actor's road projection at its current position (heading_error
   /// unset). The world computes it at spawn and after every move in
@@ -80,7 +79,6 @@ class LaneFollowController final : public ActorController {
 
   /// Replace the constant cruise speed with a piecewise profile.
   void set_speed_profile(std::vector<SpeedPoint> profile);
-  void set_lane(int lane) { lane_ = lane; }
 
   void update(Actor& actor, const RoadNetwork& road, units::Seconds dt) override;
 

@@ -58,47 +58,34 @@ std::vector<double> RunTrace::time_series() const {
 
 namespace {
 
-void write_ego_table(const RunTrace& trace, std::ostream& out) {
-  util::CsvWriter w{out};
-  w.write_row({"t", "frame", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az", "throttle",
-               "steer", "brake"});
-  for (const EgoSample& s : trace.ego) {
-    w.field(s.t)
-        .field(static_cast<std::int64_t>(s.frame))
-        .field(s.x)
-        .field(s.y)
-        .field(s.z)
-        .field(s.vx)
-        .field(s.vy)
-        .field(s.vz)
-        .field(s.ax)
-        .field(s.ay)
-        .field(s.az)
-        .field(s.throttle)
-        .field(s.steer)
-        .field(s.brake);
-    w.end_row();
-  }
+/// The column names of a Row's walk, in order.
+template <typename Row>
+std::vector<std::string> column_names() {
+  std::vector<std::string> names;
+  const Row probe{};
+  fields(probe, [&names](const char* name, const auto&) { names.emplace_back(name); });
+  return names;
 }
 
-void write_others_table(const RunTrace& trace, std::ostream& out) {
+/// One cell per walked field: integers as integers, doubles through
+/// format_number, strings quoted where they must be.
+template <typename Row>
+void write_fields(util::CsvWriter& w, const Row& row) {
+  fields(row, [&w](const char*, const auto& v) {
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(v)>>) {
+      w.field(static_cast<std::int64_t>(v));
+    } else {
+      w.field(v);
+    }
+  });
+}
+
+template <typename Row>
+void write_table(const std::vector<Row>& rows, std::ostream& out) {
   util::CsvWriter w{out};
-  w.write_row({"actor", "role", "t", "distance", "x", "y", "z", "vx", "vy", "vz", "throttle",
-               "steer", "brake"});
-  for (const OtherSample& s : trace.others) {
-    w.field(static_cast<std::int64_t>(s.actor))
-        .field(s.role)
-        .field(s.t)
-        .field(s.distance)
-        .field(s.x)
-        .field(s.y)
-        .field(s.z)
-        .field(s.vx)
-        .field(s.vy)
-        .field(s.vz)
-        .field(s.throttle)
-        .field(s.steer)
-        .field(s.brake);
+  w.write_row(column_names<Row>());
+  for (const Row& row : rows) {
+    write_fields(w, row);
     w.end_row();
   }
 }
@@ -107,21 +94,13 @@ void write_events_table(const RunTrace& trace, std::ostream& out) {
   util::CsvWriter w{out};
   w.write_row({"event", "t", "frame", "a", "b", "c"});
   for (const CollisionRecord& c : trace.collisions) {
-    w.field("collision")
-        .field(c.t)
-        .field(static_cast<std::int64_t>(c.frame))
-        .field(static_cast<std::int64_t>(c.other))
-        .field(c.other_kind)
-        .field(c.relative_speed);
+    w.field("collision");
+    write_fields(w, c);
     w.end_row();
   }
   for (const LaneInvasionRecord& l : trace.lane_invasions) {
-    w.field("lane_invasion")
-        .field(l.t)
-        .field(static_cast<std::int64_t>(l.frame))
-        .field(l.marking)
-        .field(static_cast<std::int64_t>(l.from_lane))
-        .field(static_cast<std::int64_t>(l.to_lane));
+    w.field("lane_invasion");
+    write_fields(w, l);
     w.end_row();
   }
   for (const FaultRecord& f : trace.faults) {
@@ -139,20 +118,20 @@ void write_events_table(const RunTrace& trace, std::ostream& out) {
 
 void RunTrace::write_csv(std::ostream& ego_out, std::ostream& others_out,
                          std::ostream& events_out) const {
-  write_ego_table(*this, ego_out);
-  write_others_table(*this, others_out);
+  write_table(ego, ego_out);
+  write_table(others, others_out);
   write_events_table(*this, events_out);
 }
 
 std::string RunTrace::ego_csv() const {
   std::ostringstream os;
-  write_ego_table(*this, os);
+  write_table(ego, os);
   return os.str();
 }
 
 std::string RunTrace::others_csv() const {
   std::ostringstream os;
-  write_others_table(*this, os);
+  write_table(others, os);
   return os.str();
 }
 
@@ -198,19 +177,58 @@ class TraceTable {
   /// The cell as a T; throws unless the whole cell is a number in T's range.
   template <typename T = double>
   T number(std::size_t row, int col) const {
-    const std::string& cell = text(row, col);
-    if (const std::optional<T> value = util::parse_number<T>(cell)) return *value;
+    const std::optional<T> value = util::parse_number<T>(text(row, col));
+    if (value) return *value;
+    reject(row, col,
+           std::is_floating_point_v<T> ? "not a number" : "not an integer in range");
+  }
+
+  /// Throws for the cell at (row, col), which is `what`.
+  [[noreturn]] void reject(std::size_t row, int col, std::string_view what) const {
     throw std::invalid_argument{
         std::string{name_} + " CSV row " + std::to_string(row + 1) + " column '" +
-        csv_.header()[static_cast<std::size_t>(col)] + "' holds '" + cell +
-        (std::is_floating_point_v<T> ? "', which is not a number"
-                                     : "', which is not an integer in range")};
+        csv_.header()[static_cast<std::size_t>(col)] + "' holds '" + text(row, col) +
+        "', which is " + std::string{what}};
+  }
+
+  /// Row `row` as a Row, its k-th walked field read from column `cols[k]`.
+  template <typename Row>
+  Row read(std::size_t row, const std::vector<int>& cols) const {
+    Row out;
+    std::size_t k = 0;
+    fields(out, [&](const char*, auto& v) {
+      using T = std::remove_cvref_t<decltype(v)>;
+      const int col = cols[k++];
+      if constexpr (std::is_same_v<T, std::string>) {
+        v = text(row, col);
+      } else {
+        v = number<T>(row, col);
+      }
+    });
+    return out;
   }
 
  private:
   util::CsvTable csv_;
   const char* name_;
 };
+
+/// The fault kind net::to_string names `word`, if any.
+std::optional<net::FaultKind> fault_kind_named(std::string_view word) {
+  for (const net::FaultKind kind :
+       {net::FaultKind::kNone, net::FaultKind::kDelay, net::FaultKind::kPacketLoss}) {
+    if (net::to_string(kind) == word) return kind;
+  }
+  return std::nullopt;
+}
+
+/// The column of each walked field of a Row, found by its name.
+template <typename Row>
+std::vector<int> columns_of(const TraceTable& table) {
+  std::vector<int> cols;
+  for (const std::string& name : column_names<Row>()) cols.push_back(table.column(name));
+  return cols;
+}
 
 }  // namespace
 
@@ -219,29 +237,9 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
   RunTrace t;
   {
     const TraceTable table{ego_csv, "ego"};
-    const int ct = table.column("t");
-    const int cframe = table.column("frame");
-    const int cx = table.column("x"), cy = table.column("y"), cz = table.column("z");
-    const int cvx = table.column("vx"), cvy = table.column("vy"), cvz = table.column("vz");
-    const int cax = table.column("ax"), cay = table.column("ay"), caz = table.column("az");
-    const int cth = table.column("throttle"), cst = table.column("steer"),
-              cbr = table.column("brake");
+    const std::vector<int> cols = columns_of<EgoSample>(table);
     for (std::size_t i = 0; i < table.rows(); ++i) {
-      EgoSample s;
-      s.t = table.number(i, ct);
-      s.frame = table.number<std::uint32_t>(i, cframe);
-      s.x = table.number(i, cx);
-      s.y = table.number(i, cy);
-      s.z = table.number(i, cz);
-      s.vx = table.number(i, cvx);
-      s.vy = table.number(i, cvy);
-      s.vz = table.number(i, cvz);
-      s.ax = table.number(i, cax);
-      s.ay = table.number(i, cay);
-      s.az = table.number(i, caz);
-      s.throttle = table.number(i, cth);
-      s.steer = table.number(i, cst);
-      s.brake = table.number(i, cbr);
+      const EgoSample s = table.read<EgoSample>(i, cols);
       // The analyzers pair ego rows in time order; reject the file instead.
       if (i > 0 && !(s.t >= t.ego.back().t)) {
         std::ostringstream msg;
@@ -254,67 +252,41 @@ RunTrace RunTrace::from_csv(const std::string& ego_csv, const std::string& other
   }
   {
     const TraceTable table{others_csv, "others"};
-    const int ca = table.column("actor");
-    const int crole = table.column("role");
-    const int ct = table.column("t");
-    const int cd = table.column("distance");
-    const int cx = table.column("x"), cy = table.column("y"), cz = table.column("z");
-    const int cvx = table.column("vx"), cvy = table.column("vy"), cvz = table.column("vz");
-    const int cth = table.column("throttle"), cst = table.column("steer"),
-              cbr = table.column("brake");
+    const std::vector<int> cols = columns_of<OtherSample>(table);
     for (std::size_t i = 0; i < table.rows(); ++i) {
-      OtherSample s;
-      s.actor = table.number<sim::ActorId>(i, ca);
-      s.role = table.text(i, crole);
-      s.t = table.number(i, ct);
-      s.distance = table.number(i, cd);
-      s.x = table.number(i, cx);
-      s.y = table.number(i, cy);
-      s.z = table.number(i, cz);
-      s.vx = table.number(i, cvx);
-      s.vy = table.number(i, cvy);
-      s.vz = table.number(i, cvz);
-      s.throttle = table.number(i, cth);
-      s.steer = table.number(i, cst);
-      s.brake = table.number(i, cbr);
-      t.others.push_back(s);
+      t.others.push_back(table.read<OtherSample>(i, cols));
     }
   }
   {
     const TraceTable table{events_csv, "events"};
     const int cev = table.column("event");
-    const int ct = table.column("t");
-    const int cframe = table.column("frame");
-    const int ca = table.column("a"), cb = table.column("b"), cc = table.column("c");
+    // Collision and lane-invasion rows: their walked fields, in order.
+    const std::vector<int> cols = {table.column("t"), table.column("frame"),
+                                   table.column("a"), table.column("b"),
+                                   table.column("c")};
+    const int ct = cols[0], ca = cols[2], cb = cols[3], cc = cols[4];
     for (std::size_t i = 0; i < table.rows(); ++i) {
       const std::string& kind = table.text(i, cev);
       if (kind == "collision") {
-        CollisionRecord c;
-        c.t = table.number(i, ct);
-        c.frame = table.number<std::uint32_t>(i, cframe);
-        c.other = table.number<sim::ActorId>(i, ca);
-        c.other_kind = table.text(i, cb);
-        c.relative_speed = table.number(i, cc);
-        t.collisions.push_back(c);
+        t.collisions.push_back(table.read<CollisionRecord>(i, cols));
       } else if (kind == "lane_invasion") {
-        LaneInvasionRecord l;
-        l.t = table.number(i, ct);
-        l.frame = table.number<std::uint32_t>(i, cframe);
-        l.marking = table.text(i, ca);
-        l.from_lane = table.number<int>(i, cb);
-        l.to_lane = table.number<int>(i, cc);
-        t.lane_invasions.push_back(l);
+        t.lane_invasions.push_back(table.read<LaneInvasionRecord>(i, cols));
       } else if (kind == "fault") {
         FaultRecord f;
         f.t = table.number(i, ct);
         f.fault_type = table.text(i, ca);
+        const std::optional<net::FaultKind> fault_kind = fault_kind_named(f.fault_type);
+        if (!fault_kind) table.reject(i, ca, "not a fault type (none, delay or loss)");
         f.value = table.number(i, cb);
-        f.added = table.text(i, cc) == "added";
-        const net::FaultKind fault_kind = f.fault_type == "delay"
-                                              ? net::FaultKind::kDelay
-                                              : net::FaultKind::kPacketLoss;
-        f.label = net::FaultSpec{fault_kind, f.value}.label();
+        const std::string& added = table.text(i, cc);
+        if (added != "added" && added != "deleted") {
+          table.reject(i, cc, "neither 'added' nor 'deleted'");
+        }
+        f.added = added == "added";
+        f.label = net::FaultSpec{*fault_kind, f.value}.label();
         t.faults.push_back(f);
+      } else {
+        table.reject(i, cev, "not collision, lane_invasion or fault");
       }
     }
   }
@@ -356,51 +328,30 @@ void TraceRecorder::step(const sim::World& world) {
 
   const sim::Actor& ego = world.ego();
   const sim::KinematicState& st = ego.state();
-  EgoSample s;
-  s.t = t;
-  s.frame = world.frame_counter();
-  s.x = st.position.x;
-  s.y = st.position.y;
-  s.z = st.z;
-  s.vx = st.velocity.x;
-  s.vy = st.velocity.y;
-  s.ax = st.accel.x;
-  s.ay = st.accel.y;
   const sim::VehicleControl& ctl = ego.vehicle().control();
-  s.throttle = ctl.throttle;
-  s.steer = ctl.steer;
-  s.brake = ctl.brake;
-  trace_.ego.push_back(s);
+  trace_.ego.push_back({.t = t, .frame = world.frame_counter(), .x = st.position.x,
+                        .y = st.position.y, .z = st.z, .vx = st.velocity.x,
+                        .vy = st.velocity.y, .ax = st.accel.x, .ay = st.accel.y,
+                        .throttle = ctl.throttle, .steer = ctl.steer,
+                        .brake = ctl.brake});
 
   for (const auto& actor : world.actors()) {
     if (actor->id() == ego.id()) continue;
-    OtherSample o;
-    o.actor = actor->id();
-    o.role = actor->role();
-    o.t = t;
-    o.distance = actor->state().position.distance_to(st.position);
-    o.x = actor->state().position.x;
-    o.y = actor->state().position.y;
-    o.z = actor->state().z;
-    o.vx = actor->state().velocity.x;
-    o.vy = actor->state().velocity.y;
+    const sim::KinematicState& ost = actor->state();
     const sim::VehicleControl& octl = actor->vehicle().control();
-    o.throttle = octl.throttle;
-    o.steer = octl.steer;
-    o.brake = octl.brake;
-    trace_.others.push_back(o);
+    trace_.others.push_back({.actor = actor->id(), .role = actor->role(), .t = t,
+                             .distance = ost.position.distance_to(st.position),
+                             .x = ost.position.x, .y = ost.position.y, .z = ost.z,
+                             .vx = ost.velocity.x, .vy = ost.velocity.y,
+                             .throttle = octl.throttle, .steer = octl.steer,
+                             .brake = octl.brake});
   }
 }
 
 void TraceRecorder::ingest_fault_log(const std::vector<net::FaultEvent>& log) {
   for (const net::FaultEvent& ev : log) {
-    FaultRecord f;
-    f.t = ev.timestamp.to_seconds();
-    f.fault_type = net::to_string(ev.fault.kind);
-    f.value = ev.fault.value;
-    f.added = ev.added;
-    f.label = ev.fault.label();
-    trace_.faults.push_back(f);
+    trace_.faults.push_back({ev.timestamp.to_seconds(), net::to_string(ev.fault.kind),
+                             ev.fault.value, ev.added, ev.fault.label()});
   }
 }
 

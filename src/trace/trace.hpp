@@ -9,8 +9,10 @@
 // analysis pipeline can also consume externally recorded data.
 #pragma once
 
+#include <concepts>
 #include <iosfwd>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "net/fault_injector.hpp"
@@ -55,6 +57,74 @@ struct LaneInvasionRecord {
   int to_lane{0};
 };
 
+// fields(row, f) calls f("name", member) for every member of a row, in
+// declaration order: the CSV column order and the check::hash_run fold order,
+// so the CSV writer, the CSV reader and the run hash all walk this one list.
+// The structured binding names every member, so a new member is a compile
+// error here. Event rows share the positional columns of the events table.
+
+template <typename Row, typename Walked>
+concept WalkOf = std::same_as<std::remove_const_t<Row>, Walked>;
+
+template <WalkOf<EgoSample> Row, typename F>
+void fields(Row& row, F&& f) {
+  auto& [t, frame, x, y, z, vx, vy, vz, ax, ay, az, throttle, steer, brake] = row;
+  f("t", t);
+  f("frame", frame);
+  f("x", x);
+  f("y", y);
+  f("z", z);
+  f("vx", vx);
+  f("vy", vy);
+  f("vz", vz);
+  f("ax", ax);
+  f("ay", ay);
+  f("az", az);
+  f("throttle", throttle);
+  f("steer", steer);
+  f("brake", brake);
+}
+
+template <WalkOf<OtherSample> Row, typename F>
+void fields(Row& row, F&& f) {
+  auto& [actor, role, t, distance, x, y, z, vx, vy, vz, throttle, steer, brake] = row;
+  f("actor", actor);
+  f("role", role);
+  f("t", t);
+  f("distance", distance);
+  f("x", x);
+  f("y", y);
+  f("z", z);
+  f("vx", vx);
+  f("vy", vy);
+  f("vz", vz);
+  f("throttle", throttle);
+  f("steer", steer);
+  f("brake", brake);
+}
+
+template <WalkOf<CollisionRecord> Row, typename F>
+void fields(Row& row, F&& f) {
+  auto& [t, frame, other, other_kind, relative_speed] = row;
+  f("t", t);
+  f("frame", frame);
+  f("other", other);
+  f("other_kind", other_kind);
+  f("relative_speed", relative_speed);
+}
+
+template <WalkOf<LaneInvasionRecord> Row, typename F>
+void fields(Row& row, F&& f) {
+  auto& [t, frame, marking, from_lane, to_lane] = row;
+  f("t", t);
+  f("frame", frame);
+  f("marking", marking);
+  f("from_lane", from_lane);
+  f("to_lane", to_lane);
+}
+
+/// Fault rows have no walk: `added` is written as a word and `label` is
+/// derived from the type and value rather than stored.
 struct FaultRecord {
   double t{0.0};
   std::string fault_type{};  ///< "delay" | "loss" | ...
@@ -92,6 +162,10 @@ class RunTrace {
   std::vector<double> time_series() const;
 
   // ----- CSV round trip -----
+  // The ego and others tables have one column per walked field, named by the
+  // walk. The events table has the columns event, t, frame, a, b, c: event
+  // is collision, lane_invasion or fault, and the row's fields follow in
+  // walk order; a fault row is t, 0, fault type, value, added|deleted.
   void write_csv(std::ostream& ego_out, std::ostream& others_out,
                  std::ostream& events_out) const;
   std::string ego_csv() const;
@@ -99,8 +173,10 @@ class RunTrace {
   std::string events_csv() const;
   /// Parses the three tables back into a trace. Throws std::invalid_argument
   /// naming the table and the column when a column that write_csv writes is
-  /// missing, the table, row and column when a row is shorter than its
-  /// header, and the first ego row whose t is earlier than the row before it.
+  /// missing; the table, row and column when a row is shorter than its
+  /// header, or a cell is not a number in its field's range, not an event
+  /// kind, not a fault type net::to_string writes, or not added|deleted;
+  /// and the first ego row whose t is earlier than the row before it.
   static RunTrace from_csv(const std::string& ego_csv, const std::string& others_csv,
                            const std::string& events_csv);
 };

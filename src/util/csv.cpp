@@ -123,7 +123,7 @@ int CsvTable::column(std::string_view name) const {
 }
 
 std::string format_number(double v) {
-  if (std::isnan(v)) return "nan";
+  if (std::isnan(v)) return std::signbit(v) ? "-nan" : "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
   // The shortest string that parses back to exactly `v`. Whole numbers below
   // 1e15 keep their plain integer spelling instead of an exponent.

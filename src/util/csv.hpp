@@ -52,8 +52,8 @@ class CsvTable {
 };
 
 /// `text` as a T (double or an integer type) when the whole of it is one
-/// number in T's range, else nullopt. Doubles also read "nan", "inf" and
-/// "-inf", which format_number writes.
+/// number in T's range, else nullopt. Doubles also read "nan", "-nan", "inf"
+/// and "-inf", which format_number writes.
 template <typename T>
 std::optional<T> parse_number(std::string_view text) {
   T out{};
@@ -65,7 +65,8 @@ std::optional<T> parse_number(std::string_view text) {
 
 /// Format a double as the shortest string that parse_number<double> reads
 /// back to the same value: whole numbers below 1e15 as plain integers, "nan",
-/// "inf" and "-inf" as such, so a CSV round trip is exact.
+/// "-nan", "inf" and "-inf" as such, so a CSV round trip is exact. A NaN
+/// keeps its sign (x86 makes 0/0 a negative NaN) but not its payload.
 std::string format_number(double v);
 
 }  // namespace rdsim::util

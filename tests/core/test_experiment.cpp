@@ -107,8 +107,8 @@ TEST(ExperimentHarness, RejectsNegativeOrNonFiniteRunTimeLimit) {
 
 TEST(ExperimentHarness, RejectsUnrunnableRdsConfig) {
   ExperimentConfig cfg;
-  cfg.rds.comms_hz = 0.0;
-  EXPECT_NE(rejection(cfg).find("comms_hz"), std::string::npos);
+  cfg.rds.transport.window_segments = 0;
+  EXPECT_NE(rejection(cfg).find("window_segments"), std::string::npos);
 }
 
 TEST(RunSubject, ProducesGoldenAndFaultyRuns) {

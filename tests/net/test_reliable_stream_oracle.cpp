@@ -1,6 +1,6 @@
 // Differential oracle for ReliableStream.
 //
-// Sweeps netem seeds x fault rules x window sizes x ACK delays, sends a mix
+// Sweeps netem seeds x fault rules x window sizes, sends a mix
 // of multi-segment and single-segment messages, and checks the transport's
 // contract on every run: each message is delivered exactly once, in order,
 // byte-identical to what was sent. On top of that it pins an FNV digest over
@@ -28,7 +28,6 @@ using util::TimePoint;
 
 constexpr std::uint64_t kSeeds[] = {3, 17, 2024};
 constexpr std::uint32_t kWindows[] = {4, 128};
-constexpr std::int64_t kAckDelaysMs[] = {0};
 constexpr int kMessages = 40;
 constexpr std::uint32_t kMtu = 1000;
 
@@ -80,11 +79,9 @@ struct RunOutcome {
 
 /// One oracle run. Contract violations are reported through gtest with the
 /// run's coordinates; the digest folds stats and deliveries.
-RunOutcome run_one(std::uint64_t seed, const Rule& rule, std::uint32_t window,
-                   std::int64_t ack_delay_ms) {
+RunOutcome run_one(std::uint64_t seed, const Rule& rule, std::uint32_t window) {
   const std::string where = std::string{rule.name} + " seed " + std::to_string(seed) +
-                            " window " + std::to_string(window) + " ack_delay " +
-                            std::to_string(ack_delay_ms) + "ms";
+                            " window " + std::to_string(window);
   Channel channel{seed};
   if (rule.netem != nullptr) {
     channel.tc().execute(std::string{"qdisc add dev lo root netem "} + rule.netem);
@@ -92,7 +89,6 @@ RunOutcome run_one(std::uint64_t seed, const Rule& rule, std::uint32_t window,
   StreamConfig cfg;
   cfg.mtu = kMtu;
   cfg.window_segments = window;
-  cfg.ack_delay = Duration::millis(ack_delay_ms);
   ReliableStream stream{channel, 1, LinkDirection::kDownlink, cfg};
 
   const std::vector<Message> messages = make_messages(seed);
@@ -132,7 +128,7 @@ RunOutcome run_one(std::uint64_t seed, const Rule& rule, std::uint32_t window,
     } else if (quiet_since == deadline) {
       quiet_since = now;
     } else if (now - quiet_since >= Duration::seconds(1.0)) {
-      break;  // a second of quiet flushes any delayed ACK
+      break;  // a second of quiet ends the run
     }
   }
   EXPECT_EQ(outcome.delivered, kMessages) << where << ": not every message arrived";
@@ -168,12 +164,10 @@ RuleOutcome run_rule(const Rule& rule) {
   RuleOutcome out;
   for (const std::uint64_t seed : kSeeds) {
     for (const std::uint32_t window : kWindows) {
-      for (const std::int64_t ack_delay_ms : kAckDelaysMs) {
-        const RunOutcome run = run_one(seed, rule, window, ack_delay_ms);
-        h.u64(run.digest);
-        out.retransmits += run.stats.retransmits_rto + run.stats.retransmits_fast;
-        out.stale += run.stats.stale_segments;
-      }
+      const RunOutcome run = run_one(seed, rule, window);
+      h.u64(run.digest);
+      out.retransmits += run.stats.retransmits_rto + run.stats.retransmits_fast;
+      out.stale += run.stats.stale_segments;
     }
   }
   out.digest = h.digest();

@@ -300,6 +300,57 @@ TEST(RunTrace, FromCsvRejectsNonNumericCells) {
             "in range");
 }
 
+// An events row must say what it is, and a fault row must name a fault type
+// and a direction that write_csv writes; a misspelling is not read as a
+// guess or skipped.
+TEST(RunTrace, FromCsvRejectsUnknownEventKindsAndFaultWords) {
+  const RunTrace t = make_rich_trace();
+  const std::string ego = t.ego_csv();
+  const std::string others = t.others_csv();
+  const std::string header = "event,t,frame,a,b,c\n";
+
+  EXPECT_EQ(from_csv_error(ego, others, header + "colision,1,3,2,vehicle,4\n"),
+            "events CSV row 1 column 'event' holds 'colision', which is not collision, "
+            "lane_invasion or fault");
+  EXPECT_EQ(from_csv_error(ego, others, header + "fault,1,0,jitter,5,yes\n"),
+            "events CSV row 1 column 'a' holds 'jitter', which is not a fault type "
+            "(none, delay or loss)");
+  EXPECT_EQ(from_csv_error(ego, others,
+                           header + "fault,1,0,delay,5,added\nfault,2,0,delay,5,Added\n"),
+            "events CSV row 2 column 'c' holds 'Added', which is neither 'added' nor "
+            "'deleted'");
+
+  // Every word write_csv writes reads back.
+  const RunTrace parsed = RunTrace::from_csv(
+      ego, others,
+      header + "fault,1,0,delay,5,added\nfault,2,0,loss,0.02,deleted\n"
+               "fault,3,0,none,0,added\n");
+  ASSERT_EQ(parsed.faults.size(), 3u);
+  EXPECT_EQ(parsed.faults[0].label, "5ms");
+  EXPECT_FALSE(parsed.faults[1].added);
+  EXPECT_EQ(parsed.faults[2].fault_type, "none");
+}
+
+// x86 makes 0/0 a NaN with the sign bit set. It is written as "-nan", so a
+// trace loaded from CSV hashes as the live one did.
+TEST(RunTrace, CsvRoundTripKeepsTheSignOfNan) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RunTrace t;
+  EgoSample e;
+  e.x = -nan;
+  e.y = nan;
+  t.ego.push_back(e);
+  const std::string ego = t.ego_csv();
+  EXPECT_NE(ego.find(",-nan,nan,"), std::string::npos) << ego;
+
+  const RunTrace parsed = RunTrace::from_csv(ego, t.others_csv(), t.events_csv());
+  ASSERT_EQ(parsed.ego.size(), 1u);
+  EXPECT_EQ(bits(parsed.ego[0].x), bits(-nan));
+  EXPECT_EQ(bits(parsed.ego[0].y), bits(nan));
+  EXPECT_EQ(parsed.ego_csv(), ego);
+}
+
 /// A trace in which every field of every row holds its own value, with the
 /// cells CSV must quote and the doubles that are easy to misprint.
 RunTrace make_distinct_trace() {
